@@ -42,7 +42,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .uniqueness import hash_key_rows
+from .uniqueness import hash_key_rows, sorted_isin
 
 _PAIR_SCHEMA = pa.schema([("hx", pa.int64()), ("h1", pa.int64()), ("h2", pa.int64())])
 
@@ -190,8 +190,7 @@ def fd_violations(
         def probe(tb: pa.Table) -> pa.Table:
             ch = ray.get(ref)
             h = np.asarray(tb[hx_col].combine_chunks())
-            idx = np.clip(np.searchsorted(ch, h), 0, len(ch) - 1)
-            return tb.filter(pa.array(ch[idx] == h)).drop_columns([hx_col])
+            return tb.filter(pa.array(sorted_isin(ch, h))).drop_columns([hx_col])
 
         candidates = rows.map_batches(probe, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
     else:

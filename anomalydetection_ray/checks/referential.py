@@ -9,7 +9,7 @@ vectorized inside every ``map_batches`` task — the fact side streams and
 never shuffles.
 
 Two probes:
-- exact: sorted numpy array + ``np.isin`` — used when the dim key set fits
+- exact: sorted numpy array + ``sorted_isin`` — used when the dim key set fits
   comfortably in a worker heap (up to ~10^8 keys). No false results.
 - bloom: :class:`BloomFilter` prefilter for larger dims — negatives are
   definite orphans; positives are re-verified exactly against a
@@ -24,6 +24,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..sketches import BloomFilter
+from .uniqueness import sorted_isin
 
 
 def _collect_dim_keys(dim_ds, dim_key: str) -> np.ndarray:
@@ -58,17 +59,14 @@ def semi_join(fact_ds, fact_key: str, dim_ds, dim_key: str, anti: bool = False):
     ref = ray.put(keys)
 
     def probe(batch: pa.Table) -> pa.Table:
-        dim = ray.get(ref)
         col = batch[fact_key].combine_chunks()
-        vals = np.asarray(col)
+        present = np.zeros(len(col), dtype=bool)
+        # drop_null FIRST: np.asarray on a null-bearing int64 column
+        # widens it to float64, and keys above 2**53 then match their
+        # neighbours (an orphan 2**60+1 "found" as 2**60)
         valid = np.asarray(pc.is_valid(col))
-        present = np.zeros(len(vals), dtype=bool)
-        if len(dim) and valid.any():
-            idx = np.searchsorted(dim, vals[valid])
-            idx = np.clip(idx, 0, len(dim) - 1)
-            present[valid] = dim[idx] == vals[valid]
-        mask = ~present if anti else present
-        return batch.filter(pa.array(mask))
+        present[valid] = sorted_isin(ray.get(ref), np.asarray(col.drop_null()))
+        return batch.filter(pa.array(~present if anti else present))
 
     return fact_ds.map_batches(probe, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
 
@@ -129,11 +127,8 @@ def orphans_bloom(fact_ds, fact_key: str, dim_ds, dim_key: str, fp_rate: float =
         definite = ~hit
         # bloom hits are re-verified exactly (kills false "present")
         dim = ray.get(exact_ref)
-        if hit_v.any() and len(dim):
-            cand_v = vals_v[hit_v]
-            idx = np.clip(np.searchsorted(dim, cand_v), 0, len(dim) - 1)
-            fp_mask = dim[idx] != cand_v
-            definite[np.nonzero(hit)[0][fp_mask]] = True
+        if hit_v.any():
+            definite[np.nonzero(hit)[0]] = ~sorted_isin(dim, vals_v[hit_v])
         return batch.filter(pa.array(definite))
 
     return fact_ds.map_batches(probe, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)

@@ -246,7 +246,6 @@ def column_stats(
     kll_k: int = 256,
     hist_edges: dict[str, np.ndarray] | None = None,
     batch_size: int | None = 8192,
-    tree_fan_in: int | None = None,
 ):
     """Full stats suite as a Dataset → Dataset of one row per (part, column).
 
@@ -255,12 +254,6 @@ def column_stats(
     stream back to the driver via ``iter_batches`` and merge into a
     constant-memory :class:`StatsAccumulator` per group. The merge is
     associative, so arrival order is irrelevant.
-
-    ``tree_fan_in``: for extreme block counts (≳10^5 blocks, where
-    blocks × groups driver work would dominate), insert a repartition
-    tree level that pre-merges partials ``fan_in``-ways before they reach
-    the driver. Off by default — measured: the repartition's shuffle costs
-    more than it saves below ~10^4 blocks.
     """
     from .. import tune_shuffle_to_cluster
 
@@ -286,10 +279,6 @@ def column_stats(
     partials = partials.map_batches(
         merge_partial_rows, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
     )
-    if tree_fan_in:
-        partials = partials.repartition(num_blocks=tree_fan_in).map_batches(
-            merge_partial_rows, batch_format="pyarrow", batch_size=None
-        )
 
     import ray.data as rd
 

@@ -55,6 +55,20 @@ def hash_key_rows(batch: pa.Table, keys: list[str], seed: int = 0) -> np.ndarray
     return pl.from_arrow(batch.select(keys)).hash_rows(seed=seed).to_numpy().view(np.int64)
 
 
+def sorted_isin(sorted_vals: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Bool mask: which ``values`` occur in the ascending ``sorted_vals``.
+
+    One vectorized searchsorted — the probe every broadcast membership
+    check (dup-hash sets, dimension keys) runs per batch. ``values`` must
+    hold no nulls: extract them with ``drop_null`` first, because
+    ``np.asarray`` on a null-bearing int64 column widens it to float64 and
+    keys above 2**53 then compare equal to their neighbours."""
+    if len(sorted_vals) == 0 or len(values) == 0:
+        return np.zeros(len(values), dtype=bool)
+    idx = np.clip(np.searchsorted(sorted_vals, values), 0, len(sorted_vals) - 1)
+    return sorted_vals[idx] == values
+
+
 def _hash_combine_fn(keys: list[str], seed: int = 0):
     """map_batches fn: one (h, cnt_partial) row per distinct key hash per
     block — the 16-bytes/row combiner feeding both the shuffled

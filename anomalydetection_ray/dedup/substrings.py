@@ -58,6 +58,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..checks.uniqueness import sorted_isin
 from ..functions.text import kgram_hashes
 
 __all__ = ["duplicated_gram_hashes", "dup_span_stats", "strip_dup_spans"]
@@ -150,11 +151,7 @@ def _mark_batch(tb: pa.Table, text_col: str, k: int, dup_sorted: np.ndarray,
     hashes = _doc_hash_arrays(tb[text_col].to_numpy(zero_copy_only=False), k)
     lens = np.array([len(h) for h in hashes], dtype=np.int64)
     flat = np.concatenate(hashes) if len(hashes) else np.empty(0, dtype=np.uint64)
-    if len(dup_sorted) and len(flat):
-        idx = np.clip(np.searchsorted(dup_sorted, flat), 0, len(dup_sorted) - 1)
-        hit = dup_sorted[idx] == flat
-    else:
-        hit = np.zeros(len(flat), dtype=bool)
+    hit = sorted_isin(dup_sorted, flat)
     offs = np.zeros(len(lens) + 1, dtype=np.int64)
     np.cumsum(lens, out=offs[1:])
     # per-doc hit counts via prefix sums (safe on empty docs/segments,

@@ -17,7 +17,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..checks.uniqueness import key_counts
+from ..checks.uniqueness import key_counts, sorted_isin
 
 
 def broadcast_value_filter(ds, col: str, values, keep: bool = True):
@@ -28,14 +28,11 @@ def broadcast_value_filter(ds, col: str, values, keep: bool = True):
     ref = ray.put(arr)
 
     def probe(batch: pa.Table) -> pa.Table:
-        vals_sorted = ray.get(ref)
         col_arr = batch[col].combine_chunks()
-        vals = np.asarray(col_arr)
         valid = np.asarray(pc.is_valid(col_arr))
-        present = np.zeros(len(vals), dtype=bool)
-        if len(vals_sorted) and valid.any():
-            idx = np.clip(np.searchsorted(vals_sorted, vals[valid]), 0, len(vals_sorted) - 1)
-            present[valid] = vals_sorted[idx] == vals[valid]
+        present = np.zeros(len(col_arr), dtype=bool)
+        # drop_null first: a null-bearing int64 column would widen to float64
+        present[valid] = sorted_isin(ray.get(ref), np.asarray(col_arr.drop_null()))
         return batch.filter(pa.array(present if keep else ~present))
 
     return ds.map_batches(probe, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)

@@ -12,10 +12,11 @@ column is never shuffled, SURVEY.md M6/§7.4):
 
   uniqueness   key cols only    per-block combiner → hash shuffle of int64
                                 (key-hash, cnt) pairs only → dup-hash set
-  fused scan   all columns      ONE content scan computing BOTH the
-                                per-partition stats partials (moments +
-                                HLL/KLL/histogram sketches, worker-side
-                                n-ary combine) AND every row-level check:
+  fused scan   all columns      ONE content scan (read → one map stage)
+                                computing BOTH the per-block stats
+                                partials (moments + HLL/KLL/histogram
+                                sketches, merged on the driver) AND every
+                                row-level check:
                                 null-lang / empty-content rules, dup-key
                                 row recovery (broadcast dup-hash probe,
                                 exact post-verify), Bloom referential
@@ -177,13 +178,21 @@ def _per_part_counts(tbl: pa.Table, part_col: str) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 
 
+def _viol_schema(schema: pa.Schema, out_cols: list[str]) -> pa.Schema:
+    """Schema of a violation table: the key + partition columns with their
+    input types, then the row's content digest and the violation kind."""
+    return pa.schema(
+        [(c, schema.field(c).type) for c in out_cols]
+        + [("content_sha256", pa.string()), ("violation_kind", pa.string())]
+    )
+
+
 @dataclass
 class _RowpassRefs:
     """Broadcast state for the combined row pass: object-store refs shipped
     ONCE (`ray.put`) and read inside every map task — never re-serialized
     per batch (SURVEY.md J1 broadcast pattern)."""
 
-    need: list[str]
     out_cols: list[str]
     dup_ref: object
     bloom_ref: object | None
@@ -194,8 +203,6 @@ class _RowpassRefs:
 def _prepare_rowpass_refs(cfg: SuiteConfig, dup_hashes: np.ndarray) -> _RowpassRefs:
     import ray
 
-    key = list(cfg.key)
-    part = cfg.partition_by
     have_ref = bool(cfg.repos_dim_path)
     dup_ref = ray.put(dup_hashes)
     bloom_ref = exact_ref = None
@@ -209,12 +216,8 @@ def _prepare_rowpass_refs(cfg: SuiteConfig, dup_hashes: np.ndarray) -> _RowpassR
         dim = read_parquet_clean(cfg.repos_dim_path, columns=[cfg.dim_key]).materialize()
         bloom_ref = ray.put(build_dim_bloom(dim, cfg.dim_key).to_bytes())
         exact_ref = ray.put(_collect_dim_keys(dim, cfg.dim_key))
-    need = list(
-        dict.fromkeys(key + [part, cfg.content_col] + ([cfg.repo_col] if have_ref else []))
-    )
     return _RowpassRefs(
-        need=need,
-        out_cols=key + [part],
+        out_cols=list(cfg.key) + [cfg.partition_by],
         dup_ref=dup_ref,
         bloom_ref=bloom_ref,
         exact_ref=exact_ref,
@@ -230,7 +233,7 @@ def make_row_violations_fn(cfg: SuiteConfig, refs: _RowpassRefs):
     never leaves the scan."""
     import ray
 
-    from ..checks.uniqueness import hash_key_rows
+    from ..checks.uniqueness import hash_key_rows, sorted_isin
 
     key = list(cfg.key)
     part = cfg.partition_by
@@ -241,12 +244,7 @@ def make_row_violations_fn(cfg: SuiteConfig, refs: _RowpassRefs):
         empty = np.asarray(pc.equal(pc.coalesce(batch[cfg.content_col], ""), ""))
         # dup-key CANDIDATES by 64-bit key hash (collisions verified
         # exactly after collection — _verify_dup_candidates)
-        dh = ray.get(refs.dup_ref)
-        rh = hash_key_rows(batch, key)
-        dup = np.zeros(batch.num_rows, dtype=bool)
-        if len(dh):
-            idx = np.clip(np.searchsorted(dh, rh), 0, len(dh) - 1)
-            dup = dh[idx] == rh
+        dup = sorted_isin(ray.get(refs.dup_ref), hash_key_rows(batch, key))
         masks = [(f"null_{part}", null_part), ("empty_content", empty & ~null_part), ("duplicate_key", dup)]
         if refs.have_ref:
             from ..sketches import BloomFilter
@@ -256,37 +254,24 @@ def make_row_violations_fn(cfg: SuiteConfig, refs: _RowpassRefs):
             # review — referential.py already probes through the view)
             bf = BloomFilter.view_bytes(ray.get(refs.bloom_ref))
             col = batch[cfg.repo_col].combine_chunks()
-            valid = np.asarray(pc.is_valid(col))
-            hit = np.zeros(batch.num_rows, dtype=bool)
-            vhit = np.zeros(0, dtype=bool)
-            vv = np.empty(0)
-            if valid.any():
-                # dtype-preserving extraction (round-5 review): np.asarray
-                # on a null-bearing INT column yields float64, whose bit-
-                # pattern hashes miss the int-built Bloom — every valid
-                # key in the batch would be flagged orphan. drop_null
-                # FIRST keeps ints int64, exactly as the build side does.
-                vv = np.asarray(pc.drop_null(col))
-                vhit = bf.contains(vv)
-                hit[valid] = vhit
-            orphan = ~hit
-            dimk = ray.get(refs.exact_ref)
-            cand = hit & valid
-            if cand.any() and len(dimk):
-                cvals = vv[vhit]
-                idx = np.clip(np.searchsorted(dimk, cvals), 0, len(dimk) - 1)
-                fp_mask = dimk[idx] != cvals
-                orphan[np.nonzero(cand)[0][fp_mask]] = True
-            masks.append(("orphan_repo", orphan))
+            present = np.zeros(batch.num_rows, dtype=bool)
+            # dtype-preserving extraction (round-5 review): np.asarray
+            # on a null-bearing INT column yields float64, whose bit-
+            # pattern hashes miss the int-built Bloom — every valid
+            # key in the batch would be flagged orphan. drop_null
+            # FIRST keeps ints int64, exactly as the build side does.
+            vv = np.asarray(pc.drop_null(col))
+            if len(vv):
+                hit = bf.contains(vv)
+                # Bloom hits are re-verified exactly against the dim keys
+                hit[hit] = sorted_isin(ray.get(refs.exact_ref), vv[hit])
+                present[np.asarray(pc.is_valid(col))] = hit
+            masks.append(("orphan_repo", ~present))
         any_bad = np.zeros(batch.num_rows, dtype=bool)
         for _, m in masks:
             any_bad |= m
         if not any_bad.any():
-            return pa.Table.from_pydict(
-                {**{c: pa.array([], type=batch.schema.field(c).type) for c in out_cols},
-                 "content_sha256": pa.array([], type=pa.string()),
-                 "violation_kind": pa.array([], type=pa.string())}
-            )
+            return _viol_schema(batch.schema, out_cols).empty_table()
         pieces = []
         for kind, m in masks:
             if not m.any():
@@ -304,10 +289,9 @@ def _fused_scan(
     ds,
     cfg: SuiteConfig,
     refs: _RowpassRefs,
-    all_cols: list[str],
+    schema: pa.Schema,
     spill_dir: str | None = None,
-    spill_mode: str = "never",
-    max_driver_viol_rows: int | None = None,
+    force_spill: bool = False,
 ):
     """ONE content scan computing BOTH the stats partials and the row
     violations — the corpus's dominant cost is reading/decompressing the
@@ -316,50 +300,47 @@ def _fused_scan(
 
       map: batch → [stat partial rows (tagged 's')] ∪ [violation rows
            (tagged 'v', columns prefixed to avoid any name collision)]
-      combine: per block, collapse stat rows to one per (part, column)
-           (worker-side n-ary sketch merge), pass violation rows through
       driver: split by tag → (stats PARTIAL_SCHEMA table, violations)
 
-    Returns ``(stats_partials, viol_all)`` — partials stay unmerged so the
-    sharded suite can checkpoint them associatively; callers merge via
+    No worker-side combine stage: with whole-block batches each map
+    output already holds one partial row per (partition, column), so a
+    combine would merge nothing and only re-serialize every sketch.
+
+    Returns ``(stats_partials, violations)`` — partials stay unmerged so
+    the sharded suite can checkpoint them associatively; callers merge via
     ``merge_partials_to_stats``.
 
     Violation-volume guard (round-3 verdict item 3): on a sane corpus
     violations are rare and streaming them to the driver is free, but an
-    adversarial input (50% duplicate keys) makes them O(rows).
-    ``spill_mode``:
+    adversarial input (50% duplicate keys) makes them O(rows). Without a
+    ``spill_dir`` everything stays on the driver. With one:
 
-    - ``"never"``  — current behavior, everything on the driver;
-    - ``"force"``  — pre-gated (the dup-hash set alone predicts a blowup):
-      each COMBINE task writes its violation rows straight to parquet
+    - ``force_spill`` (pre-gated: the dup-hash set alone predicts a
+      blowup): each map task writes its violation rows straight to parquet
       under ``spill_dir`` — rows never reach the driver at all;
-    - ``"auto"``   — violations stream to the driver but accumulate at
-      most ``max_driver_viol_rows``; past the cap the accumulation
+    - otherwise violations stream to the driver but accumulate at most
+      ``cfg.max_driver_violation_rows``; past the cap the accumulation
       flushes to ``spill_dir`` shards and keeps flushing (bounded driver
       memory for violation sources no pre-gate can predict, e.g. an
       all-rows row-rule failure).
 
-    When anything spilled, returns ``(stats_partials, None)`` — the
-    violations live under ``spill_dir``. Worker-side shard names carry
-    (task id, within-task ordinal, content digest), so a lineage-retried
-    scan task overwrites its own shards while byte-identical blocks from
-    DIFFERENT tasks keep distinct files; the caller wipes ``spill_dir``
-    before any fresh (non-resumed) scan, so stale shards from a crashed
-    attempt never double-count.
+    When anything spilled, ``violations`` is ``spill_dir`` (the shards
+    live there); otherwise it is the driver-held table. Worker-side shard
+    names carry (task id, within-task ordinal, content digest), so a
+    lineage-retried scan task overwrites its own shards while
+    byte-identical blocks from DIFFERENT tasks keep distinct files; the
+    caller wipes ``spill_dir`` before any fresh (non-resumed) scan, so
+    stale shards from a crashed attempt never double-count.
     """
-    from ..checks.stats import (
-        PARTIAL_SCHEMA,
-        make_stats_partial_fn,
-        merge_partial_rows,
-    )
+    from ..checks.stats import PARTIAL_SCHEMA, make_stats_partial_fn
 
     stats_fn = make_stats_partial_fn(
-        all_cols, [cfg.partition_by], cfg.hll_p, cfg.kll_k, {cfg.content_col: cfg.hist_edges}
+        schema.names, [cfg.partition_by], cfg.hll_p, cfg.kll_k, {cfg.content_col: cfg.hist_edges}
     )
     row_fn = make_row_violations_fn(cfg, refs)
-    viol_names = refs.out_cols + ["content_sha256", "violation_kind"]
-    pref_names = [f"viol__{c}" for c in viol_names]
-    partial_names = [f.name for f in PARTIAL_SCHEMA]
+    viol_schema = _viol_schema(schema, refs.out_cols)
+    pref_names = [f"viol__{c}" for c in viol_schema.names]
+    partial_names = PARTIAL_SCHEMA.names
 
     def to_union(st: pa.Table, vtp: pa.Table) -> pa.Table:
         n_s, n_v = st.num_rows, vtp.num_rows
@@ -373,23 +354,16 @@ def _fused_scan(
             data[c] = pa.concat_arrays([pa.nulls(n_s, t), col])
         return pa.table(data)
 
-    def fused(batch: pa.Table) -> pa.Table:
-        vt = row_fn(batch)
-        return to_union(stats_fn(batch), vt.rename_columns(pref_names))
-
-    if spill_mode == "force" and spill_dir:
+    if force_spill:
         os.makedirs(spill_dir, exist_ok=True)
 
     # per-(task id) shard ordinal, worker-process-local: see naming note
     _shard_seq: dict = {}
 
-    def combine_stage(tb: pa.Table) -> pa.Table:
-        if tb.num_rows == 0:
-            return tb
-        s_mask = pc.equal(tb["rec"], "s")
-        st = merge_partial_rows(tb.filter(s_mask).select(partial_names).cast(PARTIAL_SCHEMA))
-        vt = tb.filter(pc.invert(s_mask)).select(pref_names)
-        if spill_mode == "force" and spill_dir and vt.num_rows:
+    def fused(batch: pa.Table) -> pa.Table:
+        st = stats_fn(batch)
+        vt = row_fn(batch)
+        if force_spill and vt.num_rows:
             # shard name = task id + within-task ordinal + content digest
             # of (violations, block-stats partial). The task id keeps two
             # DIFFERENT tasks holding byte-identical blocks (duplicated
@@ -403,9 +377,8 @@ def _fused_scan(
 
             import ray as _ray
 
-            named = vt.rename_columns(viol_names)
             h = hashlib.sha256()
-            for part_tb in (named, st):
+            for part_tb in (vt, st):
                 sink = pa.BufferOutputStream()
                 with pa.ipc.new_stream(sink, part_tb.schema) as w:
                     w.write_table(part_tb)
@@ -425,27 +398,25 @@ def _fused_scan(
             seq = _shard_seq.get((tid, attempt), 0)
             _shard_seq[(tid, attempt)] = seq + 1
             pq.write_table(
-                named,
+                vt,
                 os.path.join(
                     spill_dir, f"viol-{tid[:16]}-{seq:04d}-{h.hexdigest()[:16]}.parquet"
                 ),
             )
             vt = vt.slice(0, 0)
-        return to_union(st, vt)
+        return to_union(st, vt.rename_columns(pref_names))
 
     fused_ds = ds.map_batches(
         fused, batch_format="pyarrow", batch_size=cfg.batch_size, zero_copy_batch=True
-    ).map_batches(combine_stage, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
+    )
 
     stats_parts: list[pa.Table] = []
     viol_parts: list[pa.Table] = []
-    viol_schema: pa.Schema | None = None
     viol_held = 0
-    spilled = spill_mode == "force" and spill_dir is not None
     n_flushed = 0
 
     def flush_to_spill() -> None:
-        nonlocal viol_parts, viol_held, spilled, n_flushed
+        nonlocal viol_parts, viol_held, n_flushed
         if not viol_parts:
             return
         os.makedirs(spill_dir, exist_ok=True)
@@ -454,45 +425,28 @@ def _fused_scan(
             os.path.join(spill_dir, f"viol-driver-{n_flushed:05d}.parquet"),
         )
         n_flushed += 1
-        viol_parts, viol_held, spilled = [], 0, True
+        viol_parts, viol_held = [], 0
 
     for tb in fused_ds.iter_batches(batch_format="pyarrow", batch_size=None):
         if tb.num_rows == 0:
             continue
         s_mask = pc.equal(tb["rec"], "s")
         stats_parts.append(tb.filter(s_mask).select(partial_names).cast(PARTIAL_SCHEMA))
-        vt = tb.filter(pc.invert(s_mask)).select(pref_names).rename_columns(viol_names)
-        if viol_schema is None:
-            viol_schema = vt.schema
+        vt = tb.filter(pc.invert(s_mask)).select(pref_names).rename_columns(viol_schema.names)
         if vt.num_rows:
             viol_parts.append(vt)
             viol_held += vt.num_rows
-        if (
-            spill_mode == "auto"
-            and spill_dir
-            and max_driver_viol_rows is not None
-            and viol_held > max_driver_viol_rows
-        ):
+        if spill_dir and viol_held > cfg.max_driver_violation_rows:
             flush_to_spill()
-    if spilled and viol_parts:
+    if n_flushed:
         flush_to_spill()
-    stats_partials = (
-        pa.concat_tables(stats_parts)
-        if stats_parts
-        else pa.Table.from_pydict({f.name: [] for f in PARTIAL_SCHEMA}, schema=PARTIAL_SCHEMA)
-    )
-    if spilled:
-        return stats_partials, None
-    if viol_parts:
-        viol_all = pa.concat_tables(viol_parts)
-    elif viol_schema is not None:
-        # zero violations: the empty table must keep the REAL column types
-        # (seen on every streamed batch) — an inferred null-typed empty
-        # breaks later concats with typed tables (sharded phase B)
-        viol_all = pa.Table.from_pydict({c: [] for c in viol_names}, schema=viol_schema)
-    else:
-        viol_all = pa.Table.from_pydict({c: [] for c in viol_names})
-    return stats_partials, viol_all
+    stats_partials = pa.concat_tables(stats_parts) if stats_parts else PARTIAL_SCHEMA.empty_table()
+    # force mode with zero actual violations spills nothing
+    if (force_spill or n_flushed) and any(f.endswith(".parquet") for f in os.listdir(spill_dir)):
+        return stats_partials, spill_dir
+    # zero violations: the empty table keeps the REAL column types — an
+    # inferred null-typed empty breaks later concats with typed tables
+    return stats_partials, pa.concat_tables(viol_parts) if viol_parts else viol_schema.empty_table()
 
 
 def _uniq_ckpt_fmt() -> str:
@@ -580,6 +534,47 @@ def _sort_violations(viol_all: pa.Table, out_cols: list[str]) -> pa.Table:
     )
 
 
+def _finish_violations(
+    viol: pa.Table | str | list[str],
+    viol_schema: pa.Schema,
+    key: list[str],
+    table_path: str,
+    sorted_dir: str,
+) -> tuple[pa.Table, str | None]:
+    """The ONE violation finalize of both executors: exact dup recount,
+    deterministic sort and write.
+
+    ``viol`` is either the driver-held table or spilled parquet sources
+    (a directory or file list). A driver table is recounted, sorted and
+    written to ``table_path``. Spilled sources take the distributed path
+    — key co-partitioned recount, global multi-column sort, partitioned
+    parquet under ``sorted_dir`` — so violations never materialize on
+    the driver.
+
+    Returns ``(violations, violations_dir)`` as :func:`_finalize_suite`
+    takes them: the sorted table and ``None``, or a schema-correct EMPTY
+    table and ``sorted_dir``."""
+    out_cols = viol_schema.names[:-2]
+    if not isinstance(viol, pa.Table):
+        import shutil
+
+        if os.path.isdir(sorted_dir):
+            shutil.rmtree(sorted_dir)
+        os.makedirs(sorted_dir)
+        verified = _verify_dup_candidates_ds(rd.read_parquet(viol), key)
+        verified.sort(["violation_kind"] + out_cols + ["content_sha256"]).write_parquet(sorted_dir)
+        if any(f.endswith(".parquet") for f in os.listdir(sorted_dir)):
+            return viol_schema.empty_table(), sorted_dir
+        # the dup recount dropped EVERY spilled row (all candidates were
+        # key-collision artifacts) and write_parquet produced a shard-less
+        # directory — finalize through the empty driver table instead of
+        # read_parquet-ing an empty dir
+        viol = viol_schema.empty_table()
+    viol = _sort_violations(_verify_dup_candidates(viol, key), out_cols)
+    pq.write_table(viol, table_path)
+    return viol, None
+
+
 # ---------------------------------------------------------------------------
 # verdict assembly (shared)
 # ---------------------------------------------------------------------------
@@ -628,7 +623,6 @@ def _finalize_suite(
     stats_df: pd.DataFrame,
     viol_all: pa.Table,
     baseline_snapshot: str | None,
-    viol_counts: dict[str, dict[str, int]] | None = None,
     violations_dir: str | None = None,
     corpus_schema: pa.Schema | None = None,
     fd_results: dict[str, pa.Table] | None = None,
@@ -636,12 +630,15 @@ def _finalize_suite(
     """stats table + violation rows → per-(check, partition) verdicts,
     drift scoring, lineage, and the verdicts.parquet artifact.
 
-    Spill mode (``viol_counts`` given): ``viol_all`` is schema-correct but
-    EMPTY — verdict counts come from the distributed per-(kind, partition)
-    aggregate and the exact rows stay under ``violations_dir``."""
+    Spill mode (``violations_dir`` given): ``viol_all`` is schema-correct
+    but EMPTY — verdict counts come from a distributed per-(kind,
+    partition) aggregate over the exact rows under ``violations_dir``."""
     from ..checks.schema import schema_verdicts, spec_from_stats
 
     part = cfg.partition_by
+    viol_counts = (
+        _spill_violation_counts(rd.read_parquet(violations_dir), part) if violations_dir else None
+    )
     verdict_rows: list[dict] = []
     violations: dict[str, pa.Table] = {}
 
@@ -932,11 +929,7 @@ def run_suite(
     # read and decompressed ONCE per suite run (it dominates corpus bytes;
     # the earlier separate stats/rowpass scans each paid the full read).
     corpus_schema = _corpus_schema(corpus_path)
-    out_cols = key + [part]
-    viol_schema = pa.schema(
-        [(c, corpus_schema.field(c).type) for c in out_cols]
-        + [("content_sha256", pa.string()), ("violation_kind", pa.string())]
-    )
+    viol_schema = _viol_schema(corpus_schema, key + [part])
     stats_path = os.path.join(state.unit_dir("scan"), "stats.parquet")
     sc_path = os.path.join(state.unit_dir("scan"), "violations.parquet")
     spill_raw = os.path.join(state.unit_dir("scan"), "violations_spill")
@@ -948,9 +941,11 @@ def run_suite(
     )
     if scan_reusable:
         stats_df = pq.read_table(stats_path).to_pandas()
-        viol_all = None if spilled_before else pq.read_table(sc_path)
+        if spilled_before:
+            viol_all, violations_dir = viol_schema.empty_table(), spill_final
+        else:
+            viol_all, violations_dir = pq.read_table(sc_path), None
     else:
-        all_cols = [f.name for f in corpus_schema]
         refs = _prepare_rowpass_refs(cfg, dup_hashes)
         # pre-gate: the dup-hash set alone predicts ≥ 2·len(dup) candidate
         # rows — above the bound, scan tasks write violation shards
@@ -961,50 +956,27 @@ def run_suite(
         for d in (spill_raw, spill_final):
             if os.path.isdir(d):
                 shutil.rmtree(d)
-        stats_partials, viol_all = _fused_scan(
+        stats_partials, viol = _fused_scan(
             corpus(num_blocks=default_num_blocks()),
             cfg,
             refs,
-            all_cols,
+            corpus_schema,
             spill_dir=spill_raw,
-            spill_mode="force" if pre_gate else "auto",
-            max_driver_viol_rows=cfg.max_driver_violation_rows,
+            force_spill=pre_gate,
         )
         stats_df = merge_partials_to_stats([stats_partials])
-        if viol_all is None and not (
-            os.path.isdir(spill_raw) and any(f.endswith(".parquet") for f in os.listdir(spill_raw))
-        ):
-            # force mode with zero actual violations — nothing spilled
-            viol_all = pa.Table.from_pydict({f.name: [] for f in viol_schema}, schema=viol_schema)
-        if viol_all is None:
-            # distributed finalize: exact dup recount via key co-partition,
-            # global multi-column sort, partitioned parquet — violations
-            # never materialize on the driver
-            verified = _verify_dup_candidates_ds(rd.read_parquet(spill_raw), key)
-            os.makedirs(spill_final, exist_ok=True)
-            verified.sort(["violation_kind"] + out_cols + ["content_sha256"]).write_parquet(spill_final)
-            if not any(f.endswith(".parquet") for f in os.listdir(spill_final)):
-                # the dup recount dropped EVERY spilled row (all candidates
-                # were key-collision artifacts) and write_parquet produced a
-                # shard-less directory — finalize through the empty driver
-                # table instead of read_parquet-ing an empty dir
-                viol_all = pa.Table.from_pydict({f.name: [] for f in viol_schema}, schema=viol_schema)
-            else:
-                n_viol = sum(
-                    pq.read_metadata(os.path.join(spill_final, f)).num_rows
-                    for f in os.listdir(spill_final)
-                    if f.endswith(".parquet")
-                )
-        if viol_all is not None:
-            viol_all = _sort_violations(_verify_dup_candidates(viol_all, key), refs.out_cols)
-            pq.write_table(viol_all, sc_path)
-            n_viol = viol_all.num_rows
+        viol_all, violations_dir = _finish_violations(viol, viol_schema, key, sc_path, spill_final)
+        n_viol = viol_all.num_rows if violations_dir is None else sum(
+            pq.read_metadata(os.path.join(violations_dir, f)).num_rows
+            for f in os.listdir(violations_dir)
+            if f.endswith(".parquet")
+        )
         pq.write_table(pa.Table.from_pandas(stats_df, preserve_index=False), stats_path)
         state.mark_done(
             "scan",
             {
                 "violations": n_viol,
-                "spilled": viol_all is None,
+                "spilled": violations_dir is not None,
                 "partitions": int(stats_df["part"].nunique()) if len(stats_df) else 0,
                 "rows_seen": int(stats_df.loc[stats_df["column"] == cfg.content_col, "count"].sum()) if len(stats_df) else 0,
             },
@@ -1014,19 +986,10 @@ def run_suite(
     fd_results = _run_fd_checks(state, cfg, corpus_path, resume) if cfg.fd_checks else None
     if cfg.fd_checks:
         _mark("fd_checks")
-    if viol_all is None:
-        viol_counts = _spill_violation_counts(rd.read_parquet(spill_final), part)
-        empty_viol = pa.Table.from_pydict({f.name: [] for f in viol_schema}, schema=viol_schema)
-        result = _finalize_suite(
-            state, out_dir, cfg, stats_df, empty_viol, baseline_snapshot,
-            viol_counts=viol_counts, violations_dir=spill_final,
-            corpus_schema=corpus_schema, fd_results=fd_results,
-        )
-    else:
-        result = _finalize_suite(
-            state, out_dir, cfg, stats_df, viol_all, baseline_snapshot,
-            corpus_schema=corpus_schema, fd_results=fd_results,
-        )
+    result = _finalize_suite(
+        state, out_dir, cfg, stats_df, viol_all, baseline_snapshot,
+        violations_dir=violations_dir, corpus_schema=corpus_schema, fd_results=fd_results,
+    )
     _mark("drift_and_verdicts")
     if os.environ.get("ADRAY_TIMINGS"):
         print("suite timings:", _timings, flush=True)
@@ -1045,36 +1008,19 @@ def make_dup_recovery_fn(cfg: SuiteConfig, dup_ref, out_cols: list[str]):
     scan."""
     import ray
 
-    from ..checks.uniqueness import hash_key_rows
+    from ..checks.uniqueness import hash_key_rows, sorted_isin
 
     key = list(cfg.key)
 
     def recover(batch: pa.Table) -> pa.Table:
-        dh = ray.get(dup_ref)
-        rh = hash_key_rows(batch, key)
-        dup = np.zeros(batch.num_rows, dtype=bool)
-        if len(dh):
-            idx = np.clip(np.searchsorted(dh, rh), 0, len(dh) - 1)
-            dup = dh[idx] == rh
+        dup = sorted_isin(ray.get(dup_ref), hash_key_rows(batch, key))
         if not dup.any():
-            return pa.Table.from_pydict(
-                {**{c: pa.array([], type=batch.schema.field(c).type) for c in out_cols},
-                 "content_sha256": pa.array([], type=pa.string()),
-                 "violation_kind": pa.array([], type=pa.string())}
-            )
+            return _viol_schema(batch.schema, out_cols).empty_table()
         sub = sha256_hex_batch(batch.filter(pa.array(dup)), cfg.content_col, "content_sha256")
         sub = sub.select(out_cols + ["content_sha256"])
         return sub.append_column("violation_kind", pa.array(["duplicate_key"] * sub.num_rows))
 
     return recover
-
-
-def _shard_has_dup_candidates(uniq_partial: pa.Table, dup_hashes: np.ndarray) -> bool:
-    if len(dup_hashes) == 0 or uniq_partial.num_rows == 0:
-        return False
-    h = uniq_partial["h"].to_numpy(zero_copy_only=False)
-    idx = np.clip(np.searchsorted(dup_hashes, h), 0, len(dup_hashes) - 1)
-    return bool((dup_hashes[idx] == h).any())
 
 
 def run_suite_sharded(
@@ -1114,7 +1060,11 @@ def run_suite_sharded(
     """
     from .. import tune_shuffle_to_cluster
     from .queries import as_table
-    from ..checks.uniqueness import duplicate_hashes_from_partials, uniqueness_partial_table
+    from ..checks.uniqueness import (
+        duplicate_hashes_from_partials,
+        sorted_isin,
+        uniqueness_partial_table,
+    )
 
     tune_shuffle_to_cluster()
     cfg = cfg or SuiteConfig()
@@ -1127,7 +1077,6 @@ def run_suite_sharded(
     bounds = np.linspace(0, len(files), n_shards + 1).astype(int)
     shards = [files[bounds[i]:bounds[i + 1]] for i in range(n_shards)]
     corpus_schema = _corpus_schema(corpus_path)
-    all_cols = [f.name for f in corpus_schema]
 
     # ---------------- phase A: per-shard fused scan + key partials ------
     empty_refs = _prepare_rowpass_refs(cfg, np.array([], dtype=np.int64))
@@ -1155,7 +1104,7 @@ def run_suite_sharded(
             viol_paths.append((vp, pq.read_metadata(vp).num_rows))
             continue
         partials_reused = False
-        st, vt = _fused_scan(read_parquet_clean(shard_files), cfg, empty_refs, all_cols)
+        st, vt = _fused_scan(read_parquet_clean(shard_files), cfg, empty_refs, corpus_schema)
         vt = _sort_violations(vt, empty_refs.out_cols)  # stable checkpoint bytes
         ut = uniqueness_partial_table(read_parquet_clean(shard_files, columns=key), key)
         pq.write_table(st, sp)
@@ -1186,7 +1135,7 @@ def run_suite_sharded(
         fn = make_dup_recovery_fn(cfg, dup_ref, empty_refs.out_cols)
         need = list(dict.fromkeys(key + [cfg.partition_by, cfg.content_col]))
         for i, shard_files in enumerate(shards):
-            if not _shard_has_dup_candidates(uniq_parts[i], dup_hashes):
+            if not sorted_isin(dup_hashes, uniq_parts[i]["h"].to_numpy(zero_copy_only=False)).any():
                 continue
             unit = f"shard-{i:04d}-duprec"
             vp = os.path.join(state.unit_dir(unit), "violations.parquet")
@@ -1206,50 +1155,25 @@ def run_suite_sharded(
             viol_paths.append((vp, vt.num_rows))
 
     fd_results = _run_fd_checks(state, cfg, corpus_path, resume) if cfg.fd_checks else None
-    total_viol = sum(n for _, n in viol_paths)
-    viol_schema = pa.schema(
-        [(c, corpus_schema.field(c).type) for c in empty_refs.out_cols]
-        + [("content_sha256", pa.string()), ("violation_kind", pa.string())]
-    )
-    if total_viol > cfg.max_driver_violation_rows:
+    viol_schema = _viol_schema(corpus_schema, empty_refs.out_cols)
+    if sum(n for _, n in viol_paths) > cfg.max_driver_violation_rows:
         # above the budget: the SAME distributed finalize run_suite's
-        # spill gate uses — exact dup recount via key co-partition,
-        # global sort, partitioned parquet; the driver holds only counts
-        import shutil
-
-        import ray.data as rd
-
-        spill_final = os.path.join(state.unit_dir("rowpass"), "violations_sorted")
-        if os.path.isdir(spill_final):
-            shutil.rmtree(spill_final)
-        src = [p for p, n in viol_paths if n > 0]
-        verified = _verify_dup_candidates_ds(rd.read_parquet(src), key)
-        os.makedirs(spill_final, exist_ok=True)
-        verified.sort(
-            ["violation_kind"] + empty_refs.out_cols + ["content_sha256"]
-        ).write_parquet(spill_final)
-        empty_viol = pa.Table.from_pydict({f.name: [] for f in viol_schema}, schema=viol_schema)
-        if not any(f.endswith(".parquet") for f in os.listdir(spill_final)):
-            # every candidate was a key-collision artifact
-            return _finalize_suite(
-                state, out_dir, cfg, stats_df, empty_viol, baseline_snapshot,
-                corpus_schema=corpus_schema, fd_results=fd_results,
-            )
-        viol_counts = _spill_violation_counts(rd.read_parquet(spill_final), cfg.partition_by)
-        return _finalize_suite(
-            state, out_dir, cfg, stats_df, empty_viol, baseline_snapshot,
-            viol_counts=viol_counts, violations_dir=spill_final,
-            corpus_schema=corpus_schema, fd_results=fd_results,
-        )
-    viol_tabs = [pq.read_table(p) for p, n in viol_paths if n > 0]
-    viol_all = pa.concat_tables(viol_tabs) if viol_tabs else pa.Table.from_pydict(
-        {f.name: [] for f in viol_schema}, schema=viol_schema
+        # spill path takes; the driver holds only counts
+        viol = [p for p, n in viol_paths if n > 0]
+    else:
+        tabs = [pq.read_table(p) for p, n in viol_paths if n > 0]
+        viol = pa.concat_tables(tabs) if tabs else viol_schema.empty_table()
+    rowpass = state.unit_dir("rowpass")
+    viol_all, violations_dir = _finish_violations(
+        viol,
+        viol_schema,
+        key,
+        os.path.join(rowpass, "violations.parquet"),
+        os.path.join(rowpass, "violations_sorted"),
     )
-    viol_all = _sort_violations(_verify_dup_candidates(viol_all, key), empty_refs.out_cols)
-    pq.write_table(viol_all, os.path.join(state.unit_dir("rowpass"), "violations.parquet"))
     return _finalize_suite(
         state, out_dir, cfg, stats_df, viol_all, baseline_snapshot,
-        corpus_schema=corpus_schema, fd_results=fd_results,
+        violations_dir=violations_dir, corpus_schema=corpus_schema, fd_results=fd_results,
     )
 
 

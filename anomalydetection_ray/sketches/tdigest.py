@@ -59,7 +59,6 @@ class TDigest:
         if self.delta != other.delta:
             # silently re-binning a finer digest at this delta would
             # degrade its accuracy; param mismatch is a caller bug
-            # (CountMin.merge discipline)
             raise ValueError(f"cannot merge TDigests with delta {self.delta} != {other.delta}")
         if other.n == 0:
             return self

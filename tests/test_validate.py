@@ -107,11 +107,16 @@ def test_suite_finds_planted_defects(ray_session, dirty_corpus, tmp_path):
 
 def test_suite_violation_spill_matches_driver_plan(ray_session, dirty_corpus, tmp_path):
     """round-3 verdict item 3: above max_driver_violation_rows the suite
-    spills violation rows to worker-written parquet and finalizes from
-    the files — identical verdicts and identical violation rows, with
-    the driver-held tables empty."""
+    spills violation rows to parquet and finalizes from the files —
+    identical verdicts and identical violation rows, with the driver-held
+    tables empty. Both spill paths: a budget below the pre-gate's
+    prediction (2 rows per duplicate hash) makes scan tasks write the
+    shards; a budget between that prediction and the real violation count
+    passes the pre-gate, and the driver flushes what it holds past the
+    budget (``viol-driver-*`` shards)."""
+    import glob
+
     import pandas.testing as pdt
-    import pyarrow as pa
 
     from anomalydetection_ray.pipelines.validate import SuiteConfig, run_suite
 
@@ -120,30 +125,32 @@ def test_suite_violation_spill_matches_driver_plan(ray_session, dirty_corpus, tm
         f"{d}/corpus", str(tmp_path / "mem"), SuiteConfig(repos_dim_path=f"{d}/repos.parquet")
     )
     assert base.violations_dir is None
-    spill = run_suite(
-        f"{d}/corpus",
-        str(tmp_path / "spill"),
-        SuiteConfig(repos_dim_path=f"{d}/repos.parquet", max_driver_violation_rows=4),
-    )
-    assert spill.violations_dir and os.path.isdir(spill.violations_dir)
-    for v in spill.violations.values():
-        assert v.num_rows == 0  # driver holds counts only
-    pdt.assert_frame_equal(spill.verdicts, base.verdicts)
-
     sort_cols = ["violation_kind", "repo", "path", "commit", "content_sha256"]
-    got = pq.read_table(spill.violations_dir).sort_by([(c, "ascending") for c in sort_cols])
     want_tbl = pq.read_table(os.path.join(str(tmp_path / "mem"), "scan", "violations.parquet"))
     want = want_tbl.sort_by([(c, "ascending") for c in sort_cols])
-    assert got.select(want.column_names).cast(want.schema).equals(want)
+    n_dup = pq.read_metadata(
+        os.path.join(str(tmp_path / "mem"), "uniqueness", "dup_key_hashes.parquet")
+    ).num_rows
+    assert 2 * n_dup < want.num_rows  # room for a budget between the two
 
-    # resume reuses the spilled scan checkpoint
-    again = run_suite(
-        f"{d}/corpus",
-        str(tmp_path / "spill"),
-        SuiteConfig(repos_dim_path=f"{d}/repos.parquet", max_driver_violation_rows=4),
-    )
-    assert again.violations_dir == spill.violations_dir
-    pdt.assert_frame_equal(again.verdicts, base.verdicts)
+    for name, budget in (("spill", 4), ("flush", 2 * n_dup)):
+        cfg = SuiteConfig(repos_dim_path=f"{d}/repos.parquet", max_driver_violation_rows=budget)
+        spill = run_suite(f"{d}/corpus", str(tmp_path / name), cfg)
+        assert spill.violations_dir and os.path.isdir(spill.violations_dir)
+        for v in spill.violations.values():
+            assert v.num_rows == 0  # driver holds counts only
+        pdt.assert_frame_equal(spill.verdicts, base.verdicts)
+        got = pq.read_table(spill.violations_dir).sort_by([(c, "ascending") for c in sort_cols])
+        assert got.select(want.column_names).cast(want.schema).equals(want)
+        driver_shards = glob.glob(
+            os.path.join(str(tmp_path / name), "scan", "violations_spill", "viol-driver-*.parquet")
+        )
+        assert bool(driver_shards) == (name == "flush")
+
+        # resume reuses the spilled scan checkpoint
+        again = run_suite(f"{d}/corpus", str(tmp_path / name), cfg)
+        assert again.violations_dir == spill.violations_dir
+        pdt.assert_frame_equal(again.verdicts, base.verdicts)
 
 
 def test_violation_sha_invariant(ray_session, dirty_corpus, tmp_path):
@@ -477,31 +484,47 @@ def test_spill_counts_identical_duplicate_blocks(ray_session, dirty_corpus, tmp_
     assert got.select(want.column_names).cast(want.schema).equals(want)
 
 
-def test_spill_all_candidates_dropped_finalizes_empty(
-    ray_session, dirty_corpus, tmp_path, monkeypatch
-):
-    """ADVICE round 3: when the distributed dup recount drops EVERY
-    spilled row (all candidates were key-collision artifacts),
-    write_parquet leaves a shard-less violations_sorted dir — the suite
-    must finalize with zero violations instead of raising on
-    read_parquet of an empty directory."""
+def _finalize_with_every_candidate_dropped(run, d, out, monkeypatch):
+    """Run a suite executor above its violation budget with a dup recount
+    that drops EVERY spilled row (all candidates were key-collision
+    artifacts): write_parquet leaves a shard-less violations_sorted dir,
+    and the suite must finalize with zero violations instead of raising
+    on read_parquet of an empty directory."""
     import anomalydetection_ray.pipelines.validate as V
 
-    d, _ = dirty_corpus
     real = V._verify_dup_candidates_ds
 
     def drop_everything(viol_ds, key):
         return real(viol_ds, key).filter(expr="violation_kind == '__never__'")
 
     monkeypatch.setattr(V, "_verify_dup_candidates_ds", drop_everything)
-    res = V.run_suite(
+    res = getattr(V, run)(
         f"{d}/corpus",
-        str(tmp_path / "out"),
+        out,
         V.SuiteConfig(repos_dim_path=f"{d}/repos.parquet", max_driver_violation_rows=4),
     )
+    assert res.violations_dir is None
     # scan-sourced kinds report zero violations; the run completes cleanly
     for kind in ("uniqueness", "rowrules"):
         assert res.violations[kind].num_rows == 0
+
+
+def test_spill_all_candidates_dropped_finalizes_empty(
+    ray_session, dirty_corpus, tmp_path, monkeypatch
+):
+    """ADVICE round 3: run_suite's spill finalize with every candidate
+    dropped by the exact recount."""
+    _finalize_with_every_candidate_dropped("run_suite", dirty_corpus[0], str(tmp_path / "out"), monkeypatch)
+
+
+def test_sharded_spill_all_candidates_dropped_finalizes_empty(
+    ray_session, dirty_corpus, tmp_path, monkeypatch
+):
+    """The same empty-directory case through run_suite_sharded, which
+    shares run_suite's violation finalize."""
+    _finalize_with_every_candidate_dropped(
+        "run_suite_sharded", dirty_corpus[0], str(tmp_path / "out"), monkeypatch
+    )
 
 
 def test_duplicate_rows_bool_and_null_keys(ray_session):
@@ -551,6 +574,34 @@ def test_orphans_bloom_null_bearing_int_fact_keys(ray_session):
     got = sorted(r["row"] for t in out.iter_batches(batch_format="pyarrow", batch_size=None)
                  for r in t.to_pylist())
     assert got == [2, 3]  # the null FK and the genuinely absent 99 only
+
+
+def test_sorted_probes_keep_large_int64_keys_exact(ray_session):
+    """A null in a fact block must not widen its int64 keys to float64:
+    2**60 + 1 and 2**60 round to the same float, so the orphan 2**60 + 1
+    read as present — semi_join(anti=True) lost it and the semi join kept
+    it. broadcast_value_filter runs the same probe."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from anomalydetection_ray.checks.referential import semi_join
+    from anomalydetection_ray.functions.relational import broadcast_value_filter
+
+    fact = pa.table({
+        "fk": pa.array([2**60 + 1, None, 2**60], type=pa.int64()),
+        "row": pa.array(range(3), type=pa.int64()),
+    })
+    dim = pa.table({"k": pa.array([2**60], type=pa.int64())})
+
+    def rows(ds) -> list[int]:
+        return sorted(r["row"] for t in ds.iter_batches(batch_format="pyarrow", batch_size=None)
+                      for r in t.to_pylist())
+
+    assert rows(semi_join(rd.from_arrow(fact), "fk", rd.from_arrow(dim), "k", anti=True)) == [0, 1]
+    assert rows(semi_join(rd.from_arrow(fact), "fk", rd.from_arrow(dim), "k")) == [2]
+    keys = np.array([2**60], dtype=np.int64)
+    assert rows(broadcast_value_filter(rd.from_arrow(fact), "fk", keys, keep=True)) == [2]
+    assert rows(broadcast_value_filter(rd.from_arrow(fact), "fk", keys, keep=False)) == [0, 1]
 
 
 def test_tolerance_nan_fails():

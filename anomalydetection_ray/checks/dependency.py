@@ -145,7 +145,7 @@ def fd_violations(
 
     ``broadcast_max_candidates`` gates the recovery plan: a candidate
     hash set under it gathers + broadcasts (sorted searchsorted probe,
-    the ``make_dup_recovery_fn`` pattern); above it the candidate set
+    the suite's duplicate-key probe pattern); above it the candidate set
     stays distributed and recovery is a co-partitioned semi-join
     (``shuffle_membership_filter``). ``<=0`` forces the shuffle plan
     (plan-equivalence tests)."""

@@ -63,8 +63,9 @@ def partition_key_array(batch: pa.Table, partition_by: list[str]) -> np.ndarray:
     return np.asarray(pc.fill_null(key, "<null>"))
 
 
-def _numeric_view(col: pa.ChunkedArray | pa.Array) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """→ (float64 values with NaN at nulls, valid bool mask, raw strings or None)."""
+def _numeric_view(col: pa.ChunkedArray | pa.Array) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
+    """→ (float64 values with NaN at nulls — None for a type with no
+    numeric projection —, valid bool mask, raw strings or None)."""
     arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
     valid = np.asarray(pc.is_valid(arr))
     t = arr.type
@@ -88,8 +89,9 @@ def _numeric_view(col: pa.ChunkedArray | pa.Array) -> tuple[np.ndarray, np.ndarr
         except (pa.ArrowInvalid, pa.ArrowNotImplementedError, pa.ArrowTypeError):
             # nested / opaque types have no numeric projection: profile
             # null structure + distinct hashes only (round-5 review — a
-            # list/struct column used to abort the whole fused scan)
-            vals = np.full(len(arr), np.nan)
+            # list/struct column used to abort the whole fused scan); they
+            # feed no values to the moments, extrema or KLL
+            return None, valid, None
     vals = np.where(valid, vals, np.nan)
     return vals, valid, strings
 
@@ -122,9 +124,8 @@ def make_stats_partial_fn(
             dtype = str(col.type)
             for g, part in enumerate(uniq):
                 m = inv == g
-                gv = vals[m]
                 gvalid = valid[m]
-                gclean = gv[gvalid]
+                gclean = vals[m][gvalid] if vals is not None else np.empty(0)
                 ghashes = col_hashes[m][gvalid]
                 cnt, nulls = int(m.sum()), int((~gvalid).sum())
                 if gclean.size:
@@ -173,7 +174,10 @@ def _combine_partial_group(g: pd.DataFrame) -> dict:
     the wall time of the entire distributed scan it was merging."""
     counts = g["count"].to_numpy(dtype=np.int64)
     nulls = g["nulls"].to_numpy(dtype=np.int64)
-    nb = (counts - nulls).astype(np.float64)
+    klls = [KLL.from_bytes(b) for b in g["kll"]]
+    # each partial's KLL holds exactly the values its moments saw — not
+    # count - nulls: a nested column's valid values feed none
+    nb = np.array([k.n for k in klls], dtype=np.float64)
     seen = float(nb.sum())
     if seen:
         means = g["nmean"].to_numpy(dtype=np.float64)
@@ -189,7 +193,7 @@ def _combine_partial_group(g: pd.DataFrame) -> dict:
     smins = g["smin"].dropna()
     smaxs = g["smax"].dropna()
     hll = HyperLogLog.merge_many_bytes([b for b in g["hll"] if b is not None])
-    kll = KLL.merge_many([KLL.from_bytes(b) for b in g["kll"] if b is not None])
+    kll = KLL.merge_many(klls)
     hist = None
     hist_blobs = [b for b in g["hist"] if b is not None]
     if hist_blobs:
@@ -326,7 +330,8 @@ def merge_partials_to_stats(partial_tables) -> pd.DataFrame:
                 "vmin": c["vmin"] if n_valid else np.nan,
                 "vmax": c["vmax"] if n_valid else np.nan,
                 "mean": float(c["mean"]) if n_valid else np.nan,
-                "std": std,
+                # no values (all null, or a nested column): no spread either
+                "std": std if n_valid else np.nan,
                 "p50": kll.quantile(0.5),
                 "p95": kll.quantile(0.95),
                 "p99": kll.quantile(0.99),

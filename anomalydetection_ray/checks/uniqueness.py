@@ -72,7 +72,8 @@ def sorted_isin(sorted_vals: np.ndarray, values: np.ndarray) -> np.ndarray:
 def _hash_combine_fn(keys: list[str], seed: int = 0):
     """map_batches fn: one (h, cnt_partial) row per distinct key hash per
     block — the 16-bytes/row combiner feeding both the shuffled
-    (duplicate_key_hashes) and sharded (uniqueness_partial_table) paths."""
+    (duplicate_key_hashes) and per-slice (uniqueness_partial_table)
+    paths."""
     import polars as pl
 
     def combine(batch: pa.Table) -> pa.Table:
@@ -149,10 +150,9 @@ def duplicate_key_hashes(
 
 
 def uniqueness_partial_table(ds, keys: list[str], batch_size: int | None = 65536, seed: int = 0) -> pa.Table:
-    """One (h, cnt_partial) table per dataset slice — the checkpointable
-    unit of the sharded uniqueness pass (pipelines/validate.py
-    run_suite_sharded): hash-count partials from different shard groups
-    sum associatively at any later merge. Pre-collapsed to one row per
+    """One (h, cnt_partial) table per dataset slice — a checkpointable
+    uniqueness partial: hash-count partials from different slices sum
+    associatively at any later merge (:func:`duplicate_hashes_from_partials`). Pre-collapsed to one row per
     distinct key hash so the checkpoint stays ~16 bytes × distinct keys."""
     import polars as pl
 

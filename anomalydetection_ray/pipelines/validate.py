@@ -4,16 +4,18 @@ source-code corpus ``(repo, path, commit, lang, content)``.
 North-rule semantics (BASELINE.json): per-partition pass/fail verdicts +
 exact violation rows, every violation row carrying ``sha256(content)`` so
 it can be verified byte-equal against the input; resumable from
-checkpoints with lineage + metrics (state/checkpoint.py) — per-check in
-:func:`run_suite`, per input-shard in :func:`run_suite_sharded`.
+checkpoints with lineage + metrics (state/checkpoint.py). Both entry
+points run ONE executor (:func:`_run_units`) over checkpoint units:
+:func:`run_suite` scans the corpus as one unit, :func:`run_suite_sharded`
+as one unit per input shard.
 
 Pass layout (each pass prunes columns at the read — the wide ``content``
 column is never shuffled, SURVEY.md M6/§7.4):
 
   uniqueness   key cols only    per-block combiner → hash shuffle of int64
                                 (key-hash, cnt) pairs only → dup-hash set
-  fused scan   all columns      ONE content scan (read → one map stage)
-                                computing BOTH the per-block stats
+  fused scan   all columns      ONE content scan per unit (read → one
+                                map stage) computing BOTH the per-block stats
                                 partials (moments + HLL/KLL/histogram
                                 sketches, merged on the driver) AND every
                                 row-level check:
@@ -35,7 +37,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 import pandas as pd
@@ -159,10 +161,13 @@ def _corpus_files(corpus_path: str) -> list[str]:
         if name.endswith(".parquet"):
             out.append(p)
         elif os.path.isdir(p):
-            out.extend(
-                os.path.join(p, f) for f in sorted(os.listdir(p)) if f.endswith(".parquet")
-            )
+            out.extend(_parquet_files(p))
     return out
+
+
+def _parquet_files(d: str) -> list[str]:
+    """Sorted parquet files directly under directory ``d``."""
+    return [os.path.join(d, f) for f in sorted(os.listdir(d)) if f.endswith(".parquet")]
 
 
 def _per_part_counts(tbl: pa.Table, part_col: str) -> dict[str, int]:
@@ -174,7 +179,7 @@ def _per_part_counts(tbl: pa.Table, part_col: str) -> dict[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# rowpass building blocks (shared by run_suite and run_suite_sharded)
+# the fused scan's building blocks
 # ---------------------------------------------------------------------------
 
 
@@ -290,7 +295,7 @@ def _fused_scan(
     cfg: SuiteConfig,
     refs: _RowpassRefs,
     schema: pa.Schema,
-    spill_dir: str | None = None,
+    spill_dir: str,
     force_spill: bool = False,
 ):
     """ONE content scan computing BOTH the stats partials and the row
@@ -307,13 +312,12 @@ def _fused_scan(
     combine would merge nothing and only re-serialize every sketch.
 
     Returns ``(stats_partials, violations)`` — partials stay unmerged so
-    the sharded suite can checkpoint them associatively; callers merge via
-    ``merge_partials_to_stats``.
+    each scan unit can checkpoint them associatively; the executor merges
+    every unit's via ``merge_partials_to_stats``.
 
     Violation-volume guard (round-3 verdict item 3): on a sane corpus
     violations are rare and streaming them to the driver is free, but an
-    adversarial input (50% duplicate keys) makes them O(rows). Without a
-    ``spill_dir`` everything stays on the driver. With one:
+    adversarial input (50% duplicate keys) makes them O(rows):
 
     - ``force_spill`` (pre-gated: the dup-hash set alone predicts a
       blowup): each map task writes its violation rows straight to parquet
@@ -436,13 +440,13 @@ def _fused_scan(
         if vt.num_rows:
             viol_parts.append(vt)
             viol_held += vt.num_rows
-        if spill_dir and viol_held > cfg.max_driver_violation_rows:
+        if viol_held > cfg.max_driver_violation_rows:
             flush_to_spill()
     if n_flushed:
         flush_to_spill()
     stats_partials = pa.concat_tables(stats_parts) if stats_parts else PARTIAL_SCHEMA.empty_table()
     # force mode with zero actual violations spills nothing
-    if (force_spill or n_flushed) and any(f.endswith(".parquet") for f in os.listdir(spill_dir)):
+    if (force_spill or n_flushed) and _parquet_files(spill_dir):
         return stats_partials, spill_dir
     # zero violations: the empty table keeps the REAL column types — an
     # inferred null-typed empty breaks later concats with typed tables
@@ -535,26 +539,23 @@ def _sort_violations(viol_all: pa.Table, out_cols: list[str]) -> pa.Table:
 
 
 def _finish_violations(
-    viol: pa.Table | str | list[str],
-    viol_schema: pa.Schema,
-    key: list[str],
-    table_path: str,
-    sorted_dir: str,
+    viol: pa.Table | list[str], viol_schema: pa.Schema, key: list[str], out_dir: str
 ) -> tuple[pa.Table, str | None]:
-    """The ONE violation finalize of both executors: exact dup recount,
-    deterministic sort and write.
+    """The ONE violation finalize of the suite, over every scan unit's
+    rows: exact dup recount, deterministic sort and write.
 
-    ``viol`` is either the driver-held table or spilled parquet sources
-    (a directory or file list). A driver table is recounted, sorted and
-    written to ``table_path``. Spilled sources take the distributed path
-    — key co-partitioned recount, global multi-column sort, partitioned
-    parquet under ``sorted_dir`` — so violations never materialize on
-    the driver.
+    ``viol`` is either the driver-held table or a list of spilled parquet
+    files. A driver table is recounted, sorted and written to
+    ``<out_dir>/violations.parquet``. Spilled files take the distributed
+    path — key co-partitioned recount, global multi-column sort,
+    partitioned parquet under ``<out_dir>/violations_sorted`` — so
+    violations never materialize on the driver.
 
     Returns ``(violations, violations_dir)`` as :func:`_finalize_suite`
     takes them: the sorted table and ``None``, or a schema-correct EMPTY
-    table and ``sorted_dir``."""
+    table and the sorted directory."""
     out_cols = viol_schema.names[:-2]
+    sorted_dir = os.path.join(out_dir, "violations_sorted")
     if not isinstance(viol, pa.Table):
         import shutil
 
@@ -563,7 +564,7 @@ def _finish_violations(
         os.makedirs(sorted_dir)
         verified = _verify_dup_candidates_ds(rd.read_parquet(viol), key)
         verified.sort(["violation_kind"] + out_cols + ["content_sha256"]).write_parquet(sorted_dir)
-        if any(f.endswith(".parquet") for f in os.listdir(sorted_dir)):
+        if _parquet_files(sorted_dir):
             return viol_schema.empty_table(), sorted_dir
         # the dup recount dropped EVERY spilled row (all candidates were
         # key-collision artifacts) and write_parquet produced a shard-less
@@ -571,7 +572,7 @@ def _finish_violations(
         # read_parquet-ing an empty dir
         viol = viol_schema.empty_table()
     viol = _sort_violations(_verify_dup_candidates(viol, key), out_cols)
-    pq.write_table(viol, table_path)
+    pq.write_table(viol, os.path.join(out_dir, "violations.parquet"))
     return viol, None
 
 
@@ -720,10 +721,10 @@ def _finalize_suite(
             }
         )
 
-    kind_col = viol_all["violation_kind"] if viol_all.num_rows else pa.chunked_array([pa.array([], type=pa.string())])
+    kind_col = viol_all["violation_kind"]
     is_rowrule = pc.is_in(kind_col, value_set=pa.array([f"null_{part}", "empty_content"]))
-    violations["rowrules"] = viol_all.filter(is_rowrule) if viol_all.num_rows else viol_all
-    uq = viol_all.filter(pc.equal(kind_col, "duplicate_key")) if viol_all.num_rows else viol_all
+    violations["rowrules"] = viol_all.filter(is_rowrule)
+    uq = viol_all.filter(pc.equal(kind_col, "duplicate_key"))
     violations["uniqueness"] = uq
 
     def _counts_for(kinds: list[str], table: pa.Table) -> dict[str, int]:
@@ -744,7 +745,7 @@ def _finalize_suite(
             {"check": "uniqueness", "partition": p, "column": "", "passed": False, "metric": float(c), "detail": f"{c} duplicate-key rows"}
         )
     if cfg.repos_dim_path:
-        rf = viol_all.filter(pc.equal(kind_col, "orphan_repo")) if viol_all.num_rows else viol_all
+        rf = viol_all.filter(pc.equal(kind_col, "orphan_repo"))
         violations["referential"] = rf
         for p, c in _counts_for(["orphan_repo"], rf).items():
             verdict_rows.append(
@@ -858,8 +859,150 @@ def _finalize_suite(
 
 
 # ---------------------------------------------------------------------------
-# per-check suite (whole-corpus passes, maximum pipeline overlap)
+# the suite executor
 # ---------------------------------------------------------------------------
+
+
+def _run_units(
+    corpus_path: str,
+    out_dir: str,
+    cfg: SuiteConfig | None,
+    baseline_snapshot: str | None,
+    resume: bool,
+    units: list[tuple[str, Callable[[], Any]]],
+) -> SuiteResult:
+    """The ONE suite executor. ``units`` are (checkpoint unit name,
+    dataset factory) pairs that together cover the corpus once.
+
+      1. uniqueness key pass over the whole corpus → global dup-hash set
+      2. per unit: ONE fused content scan (stats partials + every row
+         check, the dup-hash probe included); the unit checkpoints its
+         stats partials and its raw violations (a table, or its spill
+         shards under ``<unit>/violations_spill``)
+      3. one stats merge, one violation finalize over every unit's rows
+      4. FD checks, verdicts, drift
+
+    A unit is reused only when the uniqueness pass was: the dup-hash set
+    is an input to every unit's scan. Stats partials merge associatively
+    and the exact dup recount and deterministic sort run once, on all
+    units' rows, so the unit decomposition never changes the output."""
+    import shutil
+
+    from .. import tune_shuffle_to_cluster
+    from ..functions.shuffle import default_num_blocks
+    from .queries import as_table
+    from ..checks.uniqueness import duplicate_key_hashes
+
+    tune_shuffle_to_cluster()
+    cfg = cfg or SuiteConfig()
+    state = RunState(out_dir)
+    key = list(cfg.key)
+    corpus_schema = _corpus_schema(corpus_path)
+    viol_schema = _viol_schema(corpus_schema, key + [cfg.partition_by])
+
+    # ---------------- pass 1: uniqueness key detection ----------------
+    # key columns ONLY — the wide content column is untouched, so this
+    # pass is cheap relative to the scans it gates (each fused scan needs
+    # the global duplicate-hash set as a broadcast input).
+    uqk_path = os.path.join(state.unit_dir("uniqueness"), "dup_key_hashes.parquet")
+    # the checkpoint embeds polars row hashes (not guaranteed stable
+    # across polars builds) — the fmt tag invalidates a checkpoint written
+    # under a different layout or hash environment instead of misreading it
+    uniq_reused = resume and state.is_done_compat(
+        "uniqueness", files=("dup_key_hashes.parquet",), fmt=_uniq_ckpt_fmt()
+    )
+    if uniq_reused:
+        dup_hash_tbl = pq.read_table(uqk_path)
+    else:
+        # no unit scanned with the old dup-hash set may be trusted past
+        # this point, even if the run crashes before recomputing it
+        for unit, _ in units:
+            state.invalidate(unit)
+        # coalesce the key-only read to ~2 blocks/CPU: many tiny source
+        # files otherwise fan the 16-byte/row shuffle into thousands of
+        # mini-objects (measured 2× slower than the coalesced read)
+        keys_ds = read_parquet_clean(corpus_path, columns=key, override_num_blocks=default_num_blocks())
+        dup_hash_tbl = as_table(duplicate_key_hashes(keys_ds, key))
+        pq.write_table(dup_hash_tbl, uqk_path)
+        state.mark_done(
+            "uniqueness", {"duplicate_key_hashes": dup_hash_tbl.num_rows}, fmt=_uniq_ckpt_fmt()
+        )
+    dup_hashes = np.sort(dup_hash_tbl["h"].to_numpy(zero_copy_only=False))
+
+    # ---------------- pass 2: ONE fused content scan per unit ----------
+    # content is read and decompressed ONCE per suite run (it dominates
+    # corpus bytes). Pre-gate: the dup-hash set alone predicts ≥ 2·len(dup)
+    # candidate rows — above the bound, scan tasks write violation shards
+    # themselves and the driver never sees a violation row.
+    pre_gate = 2 * len(dup_hashes) > cfg.max_driver_violation_rows
+    refs = None  # built once, and only if some unit must be computed
+    # a unit's violations include the duplicate-key rows its scan found
+    # with the global dup-hash probe; shard units of the earlier two-phase
+    # layout held none, so their tag differs and a resume recomputes them.
+    # Embeds the uniqueness tag: the probe used those polars row hashes.
+    unit_fmt = f"scan-unit/v3/{_uniq_ckpt_fmt()}"
+    stats_parts: list[pa.Table] = []
+    # violations stay ON DISK until the total is known (round-5 review:
+    # reading every unit's table into a driver list defeated
+    # max_driver_violation_rows): held tables as (path, rows), spilled
+    # units as their shard files
+    held: list[tuple[str, int]] = []
+    spilled: list[str] = []
+    for unit, dataset in units:
+        udir = state.unit_dir(unit)
+        sp = os.path.join(udir, "stats_partials.parquet")
+        vp = os.path.join(udir, "violations.parquet")
+        spill_dir = os.path.join(udir, "violations_spill")
+        meta = (state.done_metrics(unit) or {}).get("metrics", {})
+        was_spilled = bool(meta.get("spilled"))
+        viol_file = "violations_spill" if was_spilled else "violations.parquet"
+        if state.is_done_compat(unit, files=("stats_partials.parquet", viol_file), fmt=unit_fmt):
+            st, n_viol = pq.read_table(sp), int(meta["violations"])
+        else:
+            state.invalidate(unit)
+            # stale shards from a crashed attempt would double-count
+            if os.path.isdir(spill_dir):
+                shutil.rmtree(spill_dir)
+            if refs is None:
+                refs = _prepare_rowpass_refs(cfg, dup_hashes)
+            st, viol = _fused_scan(dataset(), cfg, refs, corpus_schema, spill_dir, force_spill=pre_gate)
+            was_spilled = not isinstance(viol, pa.Table)
+            if was_spilled:
+                n_viol = sum(pq.read_metadata(f).num_rows for f in _parquet_files(spill_dir))
+            else:
+                viol = _sort_violations(viol, refs.out_cols)  # stable checkpoint bytes
+                pq.write_table(viol, vp)
+                n_viol = viol.num_rows
+            pq.write_table(st, sp)
+            content_rows = pc.sum(st.filter(pc.equal(st["column"], cfg.content_col))["count"]).as_py()
+            state.mark_done(
+                unit,
+                {"rows": int(content_rows or 0), "violations": n_viol, "spilled": was_spilled},
+                fmt=unit_fmt,
+            )
+        stats_parts.append(st)
+        if was_spilled:
+            # files, not the directory: rd.read_parquet raises on a path
+            # list that holds a directory
+            spilled.extend(_parquet_files(spill_dir))
+        else:
+            held.append((vp, n_viol))
+
+    stats_df = merge_partials_to_stats(stats_parts)
+    stats_path = os.path.join(state.unit_dir("stats"), "stats.parquet")
+    pq.write_table(pa.Table.from_pandas(stats_df, preserve_index=False), stats_path)
+    if spilled or sum(n for _, n in held) > cfg.max_driver_violation_rows:
+        # the distributed finalize; the driver holds only counts
+        viol = [p for p, n in held if n] + spilled
+    else:
+        tabs = [pq.read_table(p) for p, n in held if n]
+        viol = pa.concat_tables(tabs) if tabs else viol_schema.empty_table()
+    viol_all, violations_dir = _finish_violations(viol, viol_schema, key, state.unit_dir("rowpass"))
+    fd_results = _run_fd_checks(state, cfg, corpus_path, resume) if cfg.fd_checks else None
+    return _finalize_suite(
+        state, out_dir, cfg, stats_df, viol_all, baseline_snapshot,
+        violations_dir=violations_dir, corpus_schema=corpus_schema, fd_results=fd_results,
+    )
 
 
 def run_suite(
@@ -871,156 +1014,14 @@ def run_suite(
 ) -> SuiteResult:
     """Run every check; returns verdicts + violations. Re-running with
     ``resume=True`` skips checks whose ``_DONE`` marker exists and reloads
-    their outputs (checkpoint semantics; see tests/test_validate.py)."""
-    from .. import tune_shuffle_to_cluster
+    their outputs (checkpoint semantics; see tests/test_validate.py).
+    The whole corpus is one scan unit, ``scan``."""
     from ..functions.shuffle import default_num_blocks
 
-    tune_shuffle_to_cluster()
-    import time as _time
+    def scan():
+        return read_parquet_clean(corpus_path, override_num_blocks=default_num_blocks())
 
-    _timings: dict[str, float] = {}
-    _t0 = _time.perf_counter()
-
-    def _mark(name: str) -> None:
-        nonlocal _t0
-        now = _time.perf_counter()
-        _timings[name] = round(now - _t0, 3)
-        _t0 = now
-
-    cfg = cfg or SuiteConfig()
-    state = RunState(out_dir)
-    key = list(cfg.key)
-    part = cfg.partition_by
-
-    def corpus(columns: list[str] | None = None, num_blocks: int | None = None):
-        return read_parquet_clean(corpus_path, columns=columns, override_num_blocks=num_blocks)
-
-    # ---------------- pass 1: uniqueness key detection ----------------
-    # key columns ONLY — the wide content column is untouched, so this
-    # pass is cheap relative to the scan it gates (the fused scan needs
-    # the global duplicate-hash set as a broadcast input).
-    from .queries import as_table
-    from ..checks.uniqueness import duplicate_key_hashes
-
-    uqk_path = os.path.join(state.unit_dir("uniqueness"), "dup_key_hashes.parquet")
-    # the checkpoint embeds polars row hashes (not guaranteed stable
-    # across polars builds) — the fmt tag invalidates a checkpoint written
-    # under a different layout or hash environment instead of misreading it
-    uniq_reused = resume and state.is_done_compat(
-        "uniqueness", files=("dup_key_hashes.parquet",), fmt=_uniq_ckpt_fmt()
-    )
-    if uniq_reused:
-        dup_hash_tbl = pq.read_table(uqk_path)
-    else:
-        # coalesce the key-only read to ~2 blocks/CPU: many tiny source
-        # files otherwise fan the 16-byte/row shuffle into thousands of
-        # mini-objects (measured 2× slower than the coalesced read)
-        dup_hash_tbl = as_table(duplicate_key_hashes(corpus(key, num_blocks=default_num_blocks()), key))
-        pq.write_table(dup_hash_tbl, uqk_path)
-        state.mark_done(
-            "uniqueness", {"duplicate_key_hashes": dup_hash_tbl.num_rows}, fmt=_uniq_ckpt_fmt()
-        )
-
-    _mark("uniqueness")
-    dup_hashes = np.sort(dup_hash_tbl["h"].to_numpy(zero_copy_only=False))
-
-    # ---------------- pass 2: ONE fused content scan ----------------
-    # stats partials + all row-level checks in the same scan: content is
-    # read and decompressed ONCE per suite run (it dominates corpus bytes;
-    # the earlier separate stats/rowpass scans each paid the full read).
-    corpus_schema = _corpus_schema(corpus_path)
-    viol_schema = _viol_schema(corpus_schema, key + [part])
-    stats_path = os.path.join(state.unit_dir("scan"), "stats.parquet")
-    sc_path = os.path.join(state.unit_dir("scan"), "violations.parquet")
-    spill_raw = os.path.join(state.unit_dir("scan"), "violations_spill")
-    spill_final = os.path.join(state.unit_dir("scan"), "violations_sorted")
-    scan_meta = state.done_metrics("scan") or {}
-    spilled_before = bool(scan_meta.get("metrics", {}).get("spilled"))
-    scan_reusable = resume and uniq_reused and state.is_done_compat("scan", files=("stats.parquet",)) and (
-        os.path.isdir(spill_final) if spilled_before else os.path.exists(sc_path)
-    )
-    if scan_reusable:
-        stats_df = pq.read_table(stats_path).to_pandas()
-        if spilled_before:
-            viol_all, violations_dir = viol_schema.empty_table(), spill_final
-        else:
-            viol_all, violations_dir = pq.read_table(sc_path), None
-    else:
-        refs = _prepare_rowpass_refs(cfg, dup_hashes)
-        # pre-gate: the dup-hash set alone predicts ≥ 2·len(dup) candidate
-        # rows — above the bound, scan tasks write violation shards
-        # themselves and the driver never sees a violation row
-        pre_gate = 2 * len(dup_hashes) > cfg.max_driver_violation_rows
-        import shutil
-
-        for d in (spill_raw, spill_final):
-            if os.path.isdir(d):
-                shutil.rmtree(d)
-        stats_partials, viol = _fused_scan(
-            corpus(num_blocks=default_num_blocks()),
-            cfg,
-            refs,
-            corpus_schema,
-            spill_dir=spill_raw,
-            force_spill=pre_gate,
-        )
-        stats_df = merge_partials_to_stats([stats_partials])
-        viol_all, violations_dir = _finish_violations(viol, viol_schema, key, sc_path, spill_final)
-        n_viol = viol_all.num_rows if violations_dir is None else sum(
-            pq.read_metadata(os.path.join(violations_dir, f)).num_rows
-            for f in os.listdir(violations_dir)
-            if f.endswith(".parquet")
-        )
-        pq.write_table(pa.Table.from_pandas(stats_df, preserve_index=False), stats_path)
-        state.mark_done(
-            "scan",
-            {
-                "violations": n_viol,
-                "spilled": violations_dir is not None,
-                "partitions": int(stats_df["part"].nunique()) if len(stats_df) else 0,
-                "rows_seen": int(stats_df.loc[stats_df["column"] == cfg.content_col, "count"].sum()) if len(stats_df) else 0,
-            },
-        )
-
-    _mark("fused_scan")
-    fd_results = _run_fd_checks(state, cfg, corpus_path, resume) if cfg.fd_checks else None
-    if cfg.fd_checks:
-        _mark("fd_checks")
-    result = _finalize_suite(
-        state, out_dir, cfg, stats_df, viol_all, baseline_snapshot,
-        violations_dir=violations_dir, corpus_schema=corpus_schema, fd_results=fd_results,
-    )
-    _mark("drift_and_verdicts")
-    if os.environ.get("ADRAY_TIMINGS"):
-        print("suite timings:", _timings, flush=True)
-    return result
-
-
-# ---------------------------------------------------------------------------
-# per-shard suite (north rule: resumable from per-partition checkpoints)
-# ---------------------------------------------------------------------------
-
-
-def make_dup_recovery_fn(cfg: SuiteConfig, dup_ref, out_cols: list[str]):
-    """Phase-B map for the sharded suite: ONLY duplicate-key candidate
-    recovery (broadcast sorted-hash probe + sha256 of recovered rows) —
-    every other row check already ran inside the shard's fused phase-A
-    scan."""
-    import ray
-
-    from ..checks.uniqueness import hash_key_rows, sorted_isin
-
-    key = list(cfg.key)
-
-    def recover(batch: pa.Table) -> pa.Table:
-        dup = sorted_isin(ray.get(dup_ref), hash_key_rows(batch, key))
-        if not dup.any():
-            return _viol_schema(batch.schema, out_cols).empty_table()
-        sub = sha256_hex_batch(batch.filter(pa.array(dup)), cfg.content_col, "content_sha256")
-        sub = sub.select(out_cols + ["content_sha256"])
-        return sub.append_column("violation_kind", pa.array(["duplicate_key"] * sub.num_rows))
-
-    return recover
+    return _run_units(corpus_path, out_dir, cfg, baseline_snapshot, resume, [("scan", scan)])
 
 
 def run_suite_sharded(
@@ -1033,148 +1034,24 @@ def run_suite_sharded(
 ) -> SuiteResult:
     """Same checks and identical final output as :func:`run_suite`, but
     checkpointed per input shard instead of per pass — the resume
-    granularity for long runs over many-file corpora.
+    granularity for long runs over many-file corpora (north rule:
+    resumable from per-partition checkpoints).
 
     Shard = contiguous group of the sorted input files (stable across
-    reruns). Two phases, both sharded:
-
-      A  per shard: ONE fused content scan (stats PARTIAL_SCHEMA rows +
-         every dup-independent row violation: row rules, Bloom
-         referential) plus a key-columns-only uniqueness partial — all
-         associatively mergeable, so completed shards never recompute
-         regardless of which shards remain.
-      merge (driver, kilobytes): stats partials → stats table; hash
-         partials → global duplicate-hash set.
-      B  duplicate-row recovery ONLY, and only over shards whose
-         uniqueness partial intersects the global dup-hash set — with
-         rare duplicates most shards never re-read content (each shard's
-         partial carries exactly the hash set needed for the pruning
-         decision).
-
-    Phase B checkpoints are trusted only when EVERY phase A shard was
-    reused: the global dup set is an input to phase B, so any recomputed
-    partial invalidates downstream shard outputs (same guard as
-    run_suite's ``uniq_reused``). Exact dup verification and deterministic
-    sorting happen once, on the concatenated result, so sharded and
-    per-pass runs are byte-identical.
-    """
-    from .. import tune_shuffle_to_cluster
-    from .queries import as_table
-    from ..checks.uniqueness import (
-        duplicate_hashes_from_partials,
-        sorted_isin,
-        uniqueness_partial_table,
-    )
-
-    tune_shuffle_to_cluster()
-    cfg = cfg or SuiteConfig()
-    state = RunState(out_dir)
-    key = list(cfg.key)
+    reruns); each shard is one scan unit ``shard-NNNN-partials`` of the
+    shared executor. A resume recomputes only the shards whose
+    checkpoint is missing — every shard when the uniqueness pass had to
+    be recomputed, since its dup-hash set feeds every shard's scan."""
     files = _corpus_files(corpus_path)
     if n_shards is None:
         n_shards = min(len(files), 16)
     n_shards = max(1, min(n_shards, len(files)))
     bounds = np.linspace(0, len(files), n_shards + 1).astype(int)
-    shards = [files[bounds[i]:bounds[i + 1]] for i in range(n_shards)]
-    corpus_schema = _corpus_schema(corpus_path)
-
-    # ---------------- phase A: per-shard fused scan + key partials ------
-    empty_refs = _prepare_rowpass_refs(cfg, np.array([], dtype=np.int64))
-    partials_reused = True
-    stats_parts: list[pa.Table] = []
-    uniq_parts: list[pa.Table] = []
-    # violations stay ON DISK as (path, footer row count) until the total
-    # is known (round-5 review: reading every shard's table into a driver
-    # list defeated max_driver_violation_rows — an adversarial corpus
-    # OOMed the driver where run_suite's spill gate survives)
-    viol_paths: list[tuple[str, int]] = []
-    for i, shard_files in enumerate(shards):
-        unit = f"shard-{i:04d}-partials"
-        udir = state.unit_dir(unit)
-        sp = os.path.join(udir, "stats_partials.parquet")
-        up = os.path.join(udir, "uniq_partials.parquet")
-        vp = os.path.join(udir, "local_violations.parquet")
-        if resume and state.is_done_compat(
-            unit,
-            files=("stats_partials.parquet", "uniq_partials.parquet", "local_violations.parquet"),
-            fmt=_uniq_ckpt_fmt(),
-        ):
-            stats_parts.append(pq.read_table(sp))
-            uniq_parts.append(pq.read_table(up))
-            viol_paths.append((vp, pq.read_metadata(vp).num_rows))
-            continue
-        partials_reused = False
-        st, vt = _fused_scan(read_parquet_clean(shard_files), cfg, empty_refs, corpus_schema)
-        vt = _sort_violations(vt, empty_refs.out_cols)  # stable checkpoint bytes
-        ut = uniqueness_partial_table(read_parquet_clean(shard_files, columns=key), key)
-        pq.write_table(st, sp)
-        pq.write_table(ut, up)
-        pq.write_table(vt, vp)
-        content_rows = int(
-            pc.sum(st.filter(pc.equal(st["column"], cfg.content_col))["count"]).as_py() or 0
-        )
-        state.mark_done(
-            unit,
-            {"files": len(shard_files), "rows": content_rows, "local_violations": vt.num_rows},
-            fmt=_uniq_ckpt_fmt(),
-        )
-        stats_parts.append(st)
-        uniq_parts.append(ut)
-        viol_paths.append((vp, vt.num_rows))
-
-    stats_df = merge_partials_to_stats(stats_parts)
-    stats_path = os.path.join(state.unit_dir("stats"), "stats.parquet")
-    pq.write_table(pa.Table.from_pandas(stats_df, preserve_index=False), stats_path)
-    dup_hashes = duplicate_hashes_from_partials(uniq_parts)
-
-    # ---------------- phase B: pruned duplicate-row recovery ------------
-    if len(dup_hashes):
-        import ray
-
-        dup_ref = ray.put(dup_hashes)
-        fn = make_dup_recovery_fn(cfg, dup_ref, empty_refs.out_cols)
-        need = list(dict.fromkeys(key + [cfg.partition_by, cfg.content_col]))
-        for i, shard_files in enumerate(shards):
-            if not sorted_isin(dup_hashes, uniq_parts[i]["h"].to_numpy(zero_copy_only=False)).any():
-                continue
-            unit = f"shard-{i:04d}-duprec"
-            vp = os.path.join(state.unit_dir(unit), "violations.parquet")
-            if resume and partials_reused and state.is_done_compat(
-                unit, files=("violations.parquet",), fmt=_uniq_ckpt_fmt()
-            ):
-                viol_paths.append((vp, pq.read_metadata(vp).num_rows))
-                continue
-            vt = as_table(
-                read_parquet_clean(shard_files, columns=need).map_batches(
-                    fn, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
-                )
-            )
-            vt = _sort_violations(vt, empty_refs.out_cols)
-            pq.write_table(vt, vp)
-            state.mark_done(unit, {"dup_candidate_rows": vt.num_rows}, fmt=_uniq_ckpt_fmt())
-            viol_paths.append((vp, vt.num_rows))
-
-    fd_results = _run_fd_checks(state, cfg, corpus_path, resume) if cfg.fd_checks else None
-    viol_schema = _viol_schema(corpus_schema, empty_refs.out_cols)
-    if sum(n for _, n in viol_paths) > cfg.max_driver_violation_rows:
-        # above the budget: the SAME distributed finalize run_suite's
-        # spill path takes; the driver holds only counts
-        viol = [p for p, n in viol_paths if n > 0]
-    else:
-        tabs = [pq.read_table(p) for p, n in viol_paths if n > 0]
-        viol = pa.concat_tables(tabs) if tabs else viol_schema.empty_table()
-    rowpass = state.unit_dir("rowpass")
-    viol_all, violations_dir = _finish_violations(
-        viol,
-        viol_schema,
-        key,
-        os.path.join(rowpass, "violations.parquet"),
-        os.path.join(rowpass, "violations_sorted"),
-    )
-    return _finalize_suite(
-        state, out_dir, cfg, stats_df, viol_all, baseline_snapshot,
-        violations_dir=violations_dir, corpus_schema=corpus_schema, fd_results=fd_results,
-    )
+    units = [
+        (f"shard-{i:04d}-partials", lambda fs=files[bounds[i]:bounds[i + 1]]: read_parquet_clean(fs))
+        for i in range(n_shards)
+    ]
+    return _run_units(corpus_path, out_dir, cfg, baseline_snapshot, resume, units)
 
 
 def find_latest_snapshot(root_dir: str) -> str | None:

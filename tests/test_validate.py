@@ -258,39 +258,55 @@ def test_sharded_suite_matches_per_check_suite(ray_session, dirty_corpus, tmp_pa
                 assert lo - 0.05 <= phi <= hi + 0.05, (row["part"], row["column"], col, est, lo, hi)
 
 
-def test_sharded_resume_skips_done_shards(ray_session, dirty_corpus, tmp_path):
-    from anomalydetection_ray.pipelines.validate import SuiteConfig, run_suite_sharded
-    from anomalydetection_ray.state import RunState
+def test_sharded_resume_recomputes_only_invalid_shards(ray_session, dirty_corpus, tmp_path):
+    """Each shard is one scan unit: a resume recomputes exactly the shards
+    whose checkpoint is missing or untrusted, every shard when the
+    uniqueness pass (whose dup-hash set feeds every shard's scan) had to be
+    recomputed, and output always equals the first run's."""
+    import json
+
+    from anomalydetection_ray.pipelines.validate import (
+        SuiteConfig,
+        _uniq_ckpt_fmt,
+        run_suite_sharded,
+    )
 
     d, _ = dirty_corpus
     out = str(tmp_path / "out")
     cfg = SuiteConfig(repos_dim_path=f"{d}/repos.parquet")
-    res1 = run_suite_sharded(f"{d}/corpus", out, cfg, n_shards=4)
-    state = RunState(out)
-    partial_files = [
+    first = run_suite_sharded(f"{d}/corpus", out, cfg, n_shards=4)
+    partials = [
         os.path.join(out, f"shard-{i:04d}-partials", "stats_partials.parquet") for i in range(4)
     ]
-    t_partials = [os.path.getmtime(p) for p in partial_files]
-    # phase B (dup recovery) units exist only for shards holding dup-hash
-    # candidates; the planted duplicates guarantee at least one
-    duprec = sorted(d2 for d2 in os.listdir(out) if d2.endswith("-duprec"))
-    assert duprec, "expected at least one dup-recovery shard unit"
 
-    # crash after phase A: wipe every dup-recovery unit
-    for u in duprec:
-        shutil.rmtree(os.path.join(out, u))
-    res2 = run_suite_sharded(f"{d}/corpus", out, cfg, n_shards=4)
-    assert [os.path.getmtime(p) for p in partial_files] == t_partials  # phase A reused
-    assert all(state.is_done(u) for u in duprec)  # dup recovery redone
-    assert res2.verdicts.equals(res1.verdicts)
+    def rerun_and_check(recomputed: set[int]) -> None:
+        before = {i: os.path.getmtime(p) for i, p in enumerate(partials) if os.path.exists(p)}
+        res = run_suite_sharded(f"{d}/corpus", out, cfg, n_shards=4)
+        changed = {i for i, p in enumerate(partials) if os.path.getmtime(p) != before.get(i)}
+        assert changed == recomputed
+        assert res.verdicts.equals(first.verdicts)
+        assert set(res.violations) == set(first.violations)
+        for name in first.violations:
+            assert res.violations[name].equals(first.violations[name]), name
 
-    # a recomputed phase A shard invalidates EVERY phase B checkpoint
-    rp0 = os.path.join(out, duprec[0], "violations.parquet")
-    t_rp0 = os.path.getmtime(rp0)
+    # wiping one shard unit recomputes that shard only
     shutil.rmtree(os.path.join(out, "shard-0001-partials"))
-    res3 = run_suite_sharded(f"{d}/corpus", out, cfg, n_shards=4)
-    assert os.path.getmtime(rp0) > t_rp0  # dup recovery recomputed
-    assert res3.verdicts.equals(res1.verdicts)
+    rerun_and_check({1})
+
+    # a recomputed uniqueness pass invalidates every shard
+    shutil.rmtree(os.path.join(out, "uniqueness"))
+    rerun_and_check({0, 1, 2, 3})
+
+    # a shard marker carrying the earlier two-phase layout's format tag
+    # (its violations lacked the duplicate-key rows) is recomputed, not
+    # trusted
+    marker = os.path.join(out, "shard-0002-partials", "_DONE")
+    with open(marker) as f:
+        payload = json.load(f)
+    payload["format"] = _uniq_ckpt_fmt()
+    with open(marker, "w") as f:
+        json.dump(payload, f)
+    rerun_and_check({2})
 
 
 def test_row_drift_scorer_actor(ray_session, clean_corpus, dirty_corpus, tmp_path):
@@ -738,14 +754,36 @@ def test_suite_profiles_binary_and_list_columns(ray_session, tmp_path):
         "blob": pa.array([b"abc", None, b"defgh"], type=pa.binary()),
         "tags": pa.array([[1, 2], None, [3]], type=pa.list_(pa.int64())),
     })
-    out = column_stats(
-        rd.from_arrow(t), columns=["blob", "tags"], partition_by=["lang"]
-    ).to_pandas()
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = column_stats(
+            rd.from_arrow(t), columns=["blob", "tags"], partition_by=["lang"]
+        ).to_pandas()
     blob = out[(out["column"] == "blob") & (out["part"] == "py")].iloc[0]
     assert blob["nulls"] == 1
     assert blob["vmin"] == 3.0  # byte length of b"abc"
     tags = out[out["column"] == "tags"]
     assert int(tags["nulls"].sum()) == 1
+
+    # nested values have no numeric projection: every numeric stat is NaN
+    # (std included) and the merge warns about nothing; count, nulls and
+    # distinct_est still profile the column
+    from anomalydetection_ray.checks.stats import make_stats_partial_fn, merge_partials_to_stats
+
+    fn = make_stats_partial_fn(["tags"], ["lang"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        merged = merge_partials_to_stats([fn(t), fn(t.slice(0, 2))]).set_index("part")
+    for part, count, nulls in (("py", 4, 2), ("go", 1, 0)):
+        row = merged.loc[part]
+        assert (row["count"], row["nulls"]) == (count, nulls)
+        assert round(row["distinct_est"]) == 1
+        for stat in ("mean", "std", "vmin", "vmax", "p50", "p95", "p99"):
+            assert np.isnan(row[stat]), (part, stat)
+    for stat in ("mean", "std", "vmin", "vmax", "p50"):
+        assert tags[stat].isna().all(), stat
 
 
 def test_corpus_files_walks_partitioned_layout(ray_session, tmp_path):
@@ -802,6 +840,21 @@ def test_sharded_suite_spills_above_violation_budget(ray_session, dirty_corpus, 
         bv[["check", "partition", "metric", "passed"]],
         sv[["check", "partition", "metric", "passed"]],
     )
+    # the pre-gate fired, so scan tasks wrote violation shards inside the
+    # shard units' scans; the finalized rows equal the driver-held plan's
+    import glob
+
+    import pyarrow as pa
+
+    assert glob.glob(
+        os.path.join(str(tmp_path / "spill"), "shard-*-partials", "violations_spill", "viol-*.parquet")
+    )
+    sort_cols = [(c, "ascending") for c in ("violation_kind", "repo", "path", "commit", "content_sha256")]
+    want = pa.concat_tables(
+        [base.violations[k] for k in ("rowrules", "uniqueness", "referential")]
+    ).sort_by(sort_cols)
+    got = pq.read_table(spilled.violations_dir).sort_by(sort_cols)
+    assert got.select(want.column_names).cast(want.schema).equals(want)
 
 
 def test_write_baseline_empty_corpus(ray_session, tmp_path):

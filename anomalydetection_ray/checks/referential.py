@@ -11,9 +11,9 @@ never shuffles.
 Two probes:
 - exact: sorted numpy array + ``sorted_isin`` — used when the dim key set fits
   comfortably in a worker heap (up to ~10^8 keys). No false results.
-- bloom: :class:`BloomFilter` prefilter for larger dims — negatives are
-  definite orphans; positives are re-verified exactly against a
-  hash-partitioned slice of the dim (``_verify_candidates``), so reported
+- bloom: :class:`BloomFilter` prefilter — negatives are definite orphans;
+  positives are re-verified exactly against the sorted dim keys shipped
+  beside the filter (:func:`dim_key_broadcast` builds both), so reported
   violations are always exact.
 """
 
@@ -71,24 +71,21 @@ def semi_join(fact_ds, fact_key: str, dim_ds, dim_key: str, anti: bool = False):
     return fact_ds.map_batches(probe, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
 
 
-def build_dim_bloom(dim_ds, dim_key: str, capacity: int | None = None, fp_rate: float = 0.001) -> BloomFilter:
-    """Distributed Bloom build: per-block partial filters merged on the
-    driver (each partial is a few hundred KB; merge is bitwise-or)."""
-    if capacity is None:
-        capacity = max(1024, dim_ds.count())
-    cap, fp = capacity, fp_rate
+def dim_key_broadcast(col, fp_rate: float = 0.001) -> tuple[BloomFilter, np.ndarray]:
+    """A dimension key column → (Bloom filter, sorted distinct keys): the
+    broadcast pair both Bloom probes ship. Built on the driver from the
+    one collected column — a Ray pipeline per build costs ~0.1 s CPU
+    even on a few hundred keys, far more than the build itself.
 
-    def partial(batch: pa.Table) -> pa.Table:
-        bf = BloomFilter(cap, fp)
-        vals = np.asarray(pc.drop_null(batch[dim_key].combine_chunks()))
-        bf.update(vals)
-        return pa.Table.from_pydict({"bloom": [bf.to_bytes()]})
-
-    parts = dim_ds.select_columns([dim_key]).map_batches(partial, batch_format="pyarrow", batch_size=None).take_all()
-    merged = BloomFilter(cap, fp)
-    for row in parts:
-        merged.merge(BloomFilter.from_bytes(row["bloom"]))
-    return merged
+    Nulls drop ONCE, before any numpy conversion, so an integer column
+    stays integral (``np.asarray`` on a null-bearing int64 column widens
+    to float64, whose hashes miss int-probed keys and collapse keys above
+    2**53). The capacity counts every row, nulls included."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    vals = np.asarray(pc.drop_null(col))
+    bloom = BloomFilter(max(1024, len(col)), fp_rate).update(vals)
+    return bloom, np.unique(vals)
 
 
 def orphans_bloom(fact_ds, fact_key: str, dim_ds, dim_key: str, fp_rate: float = 0.001):
@@ -99,17 +96,19 @@ def orphans_bloom(fact_ds, fact_key: str, dim_ds, dim_key: str, fp_rate: float =
     either present or false positives — at fp_rate=1e-3 the candidate
     leak is 0.1% of orphans, re-checked exactly below against the dim key
     set, so the reported set is exact. At dims too large to collect, swap
-    `_collect_dim_keys` for a hash-partitioned join of candidates only
+    the exact key set for a hash-partitioned join of candidates only
     (candidates ≪ fact rows, so that join is tiny either way).
     """
     import ray
 
-    # ONE dim scan: the projection materializes once and feeds the bloom
-    # build (whose capacity count is then pure metadata) AND the exact key
-    # collect — this used to execute the dim pipeline three times
-    dim_proj = dim_ds.select_columns([dim_key]).materialize()
-    bloom_ref = ray.put(build_dim_bloom(dim_proj, dim_key, fp_rate=fp_rate).to_bytes())
-    exact_ref = ray.put(_collect_dim_keys(dim_proj, dim_key))
+    from ..pipelines.queries import as_table
+
+    # ONE dim execution: the key projection is collected to the driver and
+    # both broadcast sides are built from it there
+    dim = as_table(dim_ds.select_columns([dim_key]))
+    col = dim[dim_key] if dim_key in dim.column_names else pa.array([], pa.null())
+    bloom, exact = dim_key_broadcast(col, fp_rate)
+    bloom_ref, exact_ref = ray.put(bloom.to_bytes()), ray.put(exact)
 
     def probe(batch: pa.Table) -> pa.Table:
         bf = BloomFilter.view_bytes(ray.get(bloom_ref))  # zero-copy per batch

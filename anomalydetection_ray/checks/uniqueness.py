@@ -46,6 +46,7 @@ def key_counts(ds, keys: list[str], batch_size: int | None = 65536):
 
 
 _HASH_PAIR_SCHEMA = pa.schema([("h", pa.int64()), ("cnt_partial", pa.int64())])
+_DUP_HASH_SCHEMA = pa.schema([("h", pa.int64()), ("cnt", pa.int64())])
 
 
 def hash_key_rows(batch: pa.Table, keys: list[str], seed: int = 0) -> np.ndarray:
@@ -91,8 +92,9 @@ def duplicate_key_hashes(
     batch_size: int | None = 65536,
     seed: int = 0,
     driver_merge_max_bytes: int = 8 << 30,
-):
-    """int64 hashes of keys appearing >= min_count times.
+) -> pa.Table:
+    """``(h, cnt)`` table of the int64 hashes of keys appearing >=
+    min_count times, collected on the driver.
 
     The scale path for uniqueness: the shuffle moves (hash, cnt) int64
     pairs — 16 bytes/row — instead of the full (possibly wide) string key
@@ -120,7 +122,6 @@ def duplicate_key_hashes(
     est = metadata_size_estimate(ds)
     if est is not None and est <= driver_merge_max_bytes:
         import polars as pl
-        import ray.data as rd
 
         tabs = [
             t
@@ -128,7 +129,7 @@ def duplicate_key_hashes(
             if t.num_rows
         ]
         if not tabs:
-            return rd.from_arrow(pa.Table.from_pydict({"h": [], "cnt": []}, schema=pa.schema([("h", pa.int64()), ("cnt", pa.int64())])))
+            return _DUP_HASH_SCHEMA.empty_table()
         # the driver keeps polars' FULL thread pool (only workers are
         # capped — package __init__), so this grouped merge of ~8M pair
         # rows runs parallel in ~0.2 s; a numpy argsort alternative
@@ -141,11 +142,15 @@ def duplicate_key_hashes(
             .filter(pl.col("cnt") >= min_count)
             .sort("h")
         )
-        return rd.from_arrow(dup.to_arrow().cast(pa.schema([("h", pa.int64()), ("cnt", pa.int64())])))
+        return dup.to_arrow().cast(_DUP_HASH_SCHEMA)
+    from ..pipelines.queries import as_table
+
     counts = grouped_sum(partials, ["h"], "cnt_partial", "cnt", keys_non_null=True)
     thresh = min_count
-    return counts.map_batches(
-        lambda t: t.filter(pc.greater_equal(t["cnt"], thresh)), batch_format="pyarrow", batch_size=None
+    return as_table(
+        counts.map_batches(
+            lambda t: t.filter(pc.greater_equal(t["cnt"], thresh)), batch_format="pyarrow", batch_size=None
+        )
     )
 
 

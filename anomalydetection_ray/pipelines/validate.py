@@ -14,6 +14,13 @@ column is never shuffled, SURVEY.md M6/§7.4):
 
   uniqueness   key cols only    per-block combiner → hash shuffle of int64
                                 (key-hash, cnt) pairs only → dup-hash set
+  broadcast    dim key col      driver-side, no Ray pipeline: the dim key
+                                column is read with pyarrow and becomes a
+                                Bloom filter + sorted exact keys, shipped
+                                beside the dup-hash set via ray.put. The
+                                exact keys reach every task anyway, and a
+                                Ray execution costs ~0.1 s CPU of fixed
+                                overhead even on a few hundred dim rows
   fused scan   all columns      ONE content scan per unit (read → one
                                 map stage) computing BOTH the per-block stats
                                 partials (moments + HLL/KLL/histogram
@@ -212,15 +219,15 @@ def _prepare_rowpass_refs(cfg: SuiteConfig, dup_hashes: np.ndarray) -> _RowpassR
     dup_ref = ray.put(dup_hashes)
     bloom_ref = exact_ref = None
     if have_ref:
-        from ..checks.referential import _collect_dim_keys, build_dim_bloom
+        from ..checks.referential import dim_key_broadcast
 
-        # materialize the narrow dim projection ONCE: the Bloom build and
-        # the exact-key collection each execute their pipeline, so an
-        # un-pinned read paid the dim scan twice (round-5 review; the
-        # referential.py orphans_bloom caller already pins it)
-        dim = read_parquet_clean(cfg.repos_dim_path, columns=[cfg.dim_key]).materialize()
-        bloom_ref = ray.put(build_dim_bloom(dim, cfg.dim_key).to_bytes())
-        exact_ref = ray.put(_collect_dim_keys(dim, cfg.dim_key))
+        # the dim key column is read on the DRIVER, not by a Ray pipeline:
+        # the exact key set ships to every task anyway, and each Ray
+        # execution over the few-hundred-row dim cost ~0.1 s CPU of fixed
+        # overhead, three of them per fresh suite op and per resume
+        col = pq.read_table(_corpus_files(cfg.repos_dim_path), columns=[cfg.dim_key])[cfg.dim_key]
+        bloom, exact = dim_key_broadcast(col)
+        bloom_ref, exact_ref = ray.put(bloom.to_bytes()), ray.put(exact)
     return _RowpassRefs(
         out_cols=list(cfg.key) + [cfg.partition_by],
         dup_ref=dup_ref,
@@ -539,40 +546,72 @@ def _sort_violations(viol_all: pa.Table, out_cols: list[str]) -> pa.Table:
 
 
 def _finish_violations(
-    viol: pa.Table | list[str], viol_schema: pa.Schema, key: list[str], out_dir: str
+    state: RunState,
+    unit_names: list[str],
+    held: list[tuple[str, int]],
+    spilled: list[str],
+    max_driver_rows: int,
+    viol_schema: pa.Schema,
+    key: list[str],
 ) -> tuple[pa.Table, str | None]:
     """The ONE violation finalize of the suite, over every scan unit's
-    rows: exact dup recount, deterministic sort and write.
+    rows: exact dup recount, deterministic sort and write, checkpointed as
+    unit ``rowpass``.
 
-    ``viol`` is either the driver-held table or a list of spilled parquet
-    files. A driver table is recounted, sorted and written to
-    ``<out_dir>/violations.parquet``. Spilled files take the distributed
-    path — key co-partitioned recount, global multi-column sort,
-    partitioned parquet under ``<out_dir>/violations_sorted`` — so
+    ``held`` are (violations.parquet, rows) per unit, ``spilled`` the
+    units' spill shard files. Held tables totalling at most
+    ``max_driver_rows`` are recounted, sorted and written to
+    ``rowpass/violations.parquet``. Otherwise every file takes the
+    distributed path — key co-partitioned recount, global multi-column
+    sort, partitioned parquet under ``rowpass/violations_sorted`` — so
     violations never materialize on the driver.
+
+    The marker records the units it covers and the path taken. A resume
+    whose units were all reused (any recomputed unit drops the marker
+    first) reads the result back instead of finalizing again.
 
     Returns ``(violations, violations_dir)`` as :func:`_finalize_suite`
     takes them: the sorted table and ``None``, or a schema-correct EMPTY
     table and the sorted directory."""
-    out_cols = viol_schema.names[:-2]
+    out_dir = state.unit_dir("rowpass")
     sorted_dir = os.path.join(out_dir, "violations_sorted")
-    if not isinstance(viol, pa.Table):
+    held_path = os.path.join(out_dir, "violations.parquet")
+    distributed = bool(spilled) or sum(n for _, n in held) > max_driver_rows
+    inputs = {"units": unit_names, "distributed": distributed}
+    meta = (state.done_metrics("rowpass") or {}).get("metrics", {})
+    done_file = "violations_sorted" if meta.get("sorted") else "violations.parquet"
+    if all(meta.get(k) == v for k, v in inputs.items()) and state.is_done_compat(
+        "rowpass", files=(done_file,)
+    ):
+        if meta.get("sorted"):
+            return viol_schema.empty_table(), sorted_dir
+        return pq.read_table(held_path), None
+    state.invalidate("rowpass")
+    out_cols = viol_schema.names[:-2]
+    viol = viol_schema.empty_table()
+    if distributed:
         import shutil
 
         if os.path.isdir(sorted_dir):
             shutil.rmtree(sorted_dir)
         os.makedirs(sorted_dir)
-        verified = _verify_dup_candidates_ds(rd.read_parquet(viol), key)
+        files = [p for p, n in held if n] + spilled
+        verified = _verify_dup_candidates_ds(rd.read_parquet(files), key)
         verified.sort(["violation_kind"] + out_cols + ["content_sha256"]).write_parquet(sorted_dir)
         if _parquet_files(sorted_dir):
-            return viol_schema.empty_table(), sorted_dir
+            state.mark_done("rowpass", {**inputs, "sorted": True})
+            return viol, sorted_dir
         # the dup recount dropped EVERY spilled row (all candidates were
         # key-collision artifacts) and write_parquet produced a shard-less
         # directory — finalize through the empty driver table instead of
         # read_parquet-ing an empty dir
-        viol = viol_schema.empty_table()
+    else:
+        tabs = [pq.read_table(p) for p, n in held if n]
+        if tabs:
+            viol = pa.concat_tables(tabs)
     viol = _sort_violations(_verify_dup_candidates(viol, key), out_cols)
-    pq.write_table(viol, os.path.join(out_dir, "violations.parquet"))
+    pq.write_table(viol, held_path)
+    state.mark_done("rowpass", {**inputs, "sorted": False})
     return viol, None
 
 
@@ -880,17 +919,20 @@ def _run_units(
          stats partials and its raw violations (a table, or its spill
          shards under ``<unit>/violations_spill``)
       3. one stats merge, one violation finalize over every unit's rows
+         (checkpointed as unit ``rowpass``)
       4. FD checks, verdicts, drift
 
     A unit is reused only when the uniqueness pass was: the dup-hash set
     is an input to every unit's scan. Stats partials merge associatively
     and the exact dup recount and deterministic sort run once, on all
-    units' rows, so the unit decomposition never changes the output."""
+    units' rows, so the unit decomposition never changes the output. The
+    finalized violations are reused only when every unit was: any
+    recomputed unit or uniqueness pass drops the ``rowpass`` marker
+    first."""
     import shutil
 
     from .. import tune_shuffle_to_cluster
     from ..functions.shuffle import default_num_blocks
-    from .queries import as_table
     from ..checks.uniqueness import duplicate_key_hashes
 
     tune_shuffle_to_cluster()
@@ -916,13 +958,13 @@ def _run_units(
     else:
         # no unit scanned with the old dup-hash set may be trusted past
         # this point, even if the run crashes before recomputing it
-        for unit, _ in units:
+        for unit in [u for u, _ in units] + ["rowpass"]:
             state.invalidate(unit)
         # coalesce the key-only read to ~2 blocks/CPU: many tiny source
         # files otherwise fan the 16-byte/row shuffle into thousands of
         # mini-objects (measured 2× slower than the coalesced read)
         keys_ds = read_parquet_clean(corpus_path, columns=key, override_num_blocks=default_num_blocks())
-        dup_hash_tbl = as_table(duplicate_key_hashes(keys_ds, key))
+        dup_hash_tbl = duplicate_key_hashes(keys_ds, key)
         pq.write_table(dup_hash_tbl, uqk_path)
         state.mark_done(
             "uniqueness", {"duplicate_key_hashes": dup_hash_tbl.num_rows}, fmt=_uniq_ckpt_fmt()
@@ -960,6 +1002,7 @@ def _run_units(
             st, n_viol = pq.read_table(sp), int(meta["violations"])
         else:
             state.invalidate(unit)
+            state.invalidate("rowpass")
             # stale shards from a crashed attempt would double-count
             if os.path.isdir(spill_dir):
                 shutil.rmtree(spill_dir)
@@ -991,13 +1034,9 @@ def _run_units(
     stats_df = merge_partials_to_stats(stats_parts)
     stats_path = os.path.join(state.unit_dir("stats"), "stats.parquet")
     pq.write_table(pa.Table.from_pandas(stats_df, preserve_index=False), stats_path)
-    if spilled or sum(n for _, n in held) > cfg.max_driver_violation_rows:
-        # the distributed finalize; the driver holds only counts
-        viol = [p for p, n in held if n] + spilled
-    else:
-        tabs = [pq.read_table(p) for p, n in held if n]
-        viol = pa.concat_tables(tabs) if tabs else viol_schema.empty_table()
-    viol_all, violations_dir = _finish_violations(viol, viol_schema, key, state.unit_dir("rowpass"))
+    viol_all, violations_dir = _finish_violations(
+        state, [u for u, _ in units], held, spilled, cfg.max_driver_violation_rows, viol_schema, key
+    )
     fd_results = _run_fd_checks(state, cfg, corpus_path, resume) if cfg.fd_checks else None
     return _finalize_suite(
         state, out_dir, cfg, stats_df, viol_all, baseline_snapshot,

@@ -2,14 +2,15 @@
 
 The reference's only content-based lookup is a broadcast-small-side
 semi-join: ``data[data['template'].isin(high_freq_keys)]``
-(``models/preprocessing.py:7-10``). At 10^12-file scale the analogous
-referential check (every row's ``repo`` exists in the repo dimension) can't
-ship an exact key set to every task, so the small side is summarized as a
-Bloom filter, ``ray.put`` once, and probed vectorized inside
-``map_batches``. Bloom *negatives* are definite violations; positives are
-re-verified exactly against the true key set so no false violations are
-ever reported (false-positive direction only ever *hides* a violation from
-the fast path, and the exact re-check catches those).
+(``models/preprocessing.py:7-10``). The analogous referential check (every
+row's ``repo`` exists in the repo dimension) ships the small side twice,
+each ``ray.put`` once: as a Bloom filter, probed vectorized inside
+``map_batches``, and as the sorted exact key set
+(``checks/referential.py:dim_key_broadcast`` builds both). Bloom
+*negatives* are definite violations without touching the exact keys;
+positives are re-verified exactly against them, so no false violations
+are ever reported (a false positive only ever *hides* a violation from the
+fast path, and the exact re-check catches those).
 """
 
 from __future__ import annotations

@@ -880,3 +880,160 @@ def test_write_baseline_empty_corpus(ray_session, tmp_path):
     back = load_snapshot(snap)
     assert len(back) == 0
     assert "column" in back.columns
+
+
+def _ray_dim_broadcast(path: str, dim_key: str):
+    """Reference: the Ray-pipeline dimension broadcast build the suite ran
+    before building it on the driver — per-block partial Bloom filters
+    OR-merged on the driver, distinct keys per block then np.unique."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import ray.data as rd
+
+    from anomalydetection_ray.checks.referential import _collect_dim_keys
+    from anomalydetection_ray.sketches import BloomFilter
+
+    dim = rd.read_parquet(path, columns=[dim_key]).materialize()
+    cap = max(1024, dim.count())
+
+    def partial(batch: pa.Table) -> pa.Table:
+        bf = BloomFilter(cap, 0.001)
+        bf.update(np.asarray(pc.drop_null(batch[dim_key].combine_chunks())))
+        return pa.Table.from_pydict({"bloom": [bf.to_bytes()]})
+
+    bloom = BloomFilter(cap, 0.001)
+    for row in dim.map_batches(partial, batch_format="pyarrow", batch_size=None).take_all():
+        bloom.merge(BloomFilter.from_bytes(row["bloom"]))
+    return bloom.to_bytes(), _collect_dim_keys(dim, dim_key)
+
+
+@pytest.mark.parametrize("shape", ["string", "int_nulls_above_2_53", "multi_file_dir", "all_null"])
+def test_driver_dim_broadcast_matches_ray_build(ray_session, tmp_path, shape):
+    """The suite's dimension broadcast, read and built on the driver, is
+    byte-identical to the Ray-pipeline build: same Bloom bytes, same
+    sorted exact keys (and dtype: int64 keys stay int64)."""
+    import pyarrow as pa
+    import ray
+
+    from anomalydetection_ray.pipelines.validate import SuiteConfig, _prepare_rowpass_refs
+
+    i64 = pa.int64()
+    if shape == "string":
+        tables = [pa.table({"k": pa.array(["b", "a", None, "c", "a"])})]
+    elif shape == "int_nulls_above_2_53":
+        tables = [pa.table({"k": pa.array([2**60 + 1, None, 2**60, 5, 2**53 + 1, 5], type=i64)})]
+    elif shape == "multi_file_dir":
+        tables = [
+            pa.table({"k": pa.array([7, None, 3], type=i64)}),
+            pa.table({"k": pa.array(list(range(2000)), type=i64)}),
+            pa.table({"k": pa.array([3, 2**62], type=i64)}),
+        ]
+    else:
+        tables = [pa.table({"k": pa.array([None] * 4, type=i64)})]
+    if len(tables) == 1:
+        path = str(tmp_path / "dim.parquet")
+        pq.write_table(tables[0], path)
+    else:
+        path = str(tmp_path / "dim")
+        os.makedirs(path)
+        for i, t in enumerate(tables):
+            pq.write_table(t, os.path.join(path, f"part-{i:05d}.parquet"))
+        open(os.path.join(path, "_DONE"), "w").close()  # the resumable writer's marker
+
+    refs = _prepare_rowpass_refs(
+        SuiteConfig(repos_dim_path=path, dim_key="k"), np.array([], dtype=np.int64)
+    )
+    want_bloom, want_exact = _ray_dim_broadcast(path, "k")
+    got_exact = ray.get(refs.exact_ref)
+    assert ray.get(refs.bloom_ref) == want_bloom
+    assert np.array_equal(got_exact, want_exact)
+    if len(want_exact):
+        assert got_exact.dtype == want_exact.dtype
+    else:
+        assert shape == "all_null" and len(got_exact) == 0
+
+
+def test_suite_ray_executions_per_op(ray_session, dirty_corpus, tmp_path, monkeypatch):
+    """A fresh run_suite with a dimension runs exactly two Ray Data
+    executions — the uniqueness key pass and the fused scan; the
+    broadcast state (dup hashes, dimension Bloom filter and exact keys)
+    is built on the driver. A resume with the scan invalidated runs only
+    the scan, and one with nothing invalidated runs nothing."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    from anomalydetection_ray.pipelines.validate import SuiteConfig, run_suite
+    from anomalydetection_ray.state import RunState
+
+    # every Dataset consumption runs one StreamingExecutor.execute
+    calls: list = []
+    real = StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    d, _ = dirty_corpus
+    out = str(tmp_path / "out")
+    cfg = SuiteConfig(repos_dim_path=f"{d}/repos.parquet")
+    first = run_suite(f"{d}/corpus", out, cfg)
+    assert first.violations["referential"].num_rows > 0
+    assert len(calls) == 2
+
+    calls.clear()
+    RunState(out).invalidate("scan")
+    again = run_suite(f"{d}/corpus", out, cfg)
+    assert len(calls) == 1
+    assert again.verdicts.equals(first.verdicts)
+
+    calls.clear()
+    third = run_suite(f"{d}/corpus", out, cfg)
+    assert len(calls) == 0
+    assert third.verdicts.equals(first.verdicts)
+    for name in first.violations:
+        assert third.violations[name].equals(first.violations[name]), name
+
+
+def test_resume_reuses_finalized_violations(ray_session, dirty_corpus, tmp_path, monkeypatch):
+    """A resume whose units were all reused reuses the finalized
+    violations (unit ``rowpass``): no distributed recount, no rewrite of
+    ``rowpass/``, identical output. Invalidating one shard re-finalizes."""
+    import anomalydetection_ray.pipelines.validate as V
+    from anomalydetection_ray.state import RunState
+
+    d, _ = dirty_corpus
+    out = str(tmp_path / "out")
+    cfg = V.SuiteConfig(repos_dim_path=f"{d}/repos.parquet", max_driver_violation_rows=4)
+    first = V.run_suite_sharded(f"{d}/corpus", out, cfg, n_shards=3)
+    assert first.violations_dir is not None
+    want = pq.read_table(first.violations_dir)
+
+    recounts: list = []
+    real = V._verify_dup_candidates_ds
+
+    def counted(viol_ds, key):
+        recounts.append(1)
+        return real(viol_ds, key)
+
+    monkeypatch.setattr(V, "_verify_dup_candidates_ds", counted)
+
+    def rowpass_mtimes() -> dict:
+        root = os.path.join(out, "rowpass")
+        return {
+            os.path.join(dp, f): os.stat(os.path.join(dp, f)).st_mtime_ns
+            for dp, _, fs in os.walk(root) for f in fs
+        }
+
+    before = rowpass_mtimes()
+    again = V.run_suite_sharded(f"{d}/corpus", out, cfg, n_shards=3)
+    assert recounts == []
+    assert rowpass_mtimes() == before
+    assert again.violations_dir == first.violations_dir
+    assert again.verdicts.equals(first.verdicts)
+    assert pq.read_table(again.violations_dir).equals(want)
+
+    RunState(out).invalidate("shard-0001-partials")
+    third = V.run_suite_sharded(f"{d}/corpus", out, cfg, n_shards=3)
+    assert recounts == [1]
+    assert third.verdicts.equals(first.verdicts)
+    assert pq.read_table(third.violations_dir).equals(want)

@@ -1,28 +1,21 @@
 """Distribution-drift detection: PSI + KS per partition vs a baseline
-snapshot, plus a per-row drift scorer actor pool.
+snapshot.
 
-Reference analog: the SimCLR/VAE scorers load trained weights once per
-process and score every row (``models/SimCLR_utils.py:142-161``,
-``models/VAE_utils.py:214-235``); the anomaly verdict thresholds the score
-(``end_to_end_prediction.py:447-451``). Here the "model" is a baseline
-snapshot (per-partition histograms + KLL sketches written by
-:func:`write_snapshot`), loaded ONCE per actor in ``__init__``; drifted
-partitions are the anomaly signal.
-
-Partition-level scoring (PSI/KS over merged histograms) runs driver-side on
-the tiny merged stats table; row-level scoring streams through the actor
-pool.
+Reference analog: the SimCLR/VAE scorers score every row against trained
+weights (``models/SimCLR_utils.py:142-161``, ``models/VAE_utils.py:214-235``);
+the anomaly verdict thresholds the score (``end_to_end_prediction.py:447-451``).
+Here the "model" is a baseline snapshot (per-partition histograms + KLL
+sketches written by :func:`write_snapshot`); drifted partitions are the
+anomaly signal. Scoring (PSI/KS over merged histograms) runs driver-side on
+the tiny merged stats table.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from ..sketches import KLL
 from ..sketches.histogram import FixedHistogram, ks_statistic, psi
 
 
@@ -97,66 +90,3 @@ def partition_drift(
             }
         )
     return pd.DataFrame(rows)
-
-
-class RowDriftScorer:
-    """Actor-pool stage: per-row anomaly score = two-sided tail mass of the
-    row's content length under its partition's BASELINE KLL sketch.
-
-    ``__init__`` loads the snapshot once per actor (T2-T4 pattern,
-    ``models/feature_extraction.py:37-43``); ``__call__`` scores batches
-    vectorized. Score = 2*|rank - 0.5| ∈ [0,1]; rows in distribution tails
-    score near 1 — the analog of the reference's per-row anomaly score
-    (``end_to_end_prediction.py:444``).
-    """
-
-    def __init__(
-        self,
-        snapshot_path: str,
-        column: str,
-        partition_by: str = "lang",
-        out_col: str = "drift_score",
-    ):
-        snap = load_snapshot(snapshot_path)
-        snap = snap[snap["column"] == column]
-        # pre-sort each partition's weighted sample ONCE per actor (the
-        # class contract): the (values, cumulative-weight) pairs are
-        # immutable, and re-deriving them inside every batch's partition
-        # loop re-ran the sketch sort thousands of times on the hot
-        # scoring path (round-5 review)
-        self.lookup: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for _, r in snap.iterrows():
-            if r["kll"] is None:
-                continue
-            v, w = KLL.from_bytes(r["kll"])._weighted()
-            if v.size:
-                self.lookup[r["part"]] = (v, np.cumsum(w))
-        self.column, self.partition_by, self.out_col = column, partition_by, out_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        col = batch[self.column].combine_chunks()
-        t = col.type
-        if pa.types.is_string(t) or pa.types.is_large_string(t):
-            vals = np.asarray(pc.cast(pc.utf8_length(col), pa.float64()))
-        else:
-            vals = np.asarray(pc.cast(col, pa.float64()))
-        parts = np.asarray(pc.fill_null(pc.cast(batch[self.partition_by], pa.string()), "<null>"))
-        scores = np.ones(len(vals))  # unknown partition → max surprise
-        for part in np.unique(parts):
-            hit = self.lookup.get(part)
-            if hit is None:
-                continue
-            m = parts == part
-            # vectorized rank lookup against the sketch's weighted sample
-            v, cum = hit
-            idx = np.searchsorted(v, vals[m], side="right")
-            ranks = np.where(idx > 0, cum[np.clip(idx - 1, 0, len(cum) - 1)], 0) / cum[-1]
-            scores[m] = 2.0 * np.abs(ranks - 0.5)
-        # a null (or NaN) value has NO rank under a baseline that was
-        # built excluding nulls: score null, not 1.0 — searchsorted
-        # places NaN past the end, which silently branded every null row
-        # a maximal-tail anomaly (round-5 review)
-        unscorable = np.isnan(vals)
-        return batch.append_column(
-            self.out_col, pa.array(scores, type=pa.float64(), mask=unscorable)
-        )

@@ -294,7 +294,8 @@ def column_stats(
 
 def merge_partials_to_stats(partial_tables) -> pd.DataFrame:
     """Associatively merge PARTIAL_SCHEMA tables (any order, any grouping)
-    into the final one-row-per-(part, column) stats frame.
+    into the final one-row-per-(part, column) stats frame. The result
+    depends only on the multiset of partial rows, not on their order.
 
     Vectorized: ONE concat + pandas groupby, then the n-ary group combine
     (:func:`_combine_partial_group`). The previous per-row accumulator
@@ -311,7 +312,11 @@ def merge_partials_to_stats(partial_tables) -> pd.DataFrame:
         # schema-complete empty frame: an EMPTY corpus (or all-empty
         # shards) must flow through verdict assembly, not KeyError
         return pd.DataFrame(columns=stat_cols)
-    df = pa.concat_tables([t.cast(PARTIAL_SCHEMA) for t in tabs]).to_pandas()
+    # a total content order first: KLL compaction and the float moment
+    # sums depend on row order, so merging in block arrival order made the
+    # stats table (sketch bytes, the last ulp of std) depend on scheduling
+    merged = pa.concat_tables([t.cast(PARTIAL_SCHEMA) for t in tabs])
+    df = merged.sort_by([(c, "ascending") for c in PARTIAL_SCHEMA.names]).to_pandas()
     rows = []
     for (part, col), g in df.groupby(["part", "column"], sort=True):
         c = _combine_partial_group(g)

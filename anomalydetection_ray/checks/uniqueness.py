@@ -1,5 +1,5 @@
 """Uniqueness / duplicate-key checks — hash-shuffle groupby with a map-side
-combiner and optional key salting for hot groups.
+combiner.
 
 The from-scratch dual of the reference's frequency count
 (``value_counts()`` at ``models/preprocessing.py:7``; SURVEY.md §2.7): keys
@@ -8,9 +8,7 @@ appearing more than once violate the primary-key constraint
 
 Scale design: the per-batch combiner collapses each block to one row per
 distinct key in that block BEFORE the shuffle, so the all-to-all moves
-(distinct keys per block) rows, not data rows. For skewed key prefixes the
-salted variant appends ``hash(key) % n_salt`` to the shuffle key, merging
-unsalted afterwards — two small shuffles instead of one hot one.
+(distinct keys per block) rows, not data rows.
 """
 
 from __future__ import annotations
@@ -203,76 +201,3 @@ def duplicate_keys(ds, keys: list[str], min_count: int = 2):
     return counts.map_batches(
         lambda t: t.filter(pc.greater_equal(t["cnt"], thresh)), batch_format="pyarrow", batch_size=None
     )
-
-
-def salted_key_counts(ds, keys: list[str], n_salt: int = 16, batch_size: int | None = 65536):
-    """Two-phase salted count for hot keys (SURVEY.md §7.3).
-
-    Phase 1 groups by (keys..., salt) — hot keys spread over n_salt
-    reducers; phase 2 sums the per-salt partials by the bare keys. With the
-    map-side combiner already collapsing blocks, this matters when the
-    distinct-key count itself is dominated by a few giant groups.
-    """
-
-    from ..functions.shuffle import select_if_needed
-
-    def combine_salted(batch: pa.Table) -> pa.Table:
-        t = batch.select(keys)
-        # deterministic salt from the first key column's hash
-        h = np.asarray(pc.cast(pc.binary_length(pc.cast(t[keys[0]], pa.string())), pa.int64()))
-        idx = np.arange(len(h))
-        salt = ((h + idx) % n_salt).astype(np.int64)  # idx spreads identical keys
-        t = t.append_column("salt", pa.array(salt))
-        g = t.group_by(keys + ["salt"]).aggregate([([], "count_all")])
-        return g.rename_columns(keys + ["salt", "cnt_partial"])
-
-    from ..functions.shuffle import grouped_sum
-
-    partials = select_if_needed(ds, keys).map_batches(
-        combine_salted, batch_format="pyarrow", batch_size=batch_size, zero_copy_batch=True
-    )
-    phase1 = grouped_sum(partials, keys + ["salt"], "cnt_partial", "cnt_salted")
-    return grouped_sum(phase1, keys, "cnt_salted", "cnt")
-
-
-def duplicate_rows(ds, keys: list[str], max_dup_keys: int = 5_000_000):
-    """Exact full rows belonging to duplicated keys.
-
-    The duplicate-key table is small by constraint (violations are the
-    exception), so it's collected and broadcast; the second streaming pass
-    filters rows by membership. Raises if the dup-key set exceeds
-    ``max_dup_keys`` (at that point the data has no meaningful primary key
-    and per-key violation *rows* stop being a useful artifact).
-    """
-    import ray
-
-    sep = "\x1f"
-    null_sent = "\x00<null>"  # collision needs a real value holding NUL
-
-    def canon_keys(tb: pa.Table) -> pa.ChunkedArray | pa.Array:
-        # ONE canonicalization for the member set AND the probe — Arrow's
-        # cast-to-string on both sides (str(True)='True' vs Arrow 'true'
-        # silently matched nothing for bool keys), nulls to a sentinel so
-        # duplicated null-key rows recover (binary_join emits null rows
-        # straight past is_in otherwise)
-        parts = [pc.fill_null(pc.cast(tb[k], pa.string()), null_sent) for k in keys]
-        return parts[0] if len(parts) == 1 else pc.binary_join_element_wise(*parts, sep)
-
-    dup_tabs = [
-        t for t in duplicate_keys(ds, keys).iter_batches(batch_format="pyarrow", batch_size=None)
-        if t.num_rows
-    ]
-    if not dup_tabs:
-        return ds.limit(0)
-    dups = pa.concat_tables(dup_tabs, promote_options="default")
-    if dups.num_rows > max_dup_keys:
-        raise ValueError(f"{dups.num_rows} duplicate keys exceeds max_dup_keys={max_dup_keys}")
-    members = pc.unique(canon_keys(dups))
-    members = members.combine_chunks() if isinstance(members, pa.ChunkedArray) else members
-    ref = ray.put(members)
-
-    def filter_members(batch: pa.Table) -> pa.Table:
-        value_set = ray.get(ref)
-        return batch.filter(pc.is_in(canon_keys(batch), value_set=value_set))
-
-    return ds.map_batches(filter_members, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)

@@ -1,16 +1,12 @@
 """Deduplication pipelines — exact, MinHash-LSH, SimHash, n-gram Jaccard,
-embedding-cosine, edit-distance (record linkage), cross-document
-line/boilerplate. First-class engine features for training-data curation
-(the reference has no dedup at all, SURVEY.md §2.7)."""
+embedding-cosine near-dup pairs, cross-document line/boilerplate and
+duplicated-substring spans. First-class engine features for training-data
+curation (the reference has no dedup at all, SURVEY.md §2.7)."""
 
-from .distributed import connected_components
 from .exact import dedup_against_snapshot, exact_dedup
-from .fuzzy import edit_distance_pairs, fuzzy_dedup, levenshtein_bytes_batch
 from .lines import line_dedup, line_drop_pairs
-from .semantic import semdedup
 from .substrings import dup_span_stats, duplicated_gram_hashes, strip_dup_spans
 from .neardup import (
-    embedding_cosine_dedup,
     embedding_neardup_pairs,
     minhash_lsh_dedup,
     minhash_lsh_dedup_verified,
@@ -20,11 +16,6 @@ from .neardup import (
 )
 
 __all__ = [
-    "connected_components",
-    "semdedup",
-    "edit_distance_pairs",
-    "fuzzy_dedup",
-    "levenshtein_bytes_batch",
     "exact_dedup",
     "dedup_against_snapshot",
     "line_dedup",
@@ -34,7 +25,6 @@ __all__ = [
     "neardup_pairs",
     "simhash_dedup",
     "simhash_fingerprints",
-    "embedding_cosine_dedup",
     "embedding_neardup_pairs",
     "duplicated_gram_hashes",
     "dup_span_stats",

@@ -332,84 +332,3 @@ def shuffle_anti_join(ds, id_col: str, drop_ids_ds, num_blocks: int | None = Non
     return shuffle_membership_filter(
         ds, id_col, drop_ids_ds, "id", keep=False, num_blocks=num_blocks, keys_non_null=True
     )
-
-
-def connected_components(
-    edges_ds,
-    a: str = "a",
-    b: str = "b",
-    max_iters: int = 64,
-    num_blocks: int | None = None,
-    driver_max_edges: int = 2_000_000,
-):
-    """PUBLIC graph operator: undirected edge list → ``(id, component)``
-    Dataset, component = the MIN member id (the same canonical labeling
-    every dedup plan in this package uses, now exposed for arbitrary
-    pair-producing pipelines — near-dup graphs, containment pairs,
-    entity-resolution matches).
-
-    Same cost-based ladder as :func:`cluster_drop_ids`: every edge block
-    first contracts block-locally to a spanning star
-    (:func:`_block_forest` — lossless for connectivity, collapses
-    quadratic clique edges to ~node count), then either ONE driver
-    union-find pass (contracted graph under ``driver_max_edges``) or
-    distributed min-label propagation finishes. Only nodes appearing in
-    at least one non-self-loop edge are labeled (singletons carry no
-    edges; self-loops are dropped — they never change connectivity).
-    Null endpoints are dropped. Ids must be int64-castable.
-    """
-    import ray
-    import pyarrow.compute as pc
-
-    schema = pa.schema([("a", pa.int64()), ("b", pa.int64())])
-
-    def norm(tb: pa.Table) -> pa.Table:
-        av = pc.cast(tb[a], pa.int64())
-        bv = pc.cast(tb[b], pa.int64())
-        t = pa.Table.from_arrays([av, bv], schema=schema)
-        keep = pc.and_(
-            pc.and_(pc.is_valid(t["a"]), pc.is_valid(t["b"])),
-            pc.not_equal(t["a"], t["b"]),
-        )
-        return t.filter(keep)
-
-    edges = edges_ds.map_batches(norm, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
-    contracted = edges.map_batches(
-        _block_forest, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
-    ).materialize()
-
-    out_schema = pa.schema([("id", pa.int64()), ("component", pa.int64())])
-    if contracted.count() <= driver_max_edges:
-        parent: dict = {}
-
-        def find(x):
-            p = parent.setdefault(x, x)
-            while p != parent[p]:
-                parent[p] = parent[parent[p]]
-                p = parent[p]
-            parent[x] = p
-            return p
-
-        for blk in contracted.iter_batches(batch_format="pyarrow", batch_size=None):
-            for x, y in zip(
-                blk["a"].to_numpy(zero_copy_only=False), blk["b"].to_numpy(zero_copy_only=False)
-            ):
-                rx, ry = find(int(x)), find(int(y))
-                if rx != ry:
-                    lo, hi = (rx, ry) if rx <= ry else (ry, rx)
-                    parent[hi] = lo
-        ids = sorted(parent)
-        comp = [find(x) for x in ids]
-        return ray.data.from_arrow(
-            pa.Table.from_pydict(
-                {"id": pa.array(ids, pa.int64()), "component": pa.array(comp, pa.int64())},
-                schema=out_schema,
-            )
-        )
-
-    labels = label_propagate_min(contracted, max_iters, num_blocks)
-
-    def rename(tb: pa.Table) -> pa.Table:
-        return tb.rename_columns(["id", "component"]).cast(out_schema)
-
-    return labels.map_batches(rename, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)

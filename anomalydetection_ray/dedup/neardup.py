@@ -1440,7 +1440,7 @@ def simhash_fingerprints(ds, id_col: str, text_col: str, token_hash: str = "fnv"
 
     def fp(batch: pa.Table) -> pa.Table:
         texts = batch[text_col].to_numpy(zero_copy_only=False)
-        # batch-vectorized, bit-identical to the per-doc simhash_text loop
+        # batch-vectorized, bit-identical to a per-doc SimHash loop
         # (md5 hashes each DISTINCT batch token once — SQL parity kept)
         kernel = batch_simhash_fnv if token_hash == "fnv" else batch_simhash_md5
         out = kernel(["" if t is None else t for t in texts]).view(np.int64)
@@ -1669,37 +1669,4 @@ def embedding_neardup_pairs(
     kept = sorted((a, b) for a, b in cand_pairs if float(vec[a] @ vec[b]) >= threshold)
     return pa.Table.from_pydict(
         {"a": pa.array([a for a, _ in kept], type=pa.int64()), "b": pa.array([b for _, b in kept], type=pa.int64())}
-    )
-
-
-def embedding_cosine_dedup(ds, id_col: str, vec_col: str, dim: int, threshold: float = 0.95, n_bits: int = 128, bands: int = 16, seed: int = 42, driver_max_edges: int = DRIVER_MAX_EDGES):
-    """Near-dup on embeddings: hyperplane-LSH buckets -> candidate edges ->
-    exact cosine verification -> keep cluster min. Cost-based tail: above
-    ``driver_max_edges`` the verification shuffles vectors to their pairs
-    and clusters by label propagation instead of the driver gather."""
-    triples = _sel(ds, [id_col, vec_col]).map_batches(
-        HyperplaneLSHStage,
-        fn_constructor_args=(id_col, vec_col, dim, n_bits, bands, seed),
-        batch_format="pyarrow", batch_size=None,
-        zero_copy_batch=True,
-        concurrency=sized_actor_concurrency(ds),
-    )
-    edges_ds = local_group_map(triples, ["band", "key"], _block_edges, keys_non_null=True)
-
-    def driver_verify(edges: list[tuple]) -> list[tuple] | None:
-        if not edges:
-            return edges
-        cand = sorted({i for e in edges for i in e})
-        rows = broadcast_value_filter(_sel(ds, [id_col, vec_col]), id_col, np.array(cand), keep=True)
-        t = _gather_capped(rows)
-        if t is None:  # over the byte cap → distributed verify tail
-            return None
-        mat = list_column_to_matrix(t[vec_col])
-        ids = t[id_col].to_numpy(zero_copy_only=False)
-        norm = mat / np.maximum(np.linalg.norm(mat, axis=1, keepdims=True), 1e-12)
-        vec = {int(i): norm[j] for j, i in enumerate(ids)}
-        return [(a, b) for a, b in edges if float(vec[a] @ vec[b]) >= threshold]
-
-    return _dedup_via_edges(
-        ds, id_col, vec_col, edges_ds, _cosine_verify_block(threshold), driver_max_edges, driver_verify
     )

@@ -18,9 +18,8 @@ training-data curation.
 Algorithm (suffix arrays don't distribute; stride-1 fingerprints do):
 
 1. every document emits its DISTINCT stride-1 k-gram hashes
-   (``functions/text.kgram_hashes`` — the O(n) rolling Rabin-Karp kernel
-   winnowing shares, so containment fingerprints and span detection live
-   in one hash space). Per-doc distinct means the global count of rows
+   (``functions/text.kgram_hashes`` — the O(n) rolling Rabin-Karp
+   kernel). Per-doc distinct means the global count of rows
    per hash IS the distinct-document count — no doc ids on the wire,
    8 bytes/gram;
 2. exact per-hash counts (map-side combiner + 16 B/row exchange,
@@ -47,9 +46,7 @@ behavior.
 
 Scale note: stride-1 emission shuffles ~8 bytes per corpus byte in
 stage 2 — the honest cost of exact span detection (Lee et al.'s suffix
-array is ~8x memory too). For approximate detection at lower cost, use
-``winnow_containment_pairs`` (w-fold fewer fingerprints, guarantee
-degrades to runs >= w + k - 1, pair granularity instead of spans).
+array is ~8x memory too).
 """
 
 from __future__ import annotations

@@ -9,12 +9,11 @@ deterministic driver-side sample (never a corpus gather), scoring as one
 broadcast + vectorized ``map_batches`` pass.
 
 - **Mahalanobis distance** (Mahalanobis 1936): mean/covariance from the
-  same one-pass ``(n, Σx, X'X)`` partials ``distributed_pca`` uses — the
-  corpus never moves — then squared distance per row through the
+  one-pass ``(n, Σx, X'X)`` partials (``functions/vector.streaming_moments``)
+  — the corpus never moves — then squared distance per row through the
   broadcast precision matrix.
 - **Isolation forest** (Liu, Ting & Zhou, ICDM 2008): trees built on a
-  deterministic hash-rate sample (same discipline as IVF/k-means in
-  ``functions/similarity.py``), scored with a level-synchronous
+  deterministic hash-rate sample, scored with a level-synchronous
   vectorized traversal — all trees × all rows advance one depth per
   numpy step, no per-row Python.
 """

@@ -132,28 +132,6 @@ class EmbeddingModelStage:
         return batch.append_column(self.out_col, emb_col)
 
 
-def vram_model_batch_size(
-    vram_bytes: int | None,
-    bytes_per_row: int,
-    *,
-    reserve_fraction: float = 0.5,
-    floor: int = 8,
-    cap: int = 8192,
-    default: int = 256,
-) -> int:
-    """VRAM → inner micro-batch heuristic (reference
-    ``end_to_end_prediction.py:302-308``: batch 16 per ~4 GB of free GPU
-    memory, floor 16). Generic version: half the reported VRAM (the
-    other half belongs to weights + activations + allocator slack)
-    divided by the model's per-row working set, clamped to
-    [floor, cap]. With no GPU (``vram_bytes`` None/0) returns
-    ``default`` — the CPU path has no memory cliff to respect."""
-    if not vram_bytes or vram_bytes <= 0:
-        return default
-    usable = int(vram_bytes * reserve_fraction)
-    return max(floor, min(cap, usable // max(1, bytes_per_row)))
-
-
 def embedding_stage_kwargs(
     model_factory,
     *,

@@ -1,4 +1,4 @@
-"""Distributed set operations — UNION / INTERSECT / EXCEPT with DISTINCT
+"""Distributed set operations — INTERSECT / EXCEPT with DISTINCT
 semantics (SQL parity; absent from both the reference (SURVEY.md §2.7)
 and Ray Data's Dataset API).
 
@@ -53,10 +53,8 @@ def _set_op(a_ds, b_ds, cols: list[str], keep: str, num_blocks: int | None = Non
         )
         if keep == "intersect":
             g = g.filter(pl.col("in_a") & pl.col("in_b"))
-        elif keep == "except":
+        else:  # except
             g = g.filter(pl.col("in_a") & ~pl.col("in_b"))
-        else:  # union
-            pass
         return g.select(cols).to_arrow().cast(schema)
 
     return local_group_map(tagged, cols, block, num_blocks)
@@ -70,8 +68,3 @@ def intersect_distinct(a_ds, b_ds, cols: list[str], num_blocks: int | None = Non
 def except_distinct(a_ds, b_ds, cols: list[str], num_blocks: int | None = None):
     """SQL ``EXCEPT``: distinct key tuples of ``a_ds`` absent from ``b_ds``."""
     return _set_op(a_ds, b_ds, cols, "except", num_blocks)
-
-
-def union_distinct(a_ds, b_ds, cols: list[str], num_blocks: int | None = None):
-    """SQL ``UNION`` (distinct): distinct key tuples of either dataset."""
-    return _set_op(a_ds, b_ds, cols, "union", num_blocks)

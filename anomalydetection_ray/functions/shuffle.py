@@ -491,25 +491,6 @@ def rollup_agg(
     return grouping_sets_agg(ds, keys, sets, spec, batch_size=batch_size)
 
 
-def cube_agg(
-    ds,
-    keys: list[str],
-    spec: dict[str, tuple[str | None, str]],
-    batch_size: int | None = None,
-):
-    """SQL ``GROUP BY CUBE(keys...)``: all 2^n key subsets from the same
-    single scan (DuckDB's CUBE emission order: full set first, then
-    dropping later keys first). The 2^n blow-up is in the tiny driver
-    merge, never in corpus passes — n is bounded by the caller (>10
-    keys is rejected as a misuse guard)."""
-    if len(keys) > 10:
-        raise ValueError(f"cube over {len(keys)} keys = {2 ** len(keys)} sets; use grouping_sets_agg")
-    sets: list[tuple[str, ...]] = []
-    for mask in range(2 ** len(keys) - 1, -1, -1):
-        sets.append(tuple(k for i, k in enumerate(keys) if mask & (1 << (len(keys) - 1 - i))))
-    return grouping_sets_agg(ds, keys, sets, spec, batch_size=batch_size)
-
-
 def grouped_min(ds, keys: list[str], value_col: str, out_col: str, num_blocks: int | None = None, keys_non_null: bool = False):
     """MIN(value) GROUP BY keys for high-cardinality keys (e.g. exact-dedup
     survivor selection: min id per content fingerprint)."""
@@ -729,66 +710,6 @@ def robust_outlier_flags(
     return joined.map_batches(flag, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
 
 
-def impute_group_stat(
-    ds,
-    keys: list[str],
-    value_col: str,
-    stat: str = "median",
-    out_col: str | None = None,
-    stats: pd.DataFrame | None = None,
-    num_blocks: int | None = None,
-):
-    """Null IMPUTATION with the group statistic — SQL
-    ``COALESCE(x, stat(x) OVER (PARTITION BY keys))`` — the
-    missing-data repair stage a feature pipeline runs before scoring.
-
-    ``stat`` ∈ {'median', 'mean'}: median comes from the co-located
-    :func:`grouped_exact_quantiles` pass (16 B/row exchange), mean from
-    mergeable :func:`driver_grouped_agg` partials (no keyed shuffle at
-    all). Either way the per-group fill table is driver-small and ships
-    ONCE (``broadcast_join`` how='left'); the fill itself is one Arrow
-    ``coalesce`` kernel per batch. Pass ``stats`` (pandas: keys +
-    ``fill``) to impute from a REFERENCE period instead (train-time
-    stats at serve time — the leakage-safe variant). Rows of groups with
-    no known stat (absent from ``stats``, or all-null in-group) keep
-    their nulls. ``out_col=None`` replaces ``value_col`` in place."""
-    from .relational import broadcast_join
-
-    dest = out_col or value_col
-    if dest in keys:
-        raise ValueError(f"output column {dest!r} collides with a key")
-    if stats is None:
-        if stat == "median":
-            st = (
-                grouped_exact_quantiles(ds, keys, value_col, [0.5], num_blocks=num_blocks)
-                .to_pandas()
-                .rename(columns={"q50": "fill"})
-            )
-        elif stat == "mean":
-            st = driver_grouped_agg(ds, keys, {"fill": (value_col, "mean")})
-        else:
-            raise ValueError(f"stat must be 'median' or 'mean', got {stat!r}")
-    else:
-        missing = {*keys, "fill"} - set(stats.columns)
-        if missing:
-            raise ValueError(f"stats is missing columns {sorted(missing)}")
-        st = stats[keys + ["fill"]]
-    # an all-null group yields a NaN mean — drop it so its rows keep
-    # their nulls instead of being "filled" with NaN
-    st = st[st["fill"].notna()]
-    joined = broadcast_join(ds, keys, st, keys, how="left")
-
-    def fill(tb: pa.Table) -> pa.Table:
-        v = pc.cast(tb[value_col], pa.float64())
-        filled = pc.coalesce(v, tb["fill"])
-        tb = tb.drop_columns(["fill"])
-        if dest == value_col:
-            return tb.set_column(tb.schema.get_field_index(value_col), value_col, filled)
-        return tb.append_column(dest, filled)
-
-    return joined.map_batches(fill, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
-
-
 def grouped_topk(
     ds,
     keys: list[str],
@@ -898,71 +819,6 @@ def dataset_heavy_hitters(ds, col: str, k: int = 256):
                         keyed["cnt"].to_numpy(zero_copy_only=False))
     out.err += err_total
     out.n = n_total
-    return out
-
-
-def pivot_wide(
-    ds,
-    keys: list[str],
-    pivot_col: str,
-    pivot_values: list,
-    value_col: str | None = None,
-    agg: str = "count",
-    prefix: str | None = None,
-):
-    """Grouped PIVOT (long -> wide): one output row per ``keys`` group,
-    one aggregate column per ``pivot_values`` entry — SQL ``agg(value)
-    FILTER (WHERE pivot_col = v)`` per value, or DuckDB ``PIVOT ... ON
-    ... USING``.
-
-    ``pivot_values`` is EXPLICIT by design: deriving it from the data
-    would make the output schema a function of corpus content (unbounded
-    width at scale, and a second pass to discover it); list the columns
-    you want, or feed a bounded distinct you computed upstream.
-    ``agg`` ∈ {"count", "sum", "min", "max", "mean"}; "count" counts
-    matching rows and needs no ``value_col``. Missing combinations: 0
-    for count and sum (polars' empty-sum convention — SQL FILTER yields
-    NULL there, so COALESCE the oracle side), NULL/NaN for min/max/mean
-    (matching SQL).
-
-    One scan, NO shuffle: each pivot value becomes a synthesized
-    column (the value where ``pivot_col`` matches, else null — an
-    int64 indicator for count), and the whole pivot is ONE
-    :func:`driver_grouped_agg` pass over those columns, inheriting its
-    mergeable-partials plan and its low-cardinality-keys contract (the
-    wide result must fit one machine anyway)."""
-    if agg not in ("count", "sum", "min", "max", "mean"):
-        raise ValueError(f"unsupported pivot agg {agg!r}")
-    if agg != "count" and value_col is None:
-        raise ValueError(f"agg {agg!r} needs a value_col")
-    pfx = prefix if prefix is not None else (f"{value_col}_" if value_col else "n_")
-    names = [f"{pfx}{v}" for v in pivot_values]
-    if len(set(names)) != len(names) or set(names) & set(keys):
-        raise ValueError(f"pivot output columns collide: {sorted(names)}")
-    syn = [f"__pv_{i}" for i in range(len(pivot_values))]
-
-    def widen(tb: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        piv = tb[pivot_col]
-        if isinstance(piv, pa.ChunkedArray):
-            piv = piv.combine_chunks()
-        for i, v in enumerate(pivot_values):
-            mask = pc.equal(piv, pa.scalar(v, type=piv.type))
-            mask = pc.fill_null(mask, False)
-            if agg == "count":
-                col = pc.cast(mask, pa.int64())
-            else:
-                col = pc.if_else(mask, tb[value_col], pa.nulls(tb.num_rows, tb.schema.field(value_col).type))
-            tb = tb.append_column(syn[i], col)
-        return tb.select(keys + syn)
-
-    wide = ds.map_batches(widen, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
-    spec = {name: (s, "sum" if agg == "count" else agg) for name, s in zip(names, syn)}
-    out = driver_grouped_agg(wide, keys, spec)
-    if agg == "count":
-        for name in names:
-            out[name] = out[name].fillna(0).astype("int64")
     return out
 
 
@@ -1213,27 +1069,3 @@ def _derive_rank_columns(tb: pa.Table, kinds, n_rows: int, prefix: str, raw_pref
             raise ValueError(f"unknown rank kind {k!r}")
         out = out.append_column(f"{prefix}{k}", col)
     return out
-
-
-def equi_depth_buckets(ds, col: str, k: int, out_col: str | None = None, driver_max_bytes: int = 64 << 20):
-    """Global equi-depth discretization: bucket i of k holds (about) the
-    i-th n/k-quantile slice — ``bucket = CEIL(CUME_DIST() OVER (ORDER BY
-    col) * k)``, the SQL-exact tie-stable formulation (ties share a
-    cume_dist, hence a bucket, so the cut never splits equal values).
-    A thin composition over :func:`with_global_rank`; null values get a
-    null bucket. The standard feature-binning stage before histogram
-    models / per-bucket stratification."""
-    import pyarrow.compute as pc
-
-    if k <= 0:
-        raise ValueError("k must be positive")
-    out_col = out_col or f"{col}_bucket"
-    ranked = with_global_rank(
-        ds, col, kinds=("cume_dist",), driver_max_bytes=driver_max_bytes, prefix="__edb_"
-    )
-
-    def bucketize(tb: pa.Table) -> pa.Table:
-        b = pc.cast(pc.ceil(pc.multiply(tb["__edb_cume_dist"], float(k))), pa.int64())
-        return tb.drop_columns(["__edb_cume_dist"]).append_column(out_col, b)
-
-    return ranked.map_batches(bucketize, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)

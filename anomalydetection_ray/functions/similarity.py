@@ -240,456 +240,9 @@ def ivf_topk_cosine(
     return _final_topk(partials, id_col, k)
 
 
-def kmeans_fit(
-    ds,
-    id_col: str,
-    vec_col: str = "embedding",
-    k: int = 8,
-    iters: int = 20,
-    seed: int = 42,
-    tol: float = 1e-7,
-    init_sample: int = 4096,
-):
-    """FULL-CORPUS distributed k-means (Euclidean Lloyd iterations) — the
-    public clustering operator behind IVF's sample-trained centroids
-    (reference analog: the latent-space clustering its VAE pipelines
-    visualize, `models/VAE_utils.py:297-303`).
-
-    Init: seeded k-means++ (D²-weighted picks) on a deterministic
-    hash-rate sample (same discipline as ``ivf_topk_cosine``: sampled by
-    id hash, sorted by id, so init is identical at any parallelism). Each Lloyd
-    iteration is ONE streaming ``map_batches`` pass: blocks assign rows
-    to their nearest center with a matmul and emit per-center
-    ``(vec_sum, count, sse)`` partials — k×d floats per block, the corpus
-    never gathers — and the driver merge updates centers (empty clusters
-    keep their previous center). Stops at ``iters`` or when the max
-    squared center shift falls under ``tol``.
-
-    Returns ``(centers (k, d) ndarray, inertia float, n_iter int)``.
-    Chain :func:`kmeans_assign` to label rows.
-    """
-    import ray
-
-    if not ds.count():
-        raise ValueError("empty dataset: nothing to cluster")
-    sample_tbl = deterministic_hash_sample(
-        ds, id_col, [id_col, vec_col], init_sample, seed,
-        empty_msg="hash-rate init sample came back empty; raise init_sample",
-    )
-    sample = list_column_to_matrix(sample_tbl[vec_col].combine_chunks()).astype(np.float64)
-    k_eff = min(k, len(sample))
-    rng = np.random.RandomState(seed)
-    # k-means++ init on the (bounded, sorted) driver sample: D^2-weighted
-    # picks avoid the merged-blob local optima plain random seeding hits
-    centers = sample[[rng.randint(len(sample))]].copy()
-    d2 = ((sample - centers[0]) ** 2).sum(axis=1)
-    for _ in range(1, k_eff):
-        tot = float(d2.sum())
-        if tot <= 0:
-            nxt = rng.randint(len(sample))
-        else:
-            nxt = int(rng.choice(len(sample), p=d2 / tot))
-        centers = np.vstack([centers, sample[nxt]])
-        d2 = np.minimum(d2, ((sample - sample[nxt]) ** 2).sum(axis=1))
-    d = centers.shape[1]
-
-    inertia = float("nan")
-    n_iter = 0
-    for n_iter in range(1, iters + 1):
-        cref = ray.put(centers)
-
-        def partial(batch: pa.Table) -> pa.Table:
-            c = ray.get(cref)
-            if batch.num_rows == 0:  # empty block contributes no partial
-                return pa.table({
-                    "cell": pa.array([], type=pa.int64()),
-                    "vsum": pa.array([], type=pa.list_(pa.float64())),
-                    "cnt": pa.array([], type=pa.int64()),
-                    "sse": pa.array([], type=pa.float64()),
-                })
-            x = list_column_to_matrix(batch[vec_col]).astype(np.float64)
-            # ||x-c||^2 = ||x||^2 - 2 x.c + ||c||^2 ; argmin over centers
-            d2 = (x * x).sum(axis=1, keepdims=True) - 2.0 * (x @ c.T) + (c * c).sum(axis=1)
-            assign = d2.argmin(axis=1)
-            sse = float(np.maximum(d2[np.arange(len(x)), assign], 0.0).sum())
-            sums = np.zeros((len(c), x.shape[1]))
-            np.add.at(sums, assign, x)
-            cnt = np.bincount(assign, minlength=len(c)).astype(np.int64)
-            return pa.table(
-                {
-                    "cell": pa.array(np.arange(len(c), dtype=np.int64)),
-                    "vsum": pa.array(list(sums), pa.list_(pa.float64())),
-                    "cnt": pa.array(cnt),
-                    # block sse rides on cell 0's row; the driver just sums
-                    "sse": pa.array(np.concatenate([[sse], np.zeros(len(c) - 1)])),
-                }
-            )
-
-        parts = [
-            t
-            for t in _sel(ds, [vec_col])
-            .map_batches(partial, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
-            .iter_batches(batch_format="pyarrow", batch_size=None)
-            if t.num_rows
-        ]
-        tb = pa.concat_tables(parts)
-        cells = tb["cell"].to_numpy(zero_copy_only=False)
-        vs = list_column_to_matrix(tb["vsum"].combine_chunks())
-        cnts = tb["cnt"].to_numpy(zero_copy_only=False)
-        sums = np.zeros((k_eff, d))
-        np.add.at(sums, cells, vs)
-        total = np.bincount(cells, weights=cnts, minlength=k_eff)
-        inertia = float(tb["sse"].to_numpy(zero_copy_only=False).sum())
-        new_centers = centers.copy()
-        nz = total > 0
-        new_centers[nz] = sums[nz] / total[nz, None]
-        shift = float(((new_centers - centers) ** 2).sum(axis=1).max())
-        centers = new_centers
-        if shift < tol:
-            break
-    return centers, inertia, n_iter
-
-
-def kmeans_assign(ds, centers: np.ndarray, vec_col: str = "embedding", out_col: str = "cluster"):
-    """Append each row's nearest-center index (broadcast centers via
-    ``ray.put`` once; one matmul per batch)."""
-    import ray
-
-    cref = ray.put(np.asarray(centers, dtype=np.float64))
-
-    def assign(batch: pa.Table) -> pa.Table:
-        c = ray.get(cref)
-        if batch.num_rows == 0:
-            return batch.append_column(out_col, pa.array([], type=pa.int64()))
-        x = list_column_to_matrix(batch[vec_col]).astype(np.float64)
-        d2 = (x * x).sum(axis=1, keepdims=True) - 2.0 * (x @ c.T) + (c * c).sum(axis=1)
-        return batch.append_column(out_col, pa.array(d2.argmin(axis=1).astype(np.int64)))
-
-    from .shuffle import ABSORB_EMPTY_BATCH_SIZE
-
-    # ABSORB: empty blocks must carry the assigned schema (round-5 review)
-    return ds.map_batches(
-        assign, batch_format="pyarrow", batch_size=ABSORB_EMPTY_BATCH_SIZE, zero_copy_batch=True
-    )
-
-
 # ---------------------------------------------------------------------------
 # Product quantization (Jegou, Douze & Schmid, TPAMI 2011)
 # ---------------------------------------------------------------------------
-
-
-def _kmeans_euclid(x: np.ndarray, k: int, iters: int = 15, seed: int = 42) -> np.ndarray:
-    """Seeded Lloyd k-means in EUCLIDEAN geometry (subvectors are not unit
-    vectors, so the cosine trainer above is wrong here). Empty clusters
-    keep their previous center."""
-    rng = np.random.RandomState(seed)
-    k = min(k, len(x))
-    cent = x[rng.choice(len(x), k, replace=False)].copy()
-    for _ in range(iters):
-        d2 = (x * x).sum(axis=1, keepdims=True) - 2.0 * (x @ cent.T) + (cent * cent).sum(axis=1)
-        assign = d2.argmin(axis=1)
-        for c in range(k):
-            members = x[assign == c]
-            if len(members):
-                cent[c] = members.mean(axis=0)
-    return cent
-
-
-def pq_fit(
-    ds,
-    id_col: str,
-    vec_col: str,
-    m: int = 8,
-    nbits: int = 8,
-    train_sample: int = 10_000,
-    iters: int = 15,
-    seed: int = 42,
-) -> np.ndarray:
-    """Fit product-quantization codebooks: the embedding column compresses
-    to ``m`` uint8 codes per row (d×8 bytes → m bytes — 32× at d=32, m=8)
-    — THE published scale path for ANN over corpora whose raw vectors
-    don't fit the cluster (Jégou et al. 2011). Vectors are L2-normalized
-    first so ADC inner-product search below approximates COSINE, matching
-    the rest of this family.
-
-    Training uses the same deterministic sorted hash-rate sample
-    discipline as IVF/k-means (reproducible at any parallelism, never a
-    prefix); one euclidean k-means per d/m-dim subspace, 2^nbits
-    centroids each. Returns codebooks shaped (m, 2^nbits, d/m).
-    Requires d % m == 0 and nbits <= 8."""
-    if nbits > 8:
-        raise ValueError("nbits > 8 would not fit uint8 codes")
-    sample_tbl = deterministic_hash_sample(
-        ds, id_col, [id_col, vec_col], train_sample, seed,
-        empty_msg="pq_fit: hash-rate sample came back empty",
-    )
-    x = _normalize(list_column_to_matrix(sample_tbl[vec_col].combine_chunks()))
-    d = x.shape[1]
-    if d % m != 0:
-        raise ValueError(f"embedding dim {d} is not divisible by m={m}")
-    dsub, k = d // m, 1 << nbits
-    return np.stack(
-        [_kmeans_euclid(x[:, j * dsub : (j + 1) * dsub], k, iters=iters, seed=seed + j) for j in range(m)]
-    )
-
-
-def pq_encode(ds, id_col: str, vec_col: str, codebooks: np.ndarray, out_col: str = "pq_code"):
-    """Encode every row to its ``m`` nearest-subspace-centroid codes — one
-    (n, K) distance matmul + argmin per subspace per batch, emitted as a
-    ``fixed_size_list<uint8>[m]`` column alongside ``id_col``. The
-    codebooks ship once via ``ray.put``."""
-    import ray
-
-    cb = np.ascontiguousarray(codebooks, dtype=np.float64)
-    cref = ray.put(cb)
-    m, _k, dsub = cb.shape
-
-    def encode(batch: pa.Table) -> pa.Table:
-        c = ray.get(cref)
-        if batch.num_rows == 0:
-            lst = pa.FixedSizeListArray.from_arrays(pa.array([], type=pa.uint8()), m)
-            return pa.table({id_col: batch[id_col], out_col: lst})
-        x = _normalize(list_column_to_matrix(batch[vec_col]))
-        if x.shape[1] != m * dsub:
-            raise ValueError(f"dim {x.shape[1]} != m*dsub {m * dsub}")
-        codes = np.empty((len(x), m), dtype=np.uint8)
-        for j in range(m):
-            xs = x[:, j * dsub : (j + 1) * dsub]
-            cj = c[j]
-            d2 = (xs * xs).sum(axis=1, keepdims=True) - 2.0 * (xs @ cj.T) + (cj * cj).sum(axis=1)
-            codes[:, j] = d2.argmin(axis=1)
-        lst = pa.FixedSizeListArray.from_arrays(pa.array(codes.reshape(-1), type=pa.uint8()), m)
-        return pa.table({id_col: batch[id_col], out_col: lst})
-
-    from .shuffle import ABSORB_EMPTY_BATCH_SIZE
-
-    # ABSORB: empty blocks must carry the encoded schema (round-5 review)
-    return _sel(ds, [id_col, vec_col]).map_batches(
-        encode, batch_format="pyarrow", batch_size=ABSORB_EMPTY_BATCH_SIZE, zero_copy_batch=True
-    )
-
-
-class _PQPartialTopK:
-    """ADC search: per query, an (m, K) lookup table of subspace inner
-    products against the codebooks; a row's approximate cosine is the sum
-    of m table lookups on its codes — the raw vectors never load."""
-
-    def __init__(self, id_col: str, code_col: str, codebooks_ref, queries_ref, k: int):
-        import ray
-
-        self.id_col, self.code_col, self.k = id_col, code_col, k
-        cb = ray.get(codebooks_ref)  # (m, K, dsub)
-        q = _normalize(ray.get(queries_ref).astype(np.float64))  # (Q, d)
-        m, K, dsub = cb.shape
-        qs = q.reshape(len(q), m, dsub)  # (Q, m, dsub)
-        # luts[q, j, code] = q_sub_j . cb[j, code]
-        self.luts = np.einsum("qjd,jkd->qjk", qs, cb)
-        self.m = m
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        # list_column_to_matrix honors slice offsets on fixed-size lists
-        if batch.num_rows == 0:
-            return pa.Table.from_pydict({
-                "query_id": pa.array([], type=pa.int64()),
-                self.id_col: pa.array([], type=batch.schema.field(self.id_col).type),
-                "score": pa.array([], type=pa.float64()),
-            })
-        codes = list_column_to_matrix(batch[self.code_col]).astype(np.int64)
-        ids = batch[self.id_col].to_numpy(zero_copy_only=False)
-        jj = np.arange(self.m)
-        out = []
-        for qi in range(self.luts.shape[0]):
-            sims = self.luts[qi][jj, codes].sum(axis=1)  # (n,)
-            k = min(self.k, len(sims))
-            top = np.argpartition(-sims, k - 1)[:k]
-            out.append((np.full(k, qi, dtype=np.int64), ids[top], sims[top]))
-        return pa.Table.from_pydict(
-            {
-                "query_id": pa.array(np.concatenate([o[0] for o in out])),
-                self.id_col: pa.array(np.concatenate([o[1] for o in out])),
-                "score": pa.array(np.concatenate([o[2] for o in out])),
-            }
-        )
-
-
-def pq_topk_cosine(
-    ds,
-    id_col: str,
-    vec_col: str,
-    queries: np.ndarray,
-    k: int = 10,
-    m: int = 8,
-    nbits: int = 8,
-    train_sample: int = 10_000,
-    seed: int = 42,
-) -> pd.DataFrame:
-    """Approximate top-k cosine via product quantization, end to end:
-    fit (sample) → encode (streaming, m bytes/row) → ADC search over the
-    CODES. At 100 TB this is the plan where even IVF's raw-vector probes
-    are too big: the search stage's working set is the code column —
-    32× smaller than the embeddings — and the scan is m table lookups
-    per row instead of a d-dim dot product."""
-    import ray
-
-    from .shuffle import sized_actor_concurrency
-
-    cb = pq_fit(ds, id_col, vec_col, m=m, nbits=nbits, train_sample=train_sample, seed=seed)
-    codes = pq_encode(ds, id_col, vec_col, cb)
-    partials = codes.map_batches(
-        _PQPartialTopK,
-        fn_constructor_args=(id_col, "pq_code", ray.put(cb), ray.put(np.asarray(queries, dtype=np.float64)), k),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=sized_actor_concurrency(ds),
-    )
-    return _final_topk(partials, id_col, k)
-
-
-def ivfpq_encode(ds, id_col: str, vec_col: str, centroids: np.ndarray, codebooks: np.ndarray):
-    """ONE streaming pass emitting the full IVF-PQ index row per input
-    row: ``(id, cell uint16, pq_code fixed_size_list<uint8>[m])`` — the
-    working set a 100 TB ANN scan actually keeps (2 + m bytes/row;
-    neither centroids nor raw vectors persist). Cells use cosine argmax
-    against the normalized IVF centroids; codes quantize the normalized
-    vector itself (FAISS ``by_residual=False`` semantics — documented, so
-    the ADC tables below need no per-cell rebuild)."""
-    import ray
-
-    cent = np.ascontiguousarray(centroids, dtype=np.float64)
-    cb = np.ascontiguousarray(codebooks, dtype=np.float64)
-    if len(cent) > 65_535:
-        raise ValueError("uint16 cell ids cap n_cells at 65,535")
-    cref, bref = ray.put(cent), ray.put(cb)
-    m, _k, dsub = cb.shape
-
-    def encode(batch: pa.Table) -> pa.Table:
-        c, b = ray.get(cref), ray.get(bref)
-        if batch.num_rows == 0:
-            lst = pa.FixedSizeListArray.from_arrays(pa.array([], type=pa.uint8()), m)
-            return pa.table({id_col: batch[id_col],
-                             "cell": pa.array([], type=pa.uint16()), "pq_code": lst})
-        x = _normalize(list_column_to_matrix(batch[vec_col]))
-        cell = (x @ c.T).argmax(axis=1).astype(np.uint16)
-        codes = np.empty((len(x), m), dtype=np.uint8)
-        for j in range(m):
-            xs = x[:, j * dsub : (j + 1) * dsub]
-            cj = b[j]
-            d2 = (xs * xs).sum(axis=1, keepdims=True) - 2.0 * (xs @ cj.T) + (cj * cj).sum(axis=1)
-            codes[:, j] = d2.argmin(axis=1)
-        lst = pa.FixedSizeListArray.from_arrays(pa.array(codes.reshape(-1), type=pa.uint8()), m)
-        return pa.table({id_col: batch[id_col], "cell": pa.array(cell), "pq_code": lst})
-
-    from .shuffle import ABSORB_EMPTY_BATCH_SIZE
-
-    # ABSORB: empty blocks must carry the encoded schema (round-5 review)
-    return _sel(ds, [id_col, vec_col]).map_batches(
-        encode, batch_format="pyarrow", batch_size=ABSORB_EMPTY_BATCH_SIZE, zero_copy_batch=True
-    )
-
-
-class _IVFPQPartialTopK:
-    """Cell-pruned ADC: rows outside every query's probe set never score."""
-
-    def __init__(self, id_col: str, centroids_ref, codebooks_ref, queries_ref, k: int, n_probe: int):
-        import ray
-
-        self.id_col, self.k = id_col, k
-        cent = ray.get(centroids_ref)
-        cb = ray.get(codebooks_ref)
-        q = _normalize(ray.get(queries_ref).astype(np.float64))
-        n_probe = min(n_probe, len(cent))
-        self.probe = np.argsort(-(q @ cent.T), axis=1)[:, :n_probe]  # (Q, p)
-        m, K, dsub = cb.shape
-        self.m = m
-        self.luts = np.einsum("qjd,jkd->qjk", q.reshape(len(q), m, dsub), cb)
-
-    def _empty(self, batch: pa.Table) -> pa.Table:
-        return pa.Table.from_pydict(
-            {"query_id": pa.array([], type=pa.int64()),
-             self.id_col: pa.array([], type=batch.schema.field(self.id_col).type),
-             "score": pa.array([], type=pa.float64())}
-        )
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return self._empty(batch)
-        codes = list_column_to_matrix(batch["pq_code"]).astype(np.int64)
-        cell = batch["cell"].to_numpy(zero_copy_only=False).astype(np.int64)
-        ids = batch[self.id_col].to_numpy(zero_copy_only=False)
-        jj = np.arange(self.m)
-        out_q, out_i, out_s = [], [], []
-        for qi in range(self.luts.shape[0]):
-            mask = np.isin(cell, self.probe[qi])
-            if not mask.any():
-                continue
-            sims = self.luts[qi][jj, codes[mask]].sum(axis=1)
-            sub_ids = ids[mask]
-            k = min(self.k, len(sims))
-            top = np.argpartition(-sims, k - 1)[:k]
-            out_q.append(np.full(k, qi, dtype=np.int64))
-            out_i.append(sub_ids[top])
-            out_s.append(sims[top])
-        if not out_q:
-            return self._empty(batch)
-        return pa.Table.from_pydict(
-            {"query_id": pa.array(np.concatenate(out_q)),
-             self.id_col: pa.array(np.concatenate(out_i)),
-             "score": pa.array(np.concatenate(out_s))}
-        )
-
-
-def ivfpq_topk_cosine(
-    ds,
-    id_col: str,
-    vec_col: str,
-    queries: np.ndarray,
-    k: int = 10,
-    n_cells: int = 64,
-    n_probe: int = 8,
-    m: int = 8,
-    nbits: int = 8,
-    train_sample: int = 10_000,
-    seed: int = 42,
-) -> pd.DataFrame:
-    """IVF-PQ — the composition the billion-scale indexes run (FAISS
-    IVFPQ, by_residual=False): IVF's cell pruning (only ``n_probe`` of
-    ``n_cells`` cells score per query) ON TOP OF PQ's byte codes (the
-    scan touches 2+m bytes/row, never raw vectors). Both models train on
-    the same deterministic sorted hash-rate sample; one streaming pass
-    builds the index rows; search is cell-filter + m table lookups per
-    surviving row. ``n_probe == n_cells`` degenerates to plain PQ."""
-    import ray
-
-    from .shuffle import sized_actor_concurrency
-
-    sample_tbl = deterministic_hash_sample(
-        ds, id_col, [id_col, vec_col], train_sample, seed,
-        empty_msg="ivfpq_topk_cosine: hash-rate sample came back empty",
-    )
-    sample = list_column_to_matrix(sample_tbl[vec_col].combine_chunks())
-    xn = _normalize(sample)
-    d = xn.shape[1]
-    if d % m != 0:
-        raise ValueError(f"embedding dim {d} is not divisible by m={m}")
-    if nbits > 8:
-        raise ValueError("nbits > 8 would not fit uint8 codes")
-    cent = train_centroids(sample, n_cells, seed=seed)
-    dsub, K = d // m, 1 << nbits
-    cb = np.stack(
-        [_kmeans_euclid(xn[:, j * dsub : (j + 1) * dsub], K, seed=seed + j) for j in range(m)]
-    )
-    index = ivfpq_encode(ds, id_col, vec_col, cent, cb)
-    partials = index.map_batches(
-        _IVFPQPartialTopK,
-        fn_constructor_args=(
-            id_col, ray.put(cent), ray.put(cb),
-            ray.put(np.asarray(queries, dtype=np.float64)), k, n_probe,
-        ),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=sized_actor_concurrency(ds),
-    )
-    return _final_topk(partials, id_col, k)
 
 
 # ---------------------------------------------------------------------------
@@ -765,10 +318,8 @@ def knn_outlier_scores(
     batch is one (batch x N) matmul with positional self-exclusion. Batch
     size is solved from N so a sims panel stays ~64 MB regardless of
     corpus size. Exact scoring is O(N^2) flops by definition — above the
-    broadcast budget this plan refuses loudly; use
-    :func:`knn_outlier_scores_ivf` (cell-pruned, fully distributed) at
-    scale. Ids must be unique (duplicate ids would self-exclude a true
-    neighbor)."""
+    broadcast budget this plan refuses loudly. Ids must be unique
+    (duplicate ids would self-exclude a true neighbor)."""
     import ray
 
     from .shuffle import sized_actor_concurrency
@@ -786,7 +337,7 @@ def knn_outlier_scores(
             raise ValueError(
                 f"knn_outlier_scores: corpus exceeds the {max_bytes >> 20} MB "
                 "broadcast budget; exact O(N^2) scoring is the small-corpus "
-                "plan — use knn_outlier_scores_ivf at scale"
+                "plan"
             )
         tabs.append(blk)
     if not tabs:
@@ -825,203 +376,3 @@ def train_centroids_from_dataset(
     )
     sample = list_column_to_matrix(sample_tbl[vec_col].combine_chunks())
     return train_centroids(sample, n_cells, seed=seed)
-
-
-class _KnnCellTagger:
-    """Batch map: replicate each row to its n_probe nearest cells as a
-    QUERY; the single argmax copy doubles as the CANDIDATE."""
-
-    def __init__(self, id_col: str, vec_col: str, centroids_ref, n_probe: int):
-        import ray
-
-        self.id_col, self.vec_col = id_col, vec_col
-        self.cent = ray.get(centroids_ref)
-        self.n_probe = min(n_probe, self.cent.shape[0])
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        if n == 0:
-            return pa.Table.from_pydict(
-                {
-                    "cell": pa.array([], type=pa.int64()),
-                    self.id_col: batch[self.id_col],
-                    self.vec_col: batch[self.vec_col],
-                    "is_cand": pa.array([], type=pa.int8()),
-                }
-            )
-        if batch[self.id_col].null_count:
-            # loud and early, like the exact path and semdedup — a null
-            # id otherwise crashes Ray's range-sort far downstream with
-            # an opaque TypeError
-            raise ValueError(f"knn_outlier_scores_ivf: null ids in {self.id_col!r}")
-        m = _normalize(list_column_to_matrix(batch[self.vec_col]))
-        sims = m @ self.cent.T  # (n, C)
-        probe = np.argsort(-sims, axis=1)[:, : self.n_probe]  # col 0 == argmax
-        rep = np.repeat(np.arange(n, dtype=np.int64), self.n_probe)
-        rows = batch.select([self.id_col, self.vec_col]).take(pa.array(rep))
-        is_cand = np.zeros(n * self.n_probe, dtype=np.int8)
-        is_cand[:: self.n_probe] = 1  # first (argmax) copy carries the candidate role
-        return pa.Table.from_pydict(
-            {
-                "cell": pa.array(probe.reshape(-1)),
-                self.id_col: rows[self.id_col],
-                self.vec_col: rows[self.vec_col],
-                "is_cand": pa.array(is_cand),
-            }
-        )
-
-
-def _knn_cell_block(id_col: str, vec_col: str, k: int):
-    """Per co-partitioned block (cells are whole): per cell, queries x
-    candidates matmul, id-equality self-mask, per-query top-k partials."""
-
-    def block(tb: pa.Table) -> pa.Table:
-        empty = pa.Table.from_pydict(
-            {
-                id_col: pa.array([], type=tb.schema.field(id_col).type),
-                "sim": pa.array([], type=pa.float64()),
-            }
-        )
-        if tb.num_rows == 0:
-            return empty
-        cells = tb["cell"].to_numpy(zero_copy_only=False)
-        ids = tb[id_col].to_numpy(zero_copy_only=False)
-        m = _normalize(list_column_to_matrix(tb[vec_col]))
-        cand = tb["is_cand"].to_numpy(zero_copy_only=False).astype(bool)
-        out_i, out_s = [], []
-        order = np.argsort(cells, kind="stable")
-        bounds = np.flatnonzero(np.diff(cells[order])) + 1
-        for grp in np.split(order, bounds):
-            c = grp[cand[grp]]
-            if len(c):
-                # presence sentinels: every row's argmax (candidate) copy
-                # emits ONE -inf partial, so rows whose probed cells hold
-                # no non-self candidate still reach the reduce instead of
-                # silently vanishing, and the reduce's duplicate-id guard
-                # can count argmax copies (round-5 review)
-                out_i.append(ids[c])
-                out_s.append(np.full(len(c), -np.inf))
-            if len(c) == 0 or len(grp) == 0:
-                continue
-            sims = m[grp] @ m[c].T  # (q, cand)
-            sims[ids[grp][:, None] == ids[c][None, :]] = -np.inf
-            kk = min(k, sims.shape[1])
-            top = np.argpartition(-sims, kk - 1, axis=1)[:, :kk]
-            s = np.take_along_axis(sims, top, axis=1).reshape(-1)
-            keep = np.isfinite(s)  # self-only cells emit nothing
-            out_i.append(np.repeat(ids[grp], kk)[keep])
-            out_s.append(s[keep])
-        if not out_i:
-            return empty
-        return pa.Table.from_pydict(
-            {id_col: pa.array(np.concatenate(out_i)), "sim": pa.array(np.concatenate(out_s))}
-        )
-
-    return block
-
-
-def _knn_reduce_block(id_col: str, k: int):
-    """Per id-co-partitioned block: merge a row's per-cell partials, keep
-    its global top-k sims, emit the two distance scores."""
-    import polars as pl
-
-    def block(tb: pa.Table) -> pa.Table:
-        if tb.num_rows == 0:
-            return pa.Table.from_pydict(
-                {
-                    id_col: pa.array([], type=tb.schema.field(id_col).type),
-                    "knn_dist": pa.array([], type=pa.float64()),
-                    "knn_mean_dist": pa.array([], type=pa.float64()),
-                }
-            )
-        df = pl.from_arrow(tb)
-        # each row's argmax copy emitted exactly one -inf sentinel, so >1
-        # sentinel per id means duplicate ids — silently-merged partials
-        # and wrong scores otherwise (the exact path raises the same way)
-        sent = df.filter(pl.col("sim") == float("-inf"))
-        if sent.height:
-            per_id = sent.group_by(id_col).len()
-            if int(per_id["len"].max()) > 1:
-                raise ValueError(
-                    f"knn_outlier_scores_ivf: duplicate ids in {id_col!r} "
-                    "(each row must have a unique id)"
-                )
-        # drop sentinels for rows with real partials; an ISOLATED row
-        # (no non-self candidate in any probed cell) keeps its sentinel
-        # and scores knn_dist = +inf — maximal outlierness, not absence
-        df = df.filter(
-            pl.col("sim").is_finite()
-            | (pl.col("sim").max().over(id_col) == float("-inf"))
-        )
-        out = (
-            df
-            .sort([id_col, "sim"], descending=[False, True])
-            .with_columns(pl.col("sim").cum_count().over(id_col).alias("__rn"))
-            .filter(pl.col("__rn") <= k)
-            .group_by(id_col, maintain_order=True)
-            .agg(
-                (1.0 - pl.col("sim").min()).alias("knn_dist"),
-                (1.0 - pl.col("sim").mean()).alias("knn_mean_dist"),
-            )
-        )
-        return out.to_arrow().cast(
-            pa.schema(
-                [
-                    (id_col, tb.schema.field(id_col).type),
-                    ("knn_dist", pa.float64()),
-                    ("knn_mean_dist", pa.float64()),
-                ]
-            )
-        )
-
-    return block
-
-
-def knn_outlier_scores_ivf(
-    ds,
-    id_col: str,
-    vec_col: str = "embedding",
-    k: int = 10,
-    n_cells: int = 64,
-    n_probe: int = 8,
-    train_sample: int = 10_000,
-    seed: int = 42,
-):
-    """APPROXIMATE kNN-distance outlier scores — the 100 TB plan: IVF
-    cell-blocked self-join instead of the O(N^2) broadcast matmul.
-
-    1. Train coarse centroids on a deterministic hash-rate sample.
-    2. ONE map pass replicates each row to its ``n_probe`` nearest cells
-       as a query (the argmax copy doubling as the cell's candidate), so
-       the exchange moves n_probe x the vector bytes and each (query,
-       candidate) pair meets in EXACTLY one block — the candidate lives
-       in one cell only, hence no cross-cell dedup is needed.
-    3. Cells co-partition (range-sort exchange); each block matmuls
-       queries x candidates per cell and emits per-query top-k partials
-       (<= n_probe * k rows per input row — bounded, never O(N)).
-    4. Partials co-partition by id; one vectorized polars pass keeps each
-       row's global top-k and emits the scores.
-
-    ``n_probe == n_cells`` degenerates to exact (every pair meets);
-    recall at the defaults is gated >= 0.9 in tests. Every input row is
-    scored: a row whose probed cells hold no non-self candidate scores
-    ``knn_dist = +inf`` (maximal outlierness — exactly the isolated rows
-    an outlier scorer must flag) rather than silently dropping out, and
-    duplicate ids raise like the exact path. Skewed cells
-    concentrate in single blocks — the documented range-partition
-    contract (``local_group_map``); raise ``n_cells`` if one cell holds
-    a corpus-scale cluster."""
-    import ray
-
-    from .shuffle import local_group_map, sized_actor_concurrency
-
-    cref = ray.put(train_centroids_from_dataset(ds, id_col, vec_col, n_cells, train_sample, seed))
-    tagged = _sel(ds, [id_col, vec_col]).map_batches(
-        _KnnCellTagger,
-        fn_constructor_args=(id_col, vec_col, cref, n_probe),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=sized_actor_concurrency(ds),
-    )
-    partials = local_group_map(tagged, ["cell"], _knn_cell_block(id_col, vec_col, k), keys_non_null=True)
-    return local_group_map(partials, [id_col], _knn_reduce_block(id_col, k), keys_non_null=True)

@@ -500,57 +500,3 @@ def rebalance_mixture(
         avail = {}
     alloc = largest_remainder_allocation(avail, target, total_n, redistribute=redistribute)
     return grouped_quota_sample(ds, key, on, alloc, seed=seed, unit_fn=unit_fn), alloc
-
-
-def quantile_thresholds(ds, keys: list[str], value_col: str, lo_q: float, hi_q: float):
-    """Per-group exact [lo_q, hi_q] quantile thresholds as a small pandas
-    frame ``keys + [lo, hi]`` (linear interpolation — SQL
-    ``quantile_cont`` parity, via
-    :func:`~anomalydetection_ray.functions.shuffle.grouped_exact_quantiles`:
-    only (keys, value) pairs shuffle, never full rows)."""
-    from .shuffle import grouped_exact_quantiles, quantile_column_names
-
-    if not 0.0 <= lo_q <= hi_q <= 1.0:
-        raise ValueError(f"need 0 <= lo_q <= hi_q <= 1, got {lo_q}, {hi_q}")
-    lo_name, hi_name = quantile_column_names([lo_q, hi_q])
-    th = grouped_exact_quantiles(ds, keys, value_col, [lo_q, hi_q]).to_pandas()
-    return th.rename(columns={lo_name: "lo", hi_name: "hi"})
-
-
-def quantile_gate(
-    ds,
-    keys: list[str],
-    value_col: str,
-    lo_q: float = 0.05,
-    hi_q: float = 0.95,
-    thresholds=None,
-):
-    """Keep only rows whose ``value_col`` lies inside the row's group's
-    [lo_q, hi_q] EXACT quantile band — the per-group outlier trim real
-    curation pipelines apply to document lengths (drop each language's
-    shortest/longest tail instead of one global cut that would gut
-    short-form languages).
-
-    Scale shape: thresholds come from one narrow (keys, value) quantile
-    shuffle (or are passed in, e.g. frozen from a baseline run); the
-    gate itself is a broadcast join + one Arrow compare per batch — the
-    corpus streams, nothing materializes. Rows with a null value, a
-    group absent from ``thresholds``, or an all-null group (NaN
-    thresholds) are dropped. Returns ``(gated_ds, thresholds_df)``."""
-    import pyarrow.compute as pc
-
-    from .relational import broadcast_join
-
-    th = thresholds if thresholds is not None else quantile_thresholds(ds, keys, value_col, lo_q, hi_q)
-    dim = th[keys + ["lo", "hi"]].rename(columns={"lo": "__qlo", "hi": "__qhi"})
-    joined = broadcast_join(ds, keys, dim, keys, how="inner")
-
-    def gate(tb: pa.Table) -> pa.Table:
-        v = pc.cast(tb[value_col], pa.float64())
-        keep = pc.and_(pc.greater_equal(v, tb["__qlo"]), pc.less_equal(v, tb["__qhi"]))
-        return tb.filter(pc.coalesce(keep, False)).drop_columns(["__qlo", "__qhi"])
-
-    return (
-        joined.map_batches(gate, batch_format="pyarrow", batch_size=None, zero_copy_batch=True),
-        th,
-    )

@@ -210,14 +210,9 @@ def sha256_hex_batch(batch: pa.Table, col: str, out_col: str) -> pa.Table:
     return fingerprint_batch(batch, text_col=col, out_col=out_col)
 
 
-# winnowing (Schleimer/Wilkerson/Aiken 2003, the MOSS scheme): Rabin-Karp
-# rolling hash over byte k-grams, then the RIGHTMOST minimum of every
-# w-hash window is selected. Guarantee: two documents sharing any
-# substring of length >= w + k - 1 share at least one fingerprint —
-# substring/containment detection that whole-document hashes and
-# set-Jaccard MinHash both miss.
+# Rabin-Karp rolling hash over byte k-grams: substring detection that
+# whole-document hashes and set-Jaccard MinHash both miss.
 _WIN_BASE = np.uint64(1099511628211)  # FNV prime as the polynomial base
-_WIN_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 def kgram_hashes(b: np.ndarray, k: int) -> np.ndarray:
@@ -233,8 +228,8 @@ def kgram_hashes(b: np.ndarray, k: int) -> np.ndarray:
     ``multiply.accumulate``. Bit-identical to the naive windows@powers
     product (asserted in tests/test_substrings.py) but O(n) instead of
     O(n*k) — the sliding-window matmul measured 48 s on a 2 MB doc at
-    k=40 vs 64 ms for this form. Shared by winnowing fingerprints and
-    the stride-1 duplicated-substring ops (dedup/substrings.py)."""
+    k=40 vs 64 ms for this form. Used by the stride-1
+    duplicated-substring ops (dedup/substrings.py)."""
     n = len(b)
     if n < k:
         return np.empty(0, dtype=np.uint64)
@@ -258,156 +253,6 @@ def kgram_hashes(b: np.ndarray, k: int) -> np.ndarray:
     h *= np.uint64(0xFF51AFD7ED558CCD)
     h ^= h >> np.uint64(33)
     return h
-
-
-def _winnow_one(b: np.ndarray, k: int, w: int) -> np.ndarray:
-    """Sorted unique winnowed fingerprints of one byte sequence (uint64)."""
-    h = kgram_hashes(b, k)
-    if not len(h):
-        return h
-    if len(h) <= w:
-        return np.unique(h[np.flatnonzero(h == h.min())[-1] :][:1])
-    hw = np.lib.stride_tricks.sliding_window_view(h, w)
-    # rightmost minimum per window (robust winnowing): argmin on the
-    # reversed axis finds the LAST position holding the min
-    rev_arg = hw[:, ::-1].argmin(axis=1)
-    pos = np.arange(len(hw)) + (w - 1 - rev_arg)
-    return np.unique(h[np.unique(pos)])
-
-
-def winnow_fingerprints_batch(
-    batch: pa.Table,
-    text_col: str = "text",
-    out_col: str = "fingerprints",
-    k: int = 8,
-    w: int = 16,
-) -> pa.Table:
-    """Per-document winnowed rolling-hash fingerprint set as a
-    ``list<uint64>`` column (sorted unique; null text → null, text
-    shorter than ``k`` bytes → empty list). Feeds containment detection:
-    explode + group-by-fingerprint pairs documents sharing any run of
-    ``w + k - 1`` bytes, however different their overall token sets."""
-    texts = batch[text_col].to_numpy(zero_copy_only=False)
-    fps = [
-        None
-        if t is None
-        else _winnow_one(np.frombuffer(t.encode("utf-8", "surrogatepass"), dtype=np.uint8), k, w)
-        for t in texts
-    ]
-    return batch.append_column(out_col, pa.array(fps, type=pa.list_(pa.uint64())))
-
-
-def winnow_containment_pairs(
-    ds,
-    id_col: str = "doc_id",
-    text_col: str = "text",
-    k: int = 8,
-    w: int = 16,
-    min_shared: int = 2,
-    max_bucket: int = 200,
-):
-    """Distributed containment/overlap detection: distinct (a < b, shared)
-    document pairs sharing ≥ ``min_shared`` winnowed fingerprints — i.e.
-    pairs sharing literal byte runs of ≥ w+k-1, regardless of how
-    different the rest of the documents are (the case Jaccard-threshold
-    MinHash dedup misses by construction).
-
-    Plan (same shape as the LSH pair miner, `dedup/neardup.py:851`):
-    winnow map → explode to (id, fp) → co-partition by fp → per-group
-    pair emission → co-partition by (a, b) → count + filter. Fingerprint
-    groups larger than ``max_bucket`` are dropped as boilerplate (license
-    headers, generated banners) — the same hot-bucket cap LSH banding
-    uses; raise it if recall on pervasive substrings matters more than
-    the quadratic pair blowup."""
-    import pyarrow.compute as pc  # noqa: F401  (explode dependency)
-
-    from .shuffle import local_group_map, select_if_needed
-    from .vector import explode_list_column
-
-    fp_ds = select_if_needed(ds, [id_col, text_col]).map_batches(
-        lambda tb: winnow_fingerprints_batch(tb, text_col=text_col, k=k, w=w).drop_columns(
-            [text_col]
-        ),
-        batch_format="pyarrow",
-        batch_size=None,
-        zero_copy_batch=True,
-    )
-    exploded = explode_list_column(fp_ds, "fingerprints", value_col="fp", index_col=None)
-
-    # the pair columns MIRROR the input id type (round-5 review: a
-    # hardcoded int64 schema crashed on string-id corpora mid-shuffle and
-    # silently coerced numeric-string ids) — integer ids widen to int64,
-    # string ids stay strings (numpy lexsort/minimum handle both)
-    from .shuffle import arrow_schema
-
-    id_type = arrow_schema(ds).field(id_col).type
-    if pa.types.is_integer(id_type):
-        pair_type = pa.int64()
-    elif pa.types.is_string(id_type) or pa.types.is_large_string(id_type):
-        pair_type = pa.string()
-    else:
-        raise ValueError(
-            f"winnow_containment_pairs: unsupported id column type {id_type} "
-            f"for {id_col!r} (integer or string required)"
-        )
-    pair_schema = pa.schema([("a", pair_type), ("b", pair_type)])
-
-    def gen_pairs(tb: pa.Table) -> pa.Table:
-        if tb.num_rows == 0:
-            return pa.Table.from_pydict({"a": [], "b": []}, schema=pair_schema)
-        fp = tb["fp"].to_numpy(zero_copy_only=False)
-        ids = tb[id_col].to_numpy(zero_copy_only=False)
-        if pa.types.is_integer(id_type):
-            ids = ids.astype(np.int64)
-        order = np.lexsort((ids, fp))
-        fp, ids = fp[order], ids[order]
-        bounds = np.flatnonzero(np.concatenate([[True], fp[1:] != fp[:-1], [True]]))
-        out_a, out_b = [], []
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            m = e - s
-            if m < 2 or m > max_bucket:
-                continue
-            g = ids[s:e]
-            iu = np.triu_indices(m, 1)
-            out_a.append(g[iu[0]])
-            out_b.append(g[iu[1]])
-        if not out_a:
-            return pa.Table.from_pydict({"a": [], "b": []}, schema=pair_schema)
-        a = np.concatenate(out_a)
-        b = np.concatenate(out_b)
-        return pa.Table.from_pydict(
-            {
-                "a": pa.array(np.minimum(a, b), type=pair_type),
-                "b": pa.array(np.maximum(a, b), type=pair_type),
-            },
-            schema=pair_schema,
-        )
-
-    pairs = local_group_map(exploded, ["fp"], gen_pairs, keys_non_null=True)
-
-    out_schema = pa.schema([("a", pair_type), ("b", pair_type), ("shared", pa.int64())])
-
-    def count_filter(tb: pa.Table) -> pa.Table:
-        if tb.num_rows == 0:
-            return pa.Table.from_pydict({f.name: [] for f in out_schema}, schema=out_schema)
-        a = tb["a"].to_numpy(zero_copy_only=False)
-        b = tb["b"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((b, a))
-        a, b = a[order], b[order]
-        new = np.concatenate([[True], (a[1:] != a[:-1]) | (b[1:] != b[:-1])])
-        starts = np.flatnonzero(new)
-        counts = np.diff(np.append(starts, len(a)))
-        keep = counts >= min_shared
-        return pa.Table.from_pydict(
-            {
-                "a": pa.array(a[starts][keep], type=pair_type),
-                "b": pa.array(b[starts][keep], type=pair_type),
-                "shared": pa.array(counts[keep].astype(np.int64)),
-            },
-            schema=out_schema,
-        )
-
-    return local_group_map(pairs, ["a", "b"], count_filter, keys_non_null=True)
 
 
 def content_hash128_batch(batch: pa.Table, col: str, out_cols: tuple[str, str] = ("h1", "h2")) -> pa.Table:
@@ -636,80 +481,6 @@ def bm25_score_batch(
     return batch.append_column(out_col, pa.array(scores, type=pa.float64()))
 
 
-def bm25_scores(
-    docs_ds,
-    query_terms: list[str],
-    text_col: str = "text",
-    out_col: str = "bm25",
-    k1: float = 1.2,
-    b: float = 0.75,
-    corpus_stats: tuple[int, float, dict[str, int]] | None = None,
-):
-    """Okapi BM25 relevance of every document to a fixed term query, as a
-    streaming column append (the retrieval scorer LLM-data pipelines use
-    for quality-by-query filtering and search-index parity checks; the
-    reference's nearest analog is the frequency semi-join
-    ``models/preprocessing.py:7-10`` — term-frequency as signal).
-
-    Plan: ONE cheap stats pass (:func:`bm25_corpus_stats` — constant-size
-    partials, no shuffle) unless ``corpus_stats`` is passed, then ONE
-    scoring scan. idf is the Lucene/Robertson variant
-    ``ln(1 + (N - df + 0.5)/(df + 0.5))`` — non-negative for all df."""
-    terms = list(dict.fromkeys(query_terms))
-    n_docs, avgdl, df = corpus_stats or bm25_corpus_stats(docs_ds, terms, text_col)
-    idf = {
-        t: float(np.log(1.0 + (n_docs - df.get(t, 0) + 0.5) / (df.get(t, 0) + 0.5))) for t in terms
-    }
-    return docs_ds.map_batches(
-        lambda tb: bm25_score_batch(tb, idf, avgdl, text_col, out_col, k1, b),
-        batch_format="pyarrow",
-        batch_size=None,
-        zero_copy_batch=True,
-    )
-
-
-def bm25_topk(
-    docs_ds,
-    query_terms: list[str],
-    k: int = 10,
-    id_col: str = "doc_id",
-    text_col: str = "text",
-    k1: float = 1.2,
-    b: float = 0.75,
-) -> pa.Table:
-    """Top-k BM25 retrieval: score every document (:func:`bm25_scores`),
-    then a lossless per-block partial top-k — only ``blocks x k`` (id,
-    score) rows reach the driver, never the corpus. Scores round to 6
-    digits BEFORE ranking (same discipline as :func:`tfidf_top_terms`) so
-    ordering matches a SQL oracle ranking the rounded alias; (score desc,
-    id asc) tie-break is deterministic."""
-    import polars as pl
-
-    from .shuffle import select_if_needed
-
-    if k <= 0:
-        raise ValueError("k must be positive")
-    scored = bm25_scores(
-        select_if_needed(docs_ds, [id_col, text_col]), query_terms, text_col, "bm25", k1, b
-    )
-    out_schema = pa.schema([(id_col, pa.int64()), ("bm25", pa.float64())])
-
-    def topk_block(tb: pa.Table) -> pa.Table:
-        d = pl.from_arrow(tb.select([id_col, "bm25"])).with_columns(pl.col("bm25").round(6))
-        return d.sort(["bm25", id_col], descending=[True, False]).head(k).to_arrow().cast(out_schema)
-
-    parts = [
-        t
-        for t in scored.map_batches(
-            topk_block, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
-        ).iter_batches(batch_format="pyarrow", batch_size=None)
-        if t.num_rows
-    ]
-    merged = pa.concat_tables(parts or [out_schema.empty_table()], promote_options="default")
-    top = pl.from_arrow(merged).sort(["bm25", id_col], descending=[True, False]).head(k)
-    return top.to_arrow().cast(out_schema)
-
-
 # ---------------------------------------------------------------------------
 # Character-trigram language model (CCNet-style LM quality scoring)
 # ---------------------------------------------------------------------------
@@ -886,8 +657,7 @@ def decontaminate(
        small-bounded (MBs of text, not corpus-scale) — ``max_bench_ngrams``
        enforces it loudly (8 B/hash ⇒ the default caps the broadcast at
        ~400 MB; for a genuinely corpus-sized quarantine set use the
-       MinHash/winnowing pair path in ``dedup/`` instead, which never
-       gathers).
+       MinHash pair path in ``dedup/`` instead, which never gathers).
     2. SCAN — the sorted hash array ships ONCE (``ray.put``); every
        corpus batch builds its own n-gram hashes with the SAME vectorized
        construction (:func:`_token_ngram_hashes`) and probes via
@@ -1003,98 +773,6 @@ def decontaminate(
         return tb.append_column(flag_col, pa.array(bad.astype(np.int32), type=pa.int32()))
 
     return ds.map_batches(scan, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
-
-
-def chunk_documents(
-    ds,
-    id_col: str,
-    text_col: str,
-    max_tokens: int = 512,
-    overlap: int = 0,
-    out_col: str = "chunk",
-    chunk_id_col: str = "chunk_id",
-):
-    """Split every document into ~``max_tokens``-token pieces — the
-    context-window preparation stage an LLM training pipeline runs after
-    curation (chunking long docs instead of truncating them). Windows
-    advance by ``max_tokens − overlap`` whitespace tokens, so consecutive
-    chunks share ``overlap`` tokens of context.
-
-    Pure streaming map (no shuffle, no state), and the whole batch stays
-    in vectorized kernels: polars ``extract_all`` explodes tokens with
-    their row index, every token's window id is integer arithmetic on its
-    within-row position (one extra shifted assignment materializes the
-    overlap region), and chunks reassemble with ONE ``group_by(row,
-    window).agg(str.join)`` — no per-document Python. Output: one row per
-    chunk — ``(id_col, chunk_id_col, out_col, n_chunk_tokens)`` with
-    chunk_id 0-based in document order. Docs with no tokens (empty/null
-    text) emit no rows, SQL-unnest style; reconstruction invariant:
-    with overlap=0, ``str_join(chunks, ' ')`` == whitespace-normalized
-    input."""
-    import polars as pl
-
-    if max_tokens < 1:
-        raise ValueError(f"max_tokens must be >= 1, got {max_tokens}")
-    if not 0 <= overlap < max_tokens:
-        raise ValueError(f"need 0 <= overlap < max_tokens, got overlap={overlap}")
-    stride = max_tokens - overlap
-
-    def chunk(tb: pa.Table) -> pa.Table:
-        id_type = tb.schema.field(id_col).type
-        out_schema = pa.schema(
-            [
-                (id_col, id_type),
-                (chunk_id_col, pa.int64()),
-                (out_col, pa.string()),
-                ("n_chunk_tokens", pa.int64()),
-            ]
-        )
-        if tb.num_rows == 0:
-            return pa.Table.from_pydict({f.name: [] for f in out_schema}, schema=out_schema)
-        df = (
-            pl.DataFrame(
-                {
-                    "i": pl.from_arrow(tb[id_col].combine_chunks() if isinstance(tb[id_col], pa.ChunkedArray) else tb[id_col]),
-                    "t": pl.Series(tb[text_col].combine_chunks() if isinstance(tb[text_col], pa.ChunkedArray) else tb[text_col]).fill_null(""),
-                }
-            )
-            .with_columns(pl.col("t").str.extract_all(r"\S+"))
-            .explode("t")
-            .drop_nulls("t")
-            .with_columns(pos=pl.int_range(pl.len()).over("i"))
-        )
-        if df.height == 0:
-            return pa.Table.from_pydict({f.name: [] for f in out_schema}, schema=out_schema)
-        # window w holds tokens [w·stride, w·stride + max_tokens): a token
-        # belongs to up to ceil(max_tokens/stride) windows — one shifted
-        # assignment per lag r, each a pure vector expression
-        import math
-
-        parts = []
-        for r in range(math.ceil(max_tokens / stride)):
-            w = pl.col("pos") // stride - r
-            parts.append(
-                df.with_columns(w=w).filter(
-                    (pl.col("w") >= 0) & (pl.col("pos") - pl.col("w") * stride < max_tokens)
-                )
-            )
-        allt = pl.concat(parts)
-        g = (
-            allt.sort(["i", "w", "pos"])
-            .group_by(["i", "w"], maintain_order=True)
-            .agg(
-                chunk=pl.col("t").str.join(" "),
-                n=pl.col("t").len().cast(pl.Int64),
-            )
-        )
-        g = g.rename({"i": id_col, "w": chunk_id_col, "chunk": out_col, "n": "n_chunk_tokens"})
-        return g.to_arrow().cast(out_schema)
-
-    from .shuffle import select_if_needed
-
-    return select_if_needed(ds, [id_col, text_col]).map_batches(
-        chunk, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -1235,8 +913,7 @@ def dsir_weights(
     ``ln p_target(x) − ln p_raw(x)`` under hashed-n-gram bag-of-words
     models of a TARGET corpus (the distribution you want more of) and the
     RAW corpus itself. High scores = looks like the target. The published
-    recipe for domain-matched pretraining selection; resample
-    proportional-to-weight with :func:`dsir_resample`.
+    recipe for domain-matched pretraining selection.
 
     Plan: two fixed-size count passes (8·n_buckets B per block, driver
     n-ary sum — the model, not the data, crosses the wire), one
@@ -1263,157 +940,9 @@ def dsir_weights(
     )
 
 
-def dsir_resample(
-    ds,
-    id_col: str,
-    text_col: str,
-    target_ds,
-    n: int,
-    target_text_col: str | None = None,
-    seed: int = 42,
-    **weight_kwargs,
-):
-    """DSIR selection: sample exactly ``n`` documents WITHOUT replacement
-    with inclusion probability proportional to the importance weight
-    ``exp(dsir_logratio)`` (the paper's Gumbel-top-k step, here via the
-    deterministic Efraimidis–Spirakis sampler the engine already has —
-    the two are equivalent). Log-weights re-center by their global max
-    before exponentiation (selection is scale-invariant; re-centering
-    only prevents overflow on extreme corpora). Returns a pyarrow Table
-    of the selected rows (n is small by contract — it is a sample).
-
-    Scale shape: only the NARROW (id, log-weight) projection — 16 B/row
-    — is ever materialized (the scoring pass runs once and the wide text
-    column is dropped before the object store holds anything); the max,
-    the weighted sample and the final broadcast-id recovery of the n
-    picked rows all touch id-sized data."""
-    import polars as pl
-
-    from .relational import broadcast_value_filter
-    from .split import weighted_fixed_count_sample
-
-    out_col = weight_kwargs.get("out_col", "dsir_logratio")
-    scored = dsir_weights(ds, text_col, target_ds, target_text_col, **weight_kwargs)
-    narrow = scored.select_columns([id_col, out_col]).materialize()
-    mx = narrow.max(out_col)
-
-    def to_w(tb: pa.Table) -> pa.Table:
-        lw = tb[out_col].to_numpy(zero_copy_only=False)
-        return tb.append_column("__dsir_w", pa.array(np.exp(lw - mx), type=pa.float64()))
-
-    weighted = narrow.map_batches(to_w, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
-    picked = weighted_fixed_count_sample(weighted, id_col, "__dsir_w", n, seed=seed)
-    if picked is None:
-        return None
-    # recover the n picked rows' full columns with a broadcast id filter
-    # over the ORIGINAL dataset, then stitch the score back on (n is
-    # small by contract — this join is driver-side over n rows)
-    ids = picked[id_col].combine_chunks()
-    rows_ds = broadcast_value_filter(ds, id_col, np.asarray(ids), keep=True)
-    rows = pa.concat_tables(
-        [t for t in rows_ds.iter_batches(batch_format="pyarrow", batch_size=None) if t.num_rows]
-    )
-    out = (
-        pl.from_arrow(rows)
-        .join(pl.from_arrow(picked.select([id_col, out_col])), on=id_col, how="inner")
-        .sort(id_col)
-        .to_arrow()
-    )
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Sequence packing: fill fixed token-budget training sequences
 # ---------------------------------------------------------------------------
-
-
-def pack_sequences(
-    ds,
-    id_col: str,
-    tokens_col: str,
-    budget: int,
-    sort_within_block: bool = False,
-    allow_oversize: bool = False,
-    seq_col: str = "seq_id",
-    pos_col: str = "seq_pos",
-    seq_tokens_col: str = "seq_tokens",
-):
-    """Pack rows (documents or :func:`chunk_documents` chunks) into
-    training sequences of at most ``budget`` tokens — the sample-packing
-    step an LLM pretraining pipeline runs between tokenization and
-    batching (Raffel et al. 2020 §2.2's "packing"; GPT-3 appendix B).
-
-    Packing is BLOCK-LOCAL, the same contract real shard-local packers
-    use: sequences never span input blocks, so the operator is one
-    embarrassingly-parallel ``map_batches`` with no shuffle and its
-    output depends on the block layout (like any packer's output depends
-    on its shard layout). Within a block the plan is next-fit in row
-    order (``sort_within_block=True`` first orders rows by descending
-    token count — sorted next-fit, tighter fill on skewed lengths):
-    ONE cumulative sum, then one ``np.searchsorted`` per emitted
-    sequence — O(sequences · log rows), never a Python loop over rows.
-
-    Appends three columns: ``seq_col`` — the sequence key, defined as
-    the FIRST member row's ``id_col`` value (rows partition into
-    disjoint bins, so first-member ids are globally unique across
-    blocks); ``pos_col`` — the row's 0-based position in its sequence;
-    ``seq_tokens_col`` — the sequence's total token count (= fill, for
-    efficiency audits). Rows with ``tokens_col`` null raise; a single
-    row exceeding ``budget`` raises unless ``allow_oversize=True``, in
-    which case it becomes its own (overflowing) sequence — chunk first
-    with :func:`chunk_documents` if that is not what you want."""
-    if budget < 1:
-        raise ValueError("budget must be >= 1 token")
-
-    def pack(tb: pa.Table) -> pa.Table:
-        n = tb.num_rows
-        if n == 0:
-            return (
-                tb.append_column(seq_col, pa.array([], type=tb.schema.field(id_col).type))
-                .append_column(pos_col, pa.array([], type=pa.int64()))
-                .append_column(seq_tokens_col, pa.array([], type=pa.int64()))
-            )
-        col = tb[tokens_col]
-        if col.null_count:
-            raise ValueError(f"pack_sequences: {tokens_col!r} contains nulls")
-        toks = pc.cast(col, pa.int64()).to_numpy(zero_copy_only=False)
-        if (toks < 0).any():
-            raise ValueError(f"pack_sequences: {tokens_col!r} contains negative counts")
-        if not allow_oversize and (toks > budget).any():
-            worst = int(toks.max())
-            raise ValueError(
-                f"pack_sequences: a row has {worst} tokens > budget {budget}; "
-                "chunk first (chunk_documents) or pass allow_oversize=True"
-            )
-        order = np.argsort(-toks, kind="stable") if sort_within_block else np.arange(n)
-        t = toks[order]
-        cs = np.cumsum(t)
-        ends, s, base = [], 0, 0
-        while s < n:
-            j = int(np.searchsorted(cs, base + budget, side="right"))
-            if j <= s:  # single oversize row (allow_oversize): own sequence
-                j = s + 1
-            ends.append(j)
-            base = int(cs[j - 1])
-            s = j
-        ends = np.asarray(ends, dtype=np.int64)
-        starts = np.concatenate(([0], ends[:-1]))
-        bin_of = np.searchsorted(ends, np.arange(n), side="right")
-        pos = np.arange(n) - starts[bin_of]
-        fills = np.add.reduceat(t, starts)
-        ids = tb[id_col].combine_chunks() if isinstance(tb[id_col], pa.ChunkedArray) else tb[id_col]
-        ids_ordered = ids.take(pa.array(order))
-        seq_key = ids_ordered.take(pa.array(starts[bin_of]))
-        packed = (
-            tb.take(pa.array(order))
-            .append_column(seq_col, seq_key)
-            .append_column(pos_col, pa.array(pos, type=pa.int64()))
-            .append_column(seq_tokens_col, pa.array(fills[bin_of], type=pa.int64()))
-        )
-        return packed
-
-    return ds.map_batches(pack, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
-
 
 
 # ---------------------------------------------------------------------------
@@ -1446,8 +975,6 @@ def _mojibake_fixes() -> list[tuple[str, str]]:
 
 
 _MOJIBAKE_FIXES = _mojibake_fixes()
-# detector: A-tilde / a-circumflex artifact prefixes plus U+FFFD itself
-_MOJIBAKE_RE = "\u00c3[\u0080-\u00ff]|\u00e2[\u0080-\u00bf\u20ac]|\ufffd"
 
 _HTML_TAG_RE = r"<[^>]*>"
 _HTML_ENTITIES = [
@@ -1507,20 +1034,6 @@ def normalize_text_batch(
     if idx >= 0:
         return batch.set_column(idx, out_col, t)
     return batch.append_column(out_col, t)
-
-
-def encoding_damage_batch(
-    batch: pa.Table, text_col: str = "text", out_col: str = "mojibake_ppm"
-) -> pa.Table:
-    """Per-doc encoding-damage score: suspicious-sequence hits (mojibake
-    artifact prefixes + U+FFFD replacement chars) per million chars -
-    the curation signal for dropping or re-decoding damaged documents.
-    One RE2 count + one division per batch."""
-    t = pc.coalesce(batch[text_col], "")
-    hits = pc.cast(pc.count_substring_regex(t, _MOJIBAKE_RE), pa.float64())
-    safe = pc.max_element_wise(pc.cast(pc.utf8_length(t), pa.float64()), 1.0)
-    ppm = pc.cast(pc.floor(pc.divide(pc.multiply(hits, 1e6), safe)), pa.int64())
-    return batch.append_column(out_col, ppm)
 
 
 # ---------------------------------------------------------------------------
@@ -1785,58 +1298,3 @@ def _zipf_from_counts(uniq_ds, gname: str, top_n: int):
     return pd.DataFrame(
         rows, columns=[gname, "zipf_slope", "zipf_top_token", "zipf_top_count", "zipf_n_ranks"]
     )
-
-
-def token_zipf_slope(docs_ds, text_col: str = "text", top_n: int = 200) -> dict:
-    """Zipf-law slope of the corpus token frequency distribution:
-    ``regr_slope(ln(count), ln(rank))`` over the top ``top_n`` tokens
-    (count-desc, term-asc tiebreak — deterministic under ties). Natural
-    corpora sit near -1; a slope far from it flags template-generated or
-    boilerplate-heavy data. Built on :func:`term_doc_stats` (one narrow
-    (term, cnt, df) vocabulary shuffle); post-shuffle blocks hold exact
-    totals, so per-block partial top-n is lossless and only
-    blocks × top_n rows reach the driver."""
-    import polars as pl
-
-    stats = term_doc_stats(docs_ds, text_col=text_col)
-
-    def topk_block(tb: pa.Table) -> pa.Table:
-        if tb.num_rows == 0:
-            return tb
-        return (
-            pl.from_arrow(tb)
-            .sort(["cnt", "term"], descending=[True, False])
-            .head(top_n)
-            .to_arrow()
-            .cast(tb.schema)
-        )
-
-    parts = [
-        t
-        for t in stats.map_batches(
-            topk_block, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
-        ).iter_batches(batch_format="pyarrow", batch_size=None)
-        if t.num_rows
-    ]
-    if not parts:
-        return {"zipf_slope": None, "top_token": None, "top_count": 0, "n_ranks": 0}
-    top = (
-        pl.from_arrow(pa.concat_tables(parts))
-        .sort(["cnt", "term"], descending=[True, False])
-        .head(top_n)
-    )
-    cnt = top["cnt"].to_numpy().astype(np.float64)
-    n = len(cnt)
-    if n < 2:
-        slope = None
-    else:
-        x = np.log(np.arange(1, n + 1, dtype=np.float64))
-        y = np.log(cnt)
-        dx = x - x.mean()
-        slope = round(float((dx * (y - y.mean())).sum() / (dx * dx).sum()), 6)
-    return {
-        "zipf_slope": slope,
-        "top_token": top["term"][0],
-        "top_count": int(cnt[0]),
-        "n_ranks": int(n),
-    }

@@ -19,7 +19,7 @@ where the reference hands files between stages.
                      ``callable(list[str]) -> (n, dim)`` drops in.
   steps 4-5          SimCLR/VAE latent transforms are torch-specific; the
                      engine's stateful-transform slot is the same
-                     actor-pool pattern (cf. checks/drift.RowDriftScorer).
+                     actor-pool pattern as step 3.
   step 6  score      row-wise L2 norm (M9) + global p95 threshold (A2/M7)
   step 7  output     keyed final table (label, log, template, score,
                      prediction) + ``metrics.json`` (A5) — columns carried
@@ -51,19 +51,6 @@ import pyarrow.parquet as pq
 
 from ..functions.embedding import EmbeddingModelStage, HashedNgramModel
 from ..state import RunState
-
-
-class HashedNgramFeaturizer(EmbeddingModelStage):
-    """Back-compat T2 stage: the torch-free hashed-ngram model under the
-    generic :class:`~anomalydetection_ray.functions.embedding.
-    EmbeddingModelStage` adapter (model built once per actor)."""
-
-    def __init__(self, text_col: str = "template", out_col: str = "embedding", dim: int = 64, n_buckets: int = 1024, seed: int = 0):
-        super().__init__(
-            model_factory=partial(HashedNgramModel, dim=dim, n_buckets=n_buckets, seed=seed),
-            text_col=text_col,
-            out_col=out_col,
-        )
 
 
 @dataclass
@@ -102,11 +89,9 @@ class PredictConfig:
     # (fractional packs several actors per device — the reference pins
     # cuda:0 at end_to_end_prediction.py:88, Ray's scheduler does the
     # pinning on a cluster); model_ray_remote_args passes further
-    # scheduling args (accelerator_type, memory, ...) verbatim. The
-    # VRAM→micro-batch heuristic (reference :302-308) is
-    # functions/embedding.vram_model_batch_size — feed its result into
-    # model_batch_size. Untestable on this CPU-only sandbox beyond
-    # kwargs propagation (tests/test_embedding_adapter.py).
+    # scheduling args (accelerator_type, memory, ...) verbatim.
+    # Untestable without a GPU beyond kwargs propagation
+    # (tests/test_embedding_adapter.py).
     model_num_gpus: float | None = None
     model_ray_remote_args: dict | None = None
 

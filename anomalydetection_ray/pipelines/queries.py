@@ -1520,9 +1520,7 @@ def knn_outlier_embeddings(sf_dir: str):
     embedding-space dual of the reference's per-row deviation scores
     (``end_to_end_prediction.py:444``). The corpus broadcasts ONCE via
     ``ray.put``; each batch is one matmul panel sized to ~64 MB. The
-    oracle recomputes it brute-force (O(N^2) cross join + window rank).
-    The approximate IVF plan (``knn_outlier_scores_ivf``) is recall- and
-    equivalence-gated in tests/test_knn_outlier.py."""
+    oracle recomputes it brute-force (O(N^2) cross join + window rank)."""
     from ..functions.similarity import knn_outlier_scores
 
     emb = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
@@ -1886,8 +1884,8 @@ def lang_length_quantiles(sf_dir: str):
     distance to q is <= 0.02 (k=256 measures ~0.01). Round 5: the SAME
     co-located quantile pass also yields each language's p05
     (``gate_lo``), and one broadcast-join flag pass audits the
-    [p05, p95] QUANTILE GATE (functions/split.py quantile_gate — the
-    per-group outlier trim curation applies to document lengths):
+    [p05, p95] QUANTILE GATE (the per-group outlier trim curation applies
+    to document lengths):
     ``kept_in_band`` / ``dropped_out_band`` per language, nulls in
     neither (SQL CASE-on-null parity)."""
     import polars as pl

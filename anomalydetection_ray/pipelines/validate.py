@@ -516,16 +516,25 @@ def _verify_dup_candidates_ds(viol_ds, key: list[str]):
     return local_group_map(viol_ds, key, block)
 
 
-def _spill_violation_counts(viol_ds, part: str) -> dict[str, dict[str, int]]:
-    """Per-(kind, partition) violation counts from the spilled stream —
-    the only violation-derived state the driver holds in spill mode."""
-    from ..functions.shuffle import driver_grouped_agg
-
-    df = driver_grouped_agg(viol_ds, ["violation_kind", part], {"cnt": (None, "count")})
+def _spill_violation_counts(files: list[str], part: str) -> dict[str, dict[str, int]]:
+    """Per-(kind, partition) violation counts of the sorted violation files
+    — the only violation-derived state the driver holds in spill mode.
+    Streams just the two columns batch by batch on the driver, so no
+    violation table materializes; partitions are labelled as
+    :func:`_per_part_counts` labels them."""
     counts: dict[str, dict[str, int]] = {}
-    for _, r in df.iterrows():
-        p = "<null>" if pd.isna(r[part]) else str(r[part])
-        counts.setdefault(str(r["violation_kind"]), {})[p] = int(r["cnt"])
+    for f in files:
+        for b in pq.ParquetFile(f).iter_batches(columns=["violation_kind", part]):
+            t = pa.table(
+                {
+                    "k": b.column("violation_kind"),
+                    "p": pc.fill_null(pc.cast(b.column(part), pa.string()), "<null>"),
+                }
+            )
+            g = t.group_by(["k", "p"]).aggregate([([], "count_all")])
+            for k, p, c in zip(*(g[n].to_pylist() for n in ("k", "p", "count_all"))):
+                by_part = counts.setdefault(k, {})
+                by_part[p] = by_part.get(p, 0) + c
     return counts
 
 
@@ -553,7 +562,8 @@ def _finish_violations(
     max_driver_rows: int,
     viol_schema: pa.Schema,
     key: list[str],
-) -> tuple[pa.Table, str | None]:
+    part: str,
+) -> tuple[pa.Table, str | None, dict[str, dict[str, int]] | None]:
     """The ONE violation finalize of the suite, over every scan unit's
     rows: exact dup recount, deterministic sort and write, checkpointed as
     unit ``rowpass``.
@@ -564,15 +574,19 @@ def _finish_violations(
     ``rowpass/violations.parquet``. Otherwise every file takes the
     distributed path — key co-partitioned recount, global multi-column
     sort, partitioned parquet under ``rowpass/violations_sorted`` — so
-    violations never materialize on the driver.
+    violations never materialize on the driver — and the driver streams
+    the per-(kind, partition) counts out of the sorted files.
 
-    The marker records the units it covers and the path taken. A resume
-    whose units were all reused (any recomputed unit drops the marker
-    first) reads the result back instead of finalizing again.
+    The marker records the units it covers, the path taken and, on the
+    distributed path, the counts. A resume whose units were all reused
+    (any recomputed unit drops the marker first) reads the result back
+    instead of finalizing again; a distributed marker without counts is
+    not trusted.
 
-    Returns ``(violations, violations_dir)`` as :func:`_finalize_suite`
-    takes them: the sorted table and ``None``, or a schema-correct EMPTY
-    table and the sorted directory."""
+    Returns ``(violations, violations_dir, counts)`` as
+    :func:`_finalize_suite` takes them: the sorted table, ``None`` and
+    ``None``, or a schema-correct EMPTY table, the sorted directory and
+    its counts."""
     out_dir = state.unit_dir("rowpass")
     sorted_dir = os.path.join(out_dir, "violations_sorted")
     held_path = os.path.join(out_dir, "violations.parquet")
@@ -580,12 +594,14 @@ def _finish_violations(
     inputs = {"units": unit_names, "distributed": distributed}
     meta = (state.done_metrics("rowpass") or {}).get("metrics", {})
     done_file = "violations_sorted" if meta.get("sorted") else "violations.parquet"
-    if all(meta.get(k) == v for k, v in inputs.items()) and state.is_done_compat(
-        "rowpass", files=(done_file,)
+    if (
+        all(meta.get(k) == v for k, v in inputs.items())
+        and (not meta.get("sorted") or "counts" in meta)
+        and state.is_done_compat("rowpass", files=(done_file,))
     ):
         if meta.get("sorted"):
-            return viol_schema.empty_table(), sorted_dir
-        return pq.read_table(held_path), None
+            return viol_schema.empty_table(), sorted_dir, meta["counts"]
+        return pq.read_table(held_path), None, None
     state.invalidate("rowpass")
     out_cols = viol_schema.names[:-2]
     viol = viol_schema.empty_table()
@@ -598,9 +614,11 @@ def _finish_violations(
         files = [p for p, n in held if n] + spilled
         verified = _verify_dup_candidates_ds(rd.read_parquet(files), key)
         verified.sort(["violation_kind"] + out_cols + ["content_sha256"]).write_parquet(sorted_dir)
-        if _parquet_files(sorted_dir):
-            state.mark_done("rowpass", {**inputs, "sorted": True})
-            return viol, sorted_dir
+        sorted_files = _parquet_files(sorted_dir)
+        if sorted_files:
+            counts = _spill_violation_counts(sorted_files, part)
+            state.mark_done("rowpass", {**inputs, "sorted": True, "counts": counts})
+            return viol, sorted_dir, counts
         # the dup recount dropped EVERY spilled row (all candidates were
         # key-collision artifacts) and write_parquet produced a shard-less
         # directory — finalize through the empty driver table instead of
@@ -612,7 +630,7 @@ def _finish_violations(
     viol = _sort_violations(_verify_dup_candidates(viol, key), out_cols)
     pq.write_table(viol, held_path)
     state.mark_done("rowpass", {**inputs, "sorted": False})
-    return viol, None
+    return viol, None, None
 
 
 # ---------------------------------------------------------------------------
@@ -664,6 +682,7 @@ def _finalize_suite(
     viol_all: pa.Table,
     baseline_snapshot: str | None,
     violations_dir: str | None = None,
+    viol_counts: dict[str, dict[str, int]] | None = None,
     corpus_schema: pa.Schema | None = None,
     fd_results: dict[str, pa.Table] | None = None,
 ) -> SuiteResult:
@@ -671,14 +690,11 @@ def _finalize_suite(
     drift scoring, lineage, and the verdicts.parquet artifact.
 
     Spill mode (``violations_dir`` given): ``viol_all`` is schema-correct
-    but EMPTY — verdict counts come from a distributed per-(kind,
-    partition) aggregate over the exact rows under ``violations_dir``."""
+    but EMPTY — verdict counts are ``viol_counts``, the per-(kind,
+    partition) counts of the exact rows under ``violations_dir``."""
     from ..checks.schema import schema_verdicts, spec_from_stats
 
     part = cfg.partition_by
-    viol_counts = (
-        _spill_violation_counts(rd.read_parquet(violations_dir), part) if violations_dir else None
-    )
     verdict_rows: list[dict] = []
     violations: dict[str, pa.Table] = {}
 
@@ -1034,13 +1050,15 @@ def _run_units(
     stats_df = merge_partials_to_stats(stats_parts)
     stats_path = os.path.join(state.unit_dir("stats"), "stats.parquet")
     pq.write_table(pa.Table.from_pandas(stats_df, preserve_index=False), stats_path)
-    viol_all, violations_dir = _finish_violations(
-        state, [u for u, _ in units], held, spilled, cfg.max_driver_violation_rows, viol_schema, key
+    viol_all, violations_dir, viol_counts = _finish_violations(
+        state, [u for u, _ in units], held, spilled, cfg.max_driver_violation_rows, viol_schema,
+        key, cfg.partition_by,
     )
     fd_results = _run_fd_checks(state, cfg, corpus_path, resume) if cfg.fd_checks else None
     return _finalize_suite(
         state, out_dir, cfg, stats_df, viol_all, baseline_snapshot,
-        violations_dir=violations_dir, corpus_schema=corpus_schema, fd_results=fd_results,
+        violations_dir=violations_dir, viol_counts=viol_counts, corpus_schema=corpus_schema,
+        fd_results=fd_results,
     )
 
 

@@ -120,24 +120,3 @@ def ks_statistic(baseline: FixedHistogram, current: FixedHistogram) -> float:
     p = baseline.counts / max(1, baseline.total)
     q = current.counts / max(1, current.total)
     return float(np.max(np.abs(np.cumsum(p) - np.cumsum(q))))
-
-
-def categorical_counts(values, categories: list) -> np.ndarray:
-    """Counts of `values` over a fixed category list (+1 bin for 'other').
-
-    Categorical analog of FixedHistogram for PSI over e.g. `lang`.
-    """
-    idx = {c: i for i, c in enumerate(categories)}
-    counts = np.zeros(len(categories) + 1, dtype=np.int64)
-    arr = np.asarray(values, dtype=object)
-    # nulls count as a category (lang is exactly the column the corpus
-    # plants nulls into); np.unique's sort would raise on None < str
-    n_null = sum(v is None for v in arr)
-    if n_null:
-        counts[idx.get(None, len(categories))] += n_null
-        arr = np.array([v for v in arr if v is not None], dtype=object)
-    if len(arr):
-        vals, cnts = np.unique(arr, return_counts=True)
-        for v, c in zip(vals, cnts):
-            counts[idx.get(v, len(categories))] += c
-    return counts

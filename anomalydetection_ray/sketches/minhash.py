@@ -127,21 +127,10 @@ class MinHasher:
         return float(np.mean(sig1 == sig2))
 
 
-def band_keys(sig: np.ndarray, bands: int) -> np.ndarray:
-    """(bands,) uint64 bucket hash per band of the signature."""
-    rows = len(sig) // bands
-    view = sig[: bands * rows].reshape(bands, rows)
-    # combine rows of each band into one 64-bit key
-    key = np.zeros(bands, dtype=np.uint64)
-    for r in range(rows):
-        key = _avalanche(key ^ view[:, r])
-    return key
-
-
 def batch_band_keys(sigs: np.ndarray, bands: int) -> np.ndarray:
     """(n_docs, bands) bucket keys for a signature MATRIX — one avalanche
     pass per band row across all docs instead of a per-doc loop.
-    Bit-identical to :func:`band_keys` per row (tests assert equality)."""
+    Bit-identical to a per-row loop (tests assert equality)."""
     n, num_perm = sigs.shape
     rows = num_perm // bands
     view = sigs[:, : bands * rows].reshape(n, bands, rows)

@@ -11,23 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hll import _fnv1a
-
-
-def simhash64(token_hashes: np.ndarray, weights: np.ndarray | None = None) -> np.uint64:
-    """64-bit SimHash of a set of uint64 token hashes."""
-    if token_hashes.size == 0:
-        return np.uint64(0)
-    bits = ((token_hashes[:, None] >> np.arange(64, dtype=np.uint64)[None, :]) & np.uint64(1)).astype(np.int64)
-    votes = 2 * bits - 1  # ±1
-    if weights is not None:
-        votes = votes * weights[:, None].astype(np.int64)
-    col = votes.sum(axis=0)
-    fp = np.uint64(0)
-    for i in np.nonzero(col > 0)[0]:
-        fp |= np.uint64(1) << np.uint64(i)
-    return fp
-
 
 def _md5_token_hash(token: str) -> np.uint64:
     """uint64 token hash matching DuckDB's ``md5_number_lower`` (digest
@@ -37,21 +20,6 @@ def _md5_token_hash(token: str) -> np.uint64:
 
     d = hashlib.md5(token.encode("utf-8", "surrogatepass")).digest()
     return np.uint64(int.from_bytes(d[8:], "little"))
-
-
-def simhash_text(text: str, token_hash: str = "fnv") -> np.uint64:
-    """64-bit SimHash over whitespace tokens (distinct tokens weighted by
-    count). ``token_hash``: "fnv" (fast vectorized default) or "md5"
-    (SQL-reproducible — DuckDB ``md5_number_lower`` parity)."""
-    toks = text.split()
-    if not toks:
-        return np.uint64(0)
-    uniq, counts = np.unique(np.array(toks, dtype=object), return_counts=True)
-    if token_hash == "md5":
-        hashes = np.array([_md5_token_hash(t) for t in uniq], dtype=np.uint64)
-    else:
-        hashes = np.array([_fnv1a(t.encode("utf-8", "surrogatepass")) for t in uniq], dtype=np.uint64)
-    return simhash64(hashes, counts)
 
 
 def _fnv1a_batch(tokens: list[bytes]) -> np.ndarray:
@@ -120,7 +88,7 @@ def _simhash_votes(i_s: np.ndarray, cnt_s: np.ndarray, h_s: np.ndarray, n: int) 
 
 def batch_simhash_fnv(texts) -> np.ndarray:
     """(n,) uint64 SimHash fingerprints for a whole batch — bit-identical
-    to ``simhash_text(t, "fnv")`` per row (tests assert equality), but the
+    to a per-doc FNV SimHash loop (tests assert equality), but the
     per-doc object-array ``np.unique`` + per-token FNV + bit-set loops
     (~91 µs/doc measured at sf0.1) collapse into ONE polars group_by for
     per-(doc, token) counts, ONE vectorized FNV pass over the distinct
@@ -135,8 +103,8 @@ def batch_simhash_fnv(texts) -> np.ndarray:
 
 def batch_simhash_md5(texts) -> np.ndarray:
     """(n,) uint64 SimHash fingerprints, md5 token hash (DuckDB
-    ``md5_number_lower`` parity) — bit-identical to
-    ``simhash_text(t, "md5")`` per row. hashlib stays per call, but each
+    ``md5_number_lower`` parity) — bit-identical to a per-doc md5
+    SimHash loop. hashlib stays per call, but each
     DISTINCT token of the batch is hashed exactly once (corpora vocabulary
     is zipf — far smaller than the token stream), and everything else is
     the shared vectorized kernel."""

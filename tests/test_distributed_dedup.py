@@ -83,36 +83,6 @@ def test_simhash_distributed_matches_driver(ray_session, stress_ds):
     assert fp_driver == dist
 
 
-def test_embedding_dedup_distributed_matches_driver(ray_session):
-    import ray.data as rd
-    from anomalydetection_ray.dedup import embedding_cosine_dedup
-
-    rng = np.random.default_rng(11)
-    half, dim = 150, 16
-    base = rng.standard_normal((half, dim)).astype(np.float32)
-    noisy = base + rng.standard_normal((half, dim)).astype(np.float32) * 0.01
-    vecs = np.vstack([base, noisy])
-    t = pa.table(
-        {
-            "id": pa.array(range(2 * half), type=pa.int64()),
-            "embedding": pa.FixedSizeListArray.from_arrays(
-                pa.array(vecs.ravel(), type=pa.float32()), dim
-            ),
-        }
-    )
-    ds = rd.from_arrow(t).repartition(6)
-    driver = _kept_ids(embedding_cosine_dedup(ds, "id", "embedding", dim, threshold=0.98, driver_max_edges=10**9))
-    dist = _kept_ids(embedding_cosine_dedup(ds, "id", "embedding", dim, threshold=0.98, driver_max_edges=0))
-    assert driver == dist
-    assert all(i in dist for i in range(half)) and all(i + half not in dist for i in range(half))
-
-
-def _kept_ids(ds_out):
-    from anomalydetection_ray.pipelines.queries import as_table
-
-    return sorted(as_table(ds_out)["id"].to_pylist())
-
-
 def test_label_propagation_matches_union_find(ray_session):
     import ray.data as rd
     from anomalydetection_ray.dedup.distributed import cluster_drop_ids
@@ -179,60 +149,6 @@ def test_shuffle_anti_join(ray_session):
     kept = sorted(out["doc_id"].to_pylist())
     assert kept == [i for i in range(20) if i not in (3, 7, 11, 19)]
     assert set(out.column_names) == {"doc_id", "text"}
-
-
-def test_connected_components_public_api_both_plans(ray_session):
-    """connected_components: (id, component=min member) on both the driver
-    union-find plan and the forced label-propagation plan, matching a
-    local union-find reference; self-loops ignored, layout invariant."""
-    from collections import defaultdict
-
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data as rd
-
-    from anomalydetection_ray.dedup.distributed import connected_components
-
-    edges = []
-    for c in range(6):  # six 8-cliques (dense), one 6-edge path (chain)
-        base = c * 100
-        edges += [(base + i, base + j) for i in range(8) for j in range(i + 1, 8)]
-    edges += [(1000 + i, 1000 + i + 1) for i in range(6)]
-    edges.append((42, 42))  # self-loop: ignored
-    e = pd.DataFrame(edges, columns=["a", "b"])
-
-    parent: dict = {}
-
-    def find(x):
-        p = parent.setdefault(x, x)
-        while p != parent[p]:
-            parent[p] = parent[parent[p]]
-            p = parent[p]
-        parent[x] = p
-        return p
-
-    for a, b in edges:
-        if a == b:
-            continue
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            lo, hi = (ra, rb) if ra <= rb else (rb, ra)
-            parent[hi] = lo
-    mem = defaultdict(list)
-    for x in parent:
-        mem[find(x)].append(x)
-    want = {x: min(ms) for ms in mem.values() for x in ms}
-
-    for budget in (2_000_000, 0):
-        for nb in (1, 4):
-            out = connected_components(
-                rd.from_pandas(e).repartition(nb), driver_max_edges=budget
-            )
-            got = pa.concat_tables(
-                out.iter_batches(batch_format="pyarrow", batch_size=None)
-            ).to_pandas()
-            gd = dict(zip(got["id"], got["component"]))
-            assert gd == want, (budget, nb)
 
 
 def test_exact_dedup_rejects_preexisting_fingerprint_columns(ray_session):

@@ -121,11 +121,10 @@ def test_operators_on_empty_inputs(ray_session):
     assert as_table(stratified_split(ev, "k", [0.5, 0.5])[0]).num_rows == 0
 
     # round-4 additions
-    from anomalydetection_ray.functions.shuffle import pivot_wide, rollup_agg
+    from anomalydetection_ray.functions.shuffle import rollup_agg
     from anomalydetection_ray.functions.split import grouped_fixed_count_sample
     from anomalydetection_ray.functions.temporal import range_join_agg, window_rank
     from anomalydetection_ray.functions.text import tfidf_top_terms
-    from anomalydetection_ray.functions.vector import unpivot_long
 
     assert as_table(
         range_join_agg(ev, ev, key="k", left_ts="t", right_ts="t",
@@ -135,8 +134,6 @@ def test_operators_on_empty_inputs(ray_session):
     assert as_table(grouped_fixed_count_sample(ev, key="k", on="v", n=5)).num_rows == 0
     assert tfidf_top_terms(docs, n_docs=0, k=5).num_rows == 0
     assert len(rollup_agg(ev, ["k"], {"cnt": (None, "count")})) == 0
-    assert len(pivot_wide(ev, ["k"], "v", [1.0], agg="count")) == 0
-    assert as_table(unpivot_long(ev, ["k"], ["v"])).num_rows == 0
 
 
 def test_local_group_map_null_keys(ray_session):
@@ -221,56 +218,6 @@ def test_rollup_agg_duckdb_parity(ray_session):
     )
     for c in ("s", "m", "sd", "lo", "hi"):
         np.testing.assert_allclose(g[c].to_numpy(), w[c].to_numpy(), rtol=1e-12)
-
-
-def test_pivot_wide_duckdb_parity(ray_session):
-    import duckdb
-    import numpy as np
-    import pandas as pd
-    import ray.data as rd
-
-    from anomalydetection_ray.functions.shuffle import pivot_wide
-
-    rng = np.random.default_rng(5)
-    n = 4000
-    t = pa.table(
-        {
-            "g": pa.array(rng.choice(["a", "b", "c"], n)),
-            "p": pa.array(rng.choice(["x", "y", "z", "rare"], n, p=[0.5, 0.3, 0.19, 0.01])),
-            "v": pa.array(rng.normal(10, 3, n)),
-        }
-    )
-    ds = rd.from_arrow(t).repartition(5)
-    got_cnt = pivot_wide(ds, ["g"], "p", ["x", "y", "missing"], agg="count")
-    got_sum = pivot_wide(ds, ["g"], "p", ["x", "y"], value_col="v", agg="sum")
-    con = duckdb.connect()
-    con.register("t", t)
-    want = con.execute(
-        """
-        SELECT g,
-               COUNT(*) FILTER (p = 'x') AS n_x,
-               COUNT(*) FILTER (p = 'y') AS n_y,
-               COUNT(*) FILTER (p = 'missing') AS n_missing,
-               SUM(v) FILTER (p = 'x') AS v_x,
-               SUM(v) FILTER (p = 'y') AS v_y
-        FROM t GROUP BY g ORDER BY g
-        """
-    ).df()
-    got_cnt = got_cnt.sort_values("g").reset_index(drop=True)
-    got_sum = got_sum.sort_values("g").reset_index(drop=True)
-    pd.testing.assert_frame_equal(
-        got_cnt[["g", "n_x", "n_y", "n_missing"]], want[["g", "n_x", "n_y", "n_missing"]],
-        check_dtype=False,
-    )
-    np.testing.assert_allclose(got_sum["v_x"], want["v_x"], rtol=1e-12)
-    np.testing.assert_allclose(got_sum["v_y"], want["v_y"], rtol=1e-12)
-
-    with pytest.raises(ValueError, match="needs a value_col"):
-        pivot_wide(ds, ["g"], "p", ["x"], agg="sum")
-    with pytest.raises(ValueError, match="collide"):
-        pivot_wide(ds, ["g"], "p", ["x", "x"], agg="count")
-    with pytest.raises(ValueError, match="unsupported"):
-        pivot_wide(ds, ["g"], "p", ["x"], agg="median")
 
 
 def test_corr_covar_null_masking_duckdb_parity(ray_session):
@@ -368,14 +315,14 @@ def test_grouped_mad_duckdb_parity(ray_session):
 
 
 def test_cube_grouping_sets_duckdb_parity(ray_session):
-    """CUBE / arbitrary GROUPING SETS from one scan match DuckDB row-for-row
+    """Arbitrary GROUPING SETS from one scan match DuckDB row-for-row
     (set emission order is normalized away by sorting)."""
     import duckdb
     import numpy as np
     import pandas as pd
     import ray.data as rd
 
-    from anomalydetection_ray.functions.shuffle import cube_agg, grouping_sets_agg
+    from anomalydetection_ray.functions.shuffle import grouping_sets_agg
 
     rng = np.random.default_rng(5)
     n = 4000
@@ -394,23 +341,6 @@ def test_cube_grouping_sets_duckdb_parity(ray_session):
         df["a"] = df["a"].fillna("\x00")
         df["b"] = pd.to_numeric(df["b"]).fillna(-1).astype("int64")
         return df.sort_values(["a", "b", "cnt"]).reset_index(drop=True)
-
-    got = canon(
-        cube_agg(
-            rd.from_arrow(t).repartition(5),
-            ["a", "b"],
-            {"cnt": (None, "count"), "s": ("v", "sum"), "m": ("v", "mean")},
-        )
-    )
-    want = canon(
-        con.execute(
-            "SELECT a, b, COUNT(*) AS cnt, SUM(v) AS s, AVG(v) AS m FROM t GROUP BY CUBE(a, b)"
-        ).df()
-    )
-    assert len(got) == len(want) == 12  # 6 (a,b) + 2 (a) + 3 (b) + 1 total
-    pd.testing.assert_frame_equal(got[["a", "b", "cnt"]], want[["a", "b", "cnt"]], check_dtype=False)
-    for c in ("s", "m"):
-        np.testing.assert_allclose(got[c].to_numpy(), want[c].to_numpy(), rtol=1e-12)
 
     # arbitrary (non-prefix) set: GROUP BY GROUPING SETS ((b), ())
     raw2 = grouping_sets_agg(
@@ -489,7 +419,6 @@ def test_round4f_ops_empty_and_degenerate_inputs(ray_session):
 
     from anomalydetection_ray.functions.anomaly import isolation_forest_scores, mahalanobis_scores
     from anomalydetection_ray.functions.shuffle import grouped_kll_quantiles, robust_outlier_flags
-    from anomalydetection_ray.functions.temporal import cusum_flags
     from anomalydetection_ray.functions.text import decontaminate
     from anomalydetection_ray.pipelines.queries import as_table
 
@@ -501,12 +430,6 @@ def test_round4f_ops_empty_and_degenerate_inputs(ray_session):
 
     out2 = as_table(robust_outlier_flags(empty_kv, ["g"], "v"))
     assert out2.num_rows == 0
-
-    empty_ts = rd.from_arrow(
-        pa.table({"k": pa.array([], type=pa.string()), "t": pa.array([], type=pa.int64()), "v": pa.array([], type=pa.float64())})
-    )
-    out3 = as_table(cusum_flags(empty_ts, "k", "t", "v"))
-    assert out3.num_rows == 0
 
     docs = rd.from_arrow(pa.table({"doc_id": pa.array([1], type=pa.int64()), "text": ["a b c"]}))
     empty_docs = rd.from_arrow(pa.table({"doc_id": pa.array([], type=pa.int64()), "text": pa.array([], type=pa.string())}))
@@ -533,16 +456,13 @@ def test_round4g_ops_empty_and_degenerate_inputs(ray_session, tmp_path):
     import pyarrow as pa
     import ray.data as rd
 
-    from anomalydetection_ray.dedup import semdedup
     from anomalydetection_ray.functions.split import (
         grouped_quota_sample,
         rebalance_mixture,
     )
     from anomalydetection_ray.functions.text import (
         dsir_weights,
-        encoding_damage_batch,
         normalize_text_batch,
-        pack_sequences,
     )
     from anomalydetection_ray.sources.writer import write_partitioned
 
@@ -559,20 +479,9 @@ def test_round4g_ops_empty_and_degenerate_inputs(ray_session, tmp_path):
     assert out["dsir_logratio"].iloc[0] < 0
     assert len(dsir_weights(empty_docs, "text", one_doc, n_buckets=64).to_pandas()) == 0
 
-    # packing an empty dataset / zero-token rows
-    empty_tok = rd.from_arrow(
-        pa.table({"doc_id": pa.array([], type=pa.int64()), "n": pa.array([], type=pa.int64())})
-    )
-    assert len(pack_sequences(empty_tok, "doc_id", "n", budget=10).to_pandas()) == 0
-    zeros = rd.from_arrow(pa.table({"doc_id": pa.array([1, 2], type=pa.int64()),
-                                    "n": pa.array([0, 0], type=pa.int64())}))
-    z = pack_sequences(zeros, "doc_id", "n", budget=10).to_pandas()
-    assert len(z) == 2 and z["seq_id"].nunique() == 1  # zero-cost rows share one bin
-
     # normalization kernels on empty tables
     et = pa.table({"text": pa.array([], type=pa.string())})
     assert normalize_text_batch(et).num_rows == 0
-    assert encoding_damage_batch(et).num_rows == 0
 
     # quota sampling: empty input, empty quotas
     empty_kv = rd.from_arrow(
@@ -584,14 +493,6 @@ def test_round4g_ops_empty_and_degenerate_inputs(ray_session, tmp_path):
     # mixture over an empty corpus: quotas all zero (availability is zero)
     _, alloc = rebalance_mixture(empty_kv, "lang", "doc_id", {"en": 1.0}, total_n=5)
     assert alloc == {"en": 0}
-
-    # semdedup on empty embeddings
-    empty_vec = rd.from_arrow(pa.table({
-        "vec_id": pa.array([], type=pa.int64()),
-        "embedding": pa.array([], type=pa.list_(pa.float64())),
-    }))
-    centers = np.eye(2)
-    assert len(semdedup(empty_vec, "vec_id", "embedding", centers=centers).to_pandas()) == 0
 
     # partitioned sink over an empty dataset: no partitions, empty summary
     out_dir = str(tmp_path / "empty_sink")
@@ -605,16 +506,13 @@ def test_round4g_ops_empty_and_degenerate_inputs(ray_session, tmp_path):
 def test_matrix_kernels_survive_empty_blocks(ray_session):
     """A zero-row block (empty parquet file / filter that drains a block)
     must flow through every matmul consumer: the (0, 0) matrix from an
-    empty variable-size list column used to crash topk/kmeans/moments."""
+    empty variable-size list column used to crash topk/moments."""
     import numpy as np
     import ray.data as rd
 
     from anomalydetection_ray.dedup.neardup import embedding_neardup_pairs
     from anomalydetection_ray.functions.similarity import (
         ivf_topk_cosine,
-        kmeans_assign,
-        kmeans_fit,
-        pq_topk_cosine,
         topk_cosine,
     )
     from anomalydetection_ray.functions.vector import streaming_moments
@@ -636,15 +534,8 @@ def test_matrix_kernels_survive_empty_blocks(ray_session):
     n, s, xx = streaming_moments(ds, "embedding")
     assert n == 60 and np.allclose(s, vecs.sum(axis=0)) and np.allclose(xx, vecs.T @ vecs)
 
-    centers, inertia, _ = kmeans_fit(ds, "vec_id", "embedding", k=4, iters=3, seed=3)
-    assert centers.shape == (4, 8) and np.isfinite(inertia)
-    assigned = kmeans_assign(ds, centers, vec_col="embedding")
-    assert assigned.count() == 60
-
     ivf = ivf_topk_cosine(ds, "vec_id", "embedding", q, k=5, n_cells=4, n_probe=4)
     assert len(ivf) == 10
-    pq_res = pq_topk_cosine(ds, "vec_id", "embedding", q, k=5, m=4)
-    assert len(pq_res) == 10
 
     pairs = embedding_neardup_pairs(ds, "vec_id", "embedding", dim=8, threshold=0.99)
     assert pairs.num_rows == 0  # random gaussians: no near-dups, no crash

@@ -112,46 +112,6 @@ def test_probe_rejecting_model_gets_contract_error():
         EmbeddingModelStage(model_factory=RejectsEmpty, text_col="t")
 
 
-def test_kmeans_fit_assign_blob_recovery_and_layout(ray_session):
-    """Distributed full-corpus k-means: recovers separated blobs, final
-    centers/inertia invariant to block layout (deterministic hash-rate
-    k-means++ init), kmeans_assign labels every row, k > n clamps."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data as rd
-
-    from anomalydetection_ray.functions.similarity import kmeans_assign, kmeans_fit
-
-    rng = np.random.default_rng(0)
-    blobs = np.concatenate([rng.normal(c, 0.05, size=(200, 4)) for c in (0.0, 1.0, 2.0)])
-    tbl = pa.table(
-        {
-            "id": pa.array(range(600)),
-            "embedding": pa.array([list(map(float, r)) for r in blobs], pa.list_(pa.float64())),
-        }
-    )
-    results = []
-    for nb in (1, 4, 9):
-        c, inertia, it = kmeans_fit(rd.from_arrow(tbl).repartition(nb), "id", k=3, seed=1)
-        results.append((np.sort(c[:, 0]), inertia))
-    base = results[0]
-    for r in results[1:]:
-        assert np.allclose(r[0], base[0], atol=1e-9) and abs(r[1] - base[1]) < 1e-6
-    assert np.allclose(base[0], [0.0, 1.0, 2.0], atol=0.02)
-
-    cent = kmeans_fit(rd.from_arrow(tbl), "id", k=3, seed=1)[0]
-    out = kmeans_assign(rd.from_arrow(tbl).repartition(3), cent, "embedding")
-    t = pa.concat_tables(out.iter_batches(batch_format="pyarrow", batch_size=None)).to_pandas()
-    assert sorted(t.groupby("cluster").size().tolist()) == [200, 200, 200]
-
-    # k larger than the corpus clamps to n points
-    tiny = pa.table(
-        {"id": pa.array([1, 2]), "embedding": pa.array([[0.0, 0.0], [5.0, 5.0]], pa.list_(pa.float64()))}
-    )
-    c, _, _ = kmeans_fit(rd.from_arrow(tiny), "id", k=10, seed=0, init_sample=10)
-    assert c.shape == (2, 2)
-
-
 def test_embedding_stage_kwargs_gpu_passthrough():
     """Round-4 verdict missing #3: GPU scheduling must reach the
     embedding actor pool's map_batches kwargs (untestable further on a
@@ -161,7 +121,6 @@ def test_embedding_stage_kwargs_gpu_passthrough():
     from anomalydetection_ray.functions.embedding import (
         HashedNgramModel,
         embedding_stage_kwargs,
-        vram_model_batch_size,
     )
 
     factory = partial(HashedNgramModel, dim=8)
@@ -182,12 +141,6 @@ def test_embedding_stage_kwargs_gpu_passthrough():
     # differently for autoscaler hints), concurrency auto-derived
     cpu = embedding_stage_kwargs(factory)
     assert "num_gpus" not in cpu and cpu["concurrency"] >= 1
-
-    # the VRAM heuristic: reference end_to_end_prediction.py:302-308
-    assert vram_model_batch_size(None, 1 << 20) == 256          # no GPU
-    assert vram_model_batch_size(16 << 30, 1 << 20) == 8192     # 16 GB, capped
-    assert vram_model_batch_size(1 << 30, 64 << 20) == 8        # tiny VRAM, floored
-    assert vram_model_batch_size(8 << 30, 32 << 20) == 128      # 4 GB usable / 32 MB row
 
 
 def test_predict_config_gpu_knobs_reach_stage_kwargs():

@@ -1,6 +1,5 @@
 """kNN-distance outlier scoring (functions/similarity.py): exact-plan
-numpy parity, IVF degenerate exactness (n_probe == n_cells), IVF recall
-on clustered data, layout invariance, and the loud guards."""
+numpy parity, layout invariance, and the loud guards."""
 
 from __future__ import annotations
 
@@ -9,14 +8,9 @@ import pandas as pd
 import pytest
 
 
-def _vecs(n, d, seed=3, clusters=0):
+def _vecs(n, d, seed=3):
     rng = np.random.default_rng(seed)
-    if clusters:
-        centers = rng.normal(size=(clusters, d)) * 4.0
-        m = centers[rng.integers(0, clusters, n)] + rng.normal(size=(n, d)) * 0.3
-    else:
-        m = rng.normal(size=(n, d))
-    return m.astype(np.float32)
+    return rng.normal(size=(n, d)).astype(np.float32)
 
 
 def _frame(m):
@@ -74,38 +68,6 @@ def test_k_larger_than_corpus_clamps(ray_session):
     np.testing.assert_allclose(got["knn_mean_dist"], ref_mean, atol=1e-12)
 
 
-def test_ivf_degenerate_is_exact(ray_session):
-    from anomalydetection_ray.functions.similarity import knn_outlier_scores_ivf
-
-    m = _vecs(250, 10, seed=7)
-    ref_dist, ref_mean = _ref(m, 6)
-    got = _sorted(
-        knn_outlier_scores_ivf(
-            _ds(_frame(m)), "vec_id", "embedding", k=6, n_cells=8, n_probe=8, train_sample=500
-        )
-    )
-    assert len(got) == 250
-    np.testing.assert_allclose(got["knn_dist"], ref_dist, atol=1e-12)
-    np.testing.assert_allclose(got["knn_mean_dist"], ref_mean, atol=1e-12)
-
-
-def test_ivf_recall_on_clustered_data(ray_session):
-    from anomalydetection_ray.functions.similarity import knn_outlier_scores_ivf
-
-    m = _vecs(500, 16, seed=13, clusters=8)
-    ref_dist, _ = _ref(m, 5)
-    got = _sorted(
-        knn_outlier_scores_ivf(
-            _ds(_frame(m)), "vec_id", "embedding", k=5, n_cells=16, n_probe=6, train_sample=500
-        )
-    )
-    assert len(got) == 500
-    # approximate scores can only MISS neighbors, never invent closer ones
-    assert (got["knn_dist"].to_numpy() >= ref_dist - 1e-9).all()
-    frac_exact = float(np.mean(np.abs(got["knn_dist"].to_numpy() - ref_dist) < 1e-9))
-    assert frac_exact >= 0.9, frac_exact
-
-
 def test_guards(ray_session):
     import ray.data as rd
 
@@ -124,56 +86,3 @@ def test_guards(ray_session):
         knn_outlier_scores(
             rd.from_pandas(_frame(m)).filter(expr="vec_id < 0"), "vec_id", "embedding"
         )
-
-
-def test_ivf_isolated_row_scores_inf_not_dropped(ray_session):
-    """Round-5 review: a row whose probed cells hold no non-self
-    candidate used to vanish from the output entirely; it must score
-    knn_dist = +inf (maximal outlierness)."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data as rd
-
-    from anomalydetection_ray.functions.similarity import knn_outlier_scores_ivf
-
-    rng = np.random.default_rng(5)
-    # a tight cluster + one far-away isolate; few cells, n_probe=1 so the
-    # isolate probes only its own (singleton) cell
-    cluster = rng.normal(0, 0.01, size=(30, 4)) + np.array([1.0, 0, 0, 0])
-    iso = np.array([[-100.0, -100.0, -100.0, -100.0]])
-    vecs = np.vstack([cluster, iso])
-    t = pa.table({
-        "id": pa.array(range(len(vecs)), pa.int64()),
-        "embedding": [row.tolist() for row in vecs],
-    })
-    out = knn_outlier_scores_ivf(
-        rd.from_arrow(t).repartition(3), "id", k=3, n_cells=4, n_probe=1, train_sample=31,
-    ).to_pandas()
-    assert len(out) == len(vecs)  # EVERY row scored
-    iso_row = out[out["id"] == len(vecs) - 1]
-    # either scored against real candidates (if it shares a cell) or inf;
-    # it must be the most outlying row either way
-    assert iso_row["knn_dist"].iloc[0] == out["knn_dist"].max()
-
-
-def test_ivf_duplicate_ids_raise(ray_session):
-    """Round-5 review: the IVF path must reject duplicate ids like the
-    exact path, not silently merge their partials."""
-    import numpy as np
-    import pyarrow as pa
-    import pytest
-    import ray.data as rd
-
-    from anomalydetection_ray.functions.similarity import knn_outlier_scores_ivf
-
-    rng = np.random.default_rng(6)
-    vecs = rng.normal(size=(12, 4))
-    ids = list(range(11)) + [0]  # duplicate id 0
-    t = pa.table({
-        "id": pa.array(ids, pa.int64()),
-        "embedding": [row.tolist() for row in vecs],
-    })
-    with pytest.raises(Exception, match="duplicate ids"):
-        knn_outlier_scores_ivf(
-            rd.from_arrow(t), "id", k=2, n_cells=2, n_probe=2, train_sample=12
-        ).to_pandas()

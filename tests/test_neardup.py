@@ -85,11 +85,13 @@ def test_simhash_dedup_finds_planted(ray_session, docs_ds):
 
 
 def test_simhash_hamming_properties():
-    from anomalydetection_ray.sketches.simhash import hamming_distance, simhash_text
+    from anomalydetection_ray.sketches.simhash import batch_simhash_fnv, hamming_distance
 
-    a = simhash_text("the quick brown fox jumps over the lazy dog " * 10)
-    b = simhash_text("the quick brown fox jumps over the lazy dogs " * 10)
-    c = simhash_text("entirely unrelated words about compilers and parsers zebra")
+    a, b, c = batch_simhash_fnv(np.array([
+        "the quick brown fox jumps over the lazy dog " * 10,
+        "the quick brown fox jumps over the lazy dogs " * 10,
+        "entirely unrelated words about compilers and parsers zebra",
+    ], dtype=object))
     d_ab = int(hamming_distance(np.array([a]), np.array([b]))[0])
     d_ac = int(hamming_distance(np.array([a]), np.array([c]))[0])
     assert d_ab < d_ac
@@ -113,8 +115,7 @@ def _emb_table(n=60, d=16, seed=7):
 def test_embedding_neardup_and_dedup(ray_session):
     import ray.data as rd
 
-    from anomalydetection_ray.dedup import embedding_cosine_dedup, embedding_neardup_pairs
-    from anomalydetection_ray.pipelines.queries import as_table
+    from anomalydetection_ray.dedup import embedding_neardup_pairs
 
     tbl, m = _emb_table()
     ds = rd.from_arrow(tbl)
@@ -125,13 +126,6 @@ def test_embedding_neardup_and_dedup(ray_session):
     want = sorted((i, j) for i in range(len(m)) for j in range(i + 1, len(m)) if sims[i, j] >= 0.99)
     assert got == want
     assert (0, 1) in got and (10, 11) in got
-
-    ds2 = rd.from_arrow(tbl)
-    surv = as_table(embedding_cosine_dedup(ds2, "vec_id", "embedding", dim=16, threshold=0.99))
-    kept = sorted(surv["vec_id"].to_pylist())
-    assert 0 in kept and 1 not in kept
-    assert 10 in kept and 11 not in kept
-    assert len(kept) == len(m) - 2
 
 
 def test_topk_cosine_exact(ray_session):
@@ -553,277 +547,6 @@ def test_rounds_path_above_matrix_cap_matches_distributed(ray_session):
     assert len(got) < n - 2000
 
 
-def test_pq_topk_recall_and_determinism(ray_session):
-    import numpy as np
-    import pyarrow as pa
-    import ray.data as rd
-
-    from anomalydetection_ray.functions.similarity import (
-        pq_encode,
-        pq_fit,
-        pq_topk_cosine,
-        topk_cosine,
-    )
-
-    rng = np.random.default_rng(19)
-    # planted design: each query has 10 TRUE neighbors (query + tiny
-    # noise) against a well-separated background, so the exact top-10 has
-    # a margin far above PQ's quantization error (a corpus of
-    # near-identical cluster members would make recall@10 meaningless —
-    # any quantizer scrambles sub-error-sized margins)
-    queries = rng.standard_normal((4, 16)) * 4
-    planted = np.concatenate(
-        [queries[i] + rng.standard_normal((10, 16)) * 0.05 for i in range(4)]
-    )
-    background = rng.standard_normal((1760, 16)) * 4
-    x = np.concatenate([planted, background])
-    ids = np.arange(len(x), dtype=np.int64)
-    tbl = pa.table(
-        {"vec_id": ids, "embedding": pa.array([r.tolist() for r in x], type=pa.list_(pa.float64()))}
-    )
-    q = queries
-    exact = topk_cosine(rd.from_arrow(tbl), "vec_id", "embedding", q, k=10)
-    recalls, results = [], []
-    for parts in (2, 7):
-        ds = rd.from_arrow(tbl).repartition(parts)
-        approx = pq_topk_cosine(ds, "vec_id", "embedding", q, k=10, m=4, nbits=6, seed=5)
-        results.append(approx)
-        for qi in range(4):
-            e = set(exact[exact["query_id"] == qi]["vec_id"])
-            a = set(approx[approx["query_id"] == qi]["vec_id"])
-            recalls.append(len(e & a) / len(e))
-    # layout-invariant: sorted hash sample -> same codebooks -> same codes
-    import pandas as pd
-
-    pd.testing.assert_frame_equal(
-        results[0].reset_index(drop=True), results[1].reset_index(drop=True)
-    )
-    assert np.mean(recalls) >= 0.7, recalls
-
-    # encode: shape/dtype + compression contract
-    cb = pq_fit(rd.from_arrow(tbl), "vec_id", "embedding", m=4, nbits=6, seed=5)
-    assert cb.shape == (4, 64, 4)
-    codes = pq_encode(rd.from_arrow(tbl), "vec_id", "embedding", cb).to_pandas()
-    assert len(codes) == 1800
-    first = np.asarray(codes["pq_code"].iloc[0])
-    assert first.shape == (4,) and first.dtype == np.uint8
-
-    import pytest as _pytest
-
-    with _pytest.raises(ValueError):
-        pq_fit(rd.from_arrow(tbl), "vec_id", "embedding", m=5)  # 16 % 5 != 0
-    with _pytest.raises(ValueError):
-        pq_fit(rd.from_arrow(tbl), "vec_id", "embedding", nbits=9)
-
-
-def test_ivfpq_topk_recall_and_pruning(ray_session):
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data as rd
-
-    from anomalydetection_ray.functions.similarity import (
-        ivfpq_encode,
-        ivfpq_topk_cosine,
-        pq_topk_cosine,
-        topk_cosine,
-        train_centroids,
-    )
-
-    rng = np.random.default_rng(23)
-    queries = rng.standard_normal((3, 16)) * 4
-    planted = np.concatenate([queries[i] + rng.standard_normal((10, 16)) * 0.05 for i in range(3)])
-    background = rng.standard_normal((1470, 16)) * 4
-    x = np.concatenate([planted, background])
-    tbl = pa.table(
-        {
-            "vec_id": pa.array(np.arange(len(x), dtype=np.int64)),
-            "embedding": pa.array([r.tolist() for r in x], type=pa.list_(pa.float64())),
-        }
-    )
-    exact = topk_cosine(rd.from_arrow(tbl), "vec_id", "embedding", queries, k=10)
-    approx = ivfpq_topk_cosine(
-        rd.from_arrow(tbl).repartition(4), "vec_id", "embedding", queries,
-        k=10, n_cells=16, n_probe=4, m=4, nbits=6, seed=3,
-    )
-    recalls = []
-    for qi in range(3):
-        e = set(exact[exact["query_id"] == qi]["vec_id"])
-        a = set(approx[approx["query_id"] == qi]["vec_id"])
-        recalls.append(len(e & a) / len(e))
-    assert np.mean(recalls) >= 0.7, recalls
-    # probing every cell degenerates to plain PQ (same scores, same docs)
-    full = ivfpq_topk_cosine(
-        rd.from_arrow(tbl), "vec_id", "embedding", queries,
-        k=10, n_cells=16, n_probe=16, m=4, nbits=6, seed=3,
-    )
-    pq = pq_topk_cosine(rd.from_arrow(tbl), "vec_id", "embedding", queries, k=10, m=4, nbits=6, seed=3)
-    pd.testing.assert_frame_equal(full.reset_index(drop=True), pq.reset_index(drop=True))
-    # index rows carry exactly (id, cell, m codes)
-    cent = train_centroids(x, 16, seed=3)
-    from anomalydetection_ray.functions.similarity import _kmeans_euclid, _normalize
-
-    xn = _normalize(x)
-    cb = np.stack([_kmeans_euclid(xn[:, j * 4 : (j + 1) * 4], 64, seed=3 + j) for j in range(4)])
-    idx = ivfpq_encode(rd.from_arrow(tbl), "vec_id", "embedding", cent, cb).to_pandas()
-    assert list(idx.columns) == ["vec_id", "cell", "pq_code"]
-    assert idx["cell"].between(0, 15).all() and len(idx) == len(x)
-
-
-# ---------------------------------------------------------------------------
-# SemDeDup (cluster-then-compare semantic dedup)
-# ---------------------------------------------------------------------------
-
-
-def _semdedup_fixture(seed=29, n_groups=12, dim=16):
-    """Well-separated anchor directions, each with a few near-duplicate
-    perturbations (cosine > 0.995) and one far rotation (cosine < 0.8)."""
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    ids, vecs, want_groups = [], [], []
-    next_id = 0
-    anchors = rng.normal(size=(n_groups, dim))
-    anchors /= np.linalg.norm(anchors, axis=1, keepdims=True)
-    for g in range(n_groups):
-        members = []
-        for _ in range(rng.integers(1, 4)):
-            v = anchors[g] + rng.normal(scale=0.01, size=dim)
-            ids.append(next_id); vecs.append(v); members.append(next_id); next_id += 1
-        want_groups.append(members)
-        # a non-duplicate that still lands nearest this anchor
-        v = anchors[g] + rng.normal(scale=0.45, size=dim)
-        ids.append(next_id); vecs.append(v); want_groups.append([next_id]); next_id += 1
-    return ids, vecs, want_groups
-
-
-def _brute_survivors(ids, vecs, threshold):
-    import numpy as np
-
-    x = np.asarray(vecs, dtype=np.float64)
-    u = x / np.linalg.norm(x, axis=1, keepdims=True)
-    sim = u @ u.T
-    n = len(ids)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a in range(n):
-        for b in range(a + 1, n):
-            if sim[a, b] >= threshold:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-    comp = {}
-    for i in range(n):
-        comp.setdefault(find(i), []).append(ids[i])
-    return sorted(min(m) for m in comp.values())
-
-
-def test_semdedup_single_cluster_equals_global_brute_force(ray_session):
-    import pyarrow as pa
-    import ray.data as rd
-
-    from anomalydetection_ray.dedup import semdedup
-
-    ids, vecs, _ = _semdedup_fixture()
-    t = pa.table({"vec_id": pa.array(ids, type=pa.int64()),
-                  "embedding": pa.array([list(map(float, v)) for v in vecs],
-                                        type=pa.list_(pa.float32()))})
-    want = _brute_survivors(ids, vecs, 0.98)
-    # k=1: one cluster -> SemDeDup degenerates to exact global dedup
-    got = (
-        semdedup(rd.from_arrow(t).repartition(4), "vec_id", "embedding", k=1, threshold=0.98)
-        .to_pandas()["vec_id"]
-        .sort_values()
-        .tolist()
-    )
-    assert got == want
-
-
-def test_semdedup_clustered_drops_planted_duplicates(ray_session):
-    import numpy as np
-    import pyarrow as pa
-    import ray.data as rd
-
-    from anomalydetection_ray.dedup import semdedup
-
-    ids, vecs, want_groups = _semdedup_fixture()
-    t = pa.table({"vec_id": pa.array(ids, type=pa.int64()),
-                  "embedding": pa.array([list(map(float, v)) for v in vecs],
-                                        type=pa.list_(pa.float32()))})
-    want = sorted(min(m) for m in want_groups)
-    for parts in (1, 5):
-        got = (
-            semdedup(rd.from_arrow(t).repartition(parts), "vec_id", "embedding",
-                     k=12, threshold=0.98, iters=15, seed=7)
-            .to_pandas()
-        )
-        assert got["vec_id"].sort_values().tolist() == want
-        assert "cluster" in got.columns
-    # far_from_centroid keeps exactly one member per planted group too
-    got2 = semdedup(rd.from_arrow(t), "vec_id", "embedding", k=12, threshold=0.98,
-                    iters=15, seed=7, keep="far_from_centroid").to_pandas()
-    assert len(got2) == len(want)
-    by_group = {m: i for i, ms in enumerate(want_groups) for m in ms}
-    kept_groups = [by_group[v] for v in got2["vec_id"]]
-    assert sorted(kept_groups) == list(range(len(want_groups)))
-
-
-def test_semdedup_string_ids(ray_session):
-    # UUID/hash string ids are first-class across the dedup family; a
-    # hard int64 cast used to crash deep inside execution
-    import pyarrow as pa
-    import ray.data as rd
-
-    from anomalydetection_ray.dedup import semdedup
-
-    ids, vecs, _ = _semdedup_fixture()
-    sids = [f"doc-{i:04d}" for i in ids]
-    t = pa.table({"vec_id": pa.array(sids, type=pa.string()),
-                  "embedding": pa.array([list(map(float, v)) for v in vecs],
-                                        type=pa.list_(pa.float32()))})
-    want = [f"doc-{i:04d}" for i in _brute_survivors(ids, vecs, 0.98)]
-    got = (
-        semdedup(rd.from_arrow(t).repartition(3), "vec_id", "embedding", k=1, threshold=0.98)
-        .to_pandas()["vec_id"]
-        .sort_values()
-        .tolist()
-    )
-    assert got == want  # min-string-id survivor == min-int-id survivor here
-
-
-def test_semdedup_validation_and_precomputed_centers(ray_session):
-    import numpy as np
-    import pyarrow as pa
-    import pytest as _pytest
-    import ray.data as rd
-
-    from anomalydetection_ray.dedup import semdedup
-
-    ids, vecs, want_groups = _semdedup_fixture()
-    t = pa.table({"vec_id": pa.array(ids, type=pa.int64()),
-                  "embedding": pa.array([list(map(float, v)) for v in vecs],
-                                        type=pa.list_(pa.float32()))})
-    with _pytest.raises(ValueError, match="keep"):
-        semdedup(rd.from_arrow(t), "vec_id", "embedding", keep="best")
-    with _pytest.raises(ValueError, match="threshold"):
-        semdedup(rd.from_arrow(t), "vec_id", "embedding", threshold=0.0)
-    # precomputed centers skip the fit and give the same survivors
-    from anomalydetection_ray.functions.similarity import kmeans_fit
-
-    centers, _, _ = kmeans_fit(rd.from_arrow(t), "vec_id", "embedding", k=12, iters=15, seed=7)
-    a = semdedup(rd.from_arrow(t), "vec_id", "embedding", k=12, threshold=0.98,
-                 iters=15, seed=7).to_pandas()["vec_id"].sort_values().tolist()
-    b = semdedup(rd.from_arrow(t), "vec_id", "embedding", threshold=0.98,
-                 centers=centers).to_pandas()["vec_id"].sort_values().tolist()
-    assert a == b
-
-
 def test_duplicate_ids_raise_on_every_verify_plan(ray_session):
     """Round-5 review: duplicate corpus ids used to raise only on the
     in-process plans; the broadcast-store verify plan silently verified
@@ -853,19 +576,3 @@ def test_duplicate_ids_raise_on_every_verify_plan(ray_session):
         neardup.minhash_lsh_dedup_verified(
             ds, "doc_id", "text", 0.8, size_hint_bytes=1024, driver_max_edges=0
         )
-
-
-def test_semdedup_accepts_pandas_backed_dataset(ray_session):
-    """Round-5 review: the up-front cluster_col check iterated
-    schema().base_schema, which is a PandasBlockSchema namedtuple on
-    from_pandas datasets and crashed before any work ran."""
-    import pandas as pd
-    import ray.data as rd
-
-    from anomalydetection_ray.dedup.semantic import semdedup
-
-    rng = np.random.default_rng(0)
-    v = rng.normal(size=(30, 4))
-    df = pd.DataFrame({"vec_id": np.arange(30), "embedding": [r.tolist() for r in v]})
-    out = semdedup(rd.from_pandas(df), "vec_id", "embedding", k=2, threshold=0.99)
-    assert out.count() <= 30

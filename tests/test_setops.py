@@ -19,7 +19,6 @@ def test_set_ops_match_python_sets(ray_session):
     from anomalydetection_ray.functions.setops import (
         except_distinct,
         intersect_distinct,
-        union_distinct,
     )
 
     rng = np.random.default_rng(2)
@@ -30,7 +29,6 @@ def test_set_ops_match_python_sets(ray_session):
     sa, sb = set(a_vals.tolist()), set(b_vals.tolist())
     assert _got(intersect_distinct(a, b, ["k"])) == sorted([(v,) for v in sa & sb], key=str)
     assert _got(except_distinct(a, b, ["k"])) == sorted([(v,) for v in sa - sb], key=str)
-    assert _got(union_distinct(a, b, ["k"])) == sorted([(v,) for v in sa | sb], key=str)
 
 
 def test_set_ops_multi_column_and_parallelism(ray_session):
@@ -165,58 +163,3 @@ def test_grouped_topk_exact_and_deterministic(ray_session):
             .reset_index(drop=True)[expect.columns.tolist()]
         )
         assert got.equals(expect)
-
-
-def test_impute_group_stat_matches_duckdb(ray_session):
-    import duckdb
-    import numpy as np
-    import pandas as pd
-    import ray.data as rd
-
-    from anomalydetection_ray.functions.shuffle import impute_group_stat
-
-    rng = np.random.default_rng(6)
-    n = 2000
-    df = pd.DataFrame(
-        {
-            "id": np.arange(n, dtype=np.int64),
-            "g": rng.choice(["a", "b", "c"], size=n),
-            "v": rng.standard_normal(n) * 10,
-        }
-    )
-    df.loc[rng.choice(n, 200, replace=False), "v"] = np.nan
-    df.loc[df["g"] == "c", "v"] = np.nan  # all-null group: stays null
-    t = pa.table({"id": df["id"], "g": df["g"], "v": pa.array(df["v"], from_pandas=True)})
-    con = duckdb.connect()
-    con.register("t", df)
-    for stat, sql_stat in (("median", "median"), ("mean", "avg")):
-        got = (
-            impute_group_stat(rd.from_arrow(t).repartition(5), ["g"], "v", stat=stat)
-            .to_pandas()
-            .sort_values("id")
-            .reset_index(drop=True)
-        )
-        want = con.sql(
-            f"SELECT id, g, COALESCE(v, {sql_stat}(v) OVER (PARTITION BY g)) AS v FROM t ORDER BY id"
-        ).df()
-        assert np.allclose(got["v"], want["v"], equal_nan=True), stat
-        assert got.loc[got["g"] == "c", "v"].isna().all()
-    # out_col keeps the original column; reference-stats path wins over data
-    ref = pd.DataFrame({"g": ["a", "b", "c"], "fill": [0.0, 1.0, 2.0]})
-    got2 = (
-        impute_group_stat(rd.from_arrow(t), ["g"], "v", stats=ref, out_col="v_f")
-        .to_pandas()
-        .sort_values("id")
-        .reset_index(drop=True)
-    )
-    mask = got2["v"].isna()
-    assert got2["v_f"].notna().all()
-    assert (got2.loc[mask & (got2["g"] == "c"), "v_f"] == 2.0).all()
-    assert np.allclose(got2.loc[~mask, "v_f"], got2.loc[~mask, "v"])
-
-    import pytest as _pytest
-
-    with _pytest.raises(ValueError):
-        impute_group_stat(rd.from_arrow(t), ["g"], "v", stat="mode")
-    with _pytest.raises(ValueError):
-        impute_group_stat(rd.from_arrow(t), ["g"], "v", stats=pd.DataFrame({"g": []}))

@@ -13,9 +13,9 @@ import pytest
 
 from anomalydetection_ray.sketches import BloomFilter, FixedHistogram, HyperLogLog, KLL
 from anomalydetection_ray.sketches.histogram import ks_statistic, psi
+from anomalydetection_ray.sketches.hll import _avalanche, _fnv1a
 from anomalydetection_ray.sketches.minhash import (
     MinHasher,
-    band_keys,
     batch_band_keys,
     concat_hash_sets,
     exact_jaccard,
@@ -23,11 +23,41 @@ from anomalydetection_ray.sketches.minhash import (
     word_hashes,
 )
 from anomalydetection_ray.sketches.simhash import (
+    _md5_token_hash,
     batch_simhash_fnv,
     hamming_distance,
     popcount64,
-    simhash_text,
 )
+
+
+def _band_keys_ref(sig: np.ndarray, bands: int) -> np.ndarray:
+    """Per-doc reference for batch_band_keys: (bands,) uint64 bucket hash
+    per band of one signature."""
+    rows = len(sig) // bands
+    view = sig[: bands * rows].reshape(bands, rows)
+    key = np.zeros(bands, dtype=np.uint64)
+    for r in range(rows):
+        key = _avalanche(key ^ view[:, r])
+    return key
+
+
+def _simhash_text_ref(text: str, token_hash: str = "fnv") -> np.uint64:
+    """Per-doc reference for the batch SimHash kernels: 64-bit SimHash
+    over whitespace tokens, distinct tokens weighted by count."""
+    toks = text.split()
+    if not toks:
+        return np.uint64(0)
+    uniq, counts = np.unique(np.array(toks, dtype=object), return_counts=True)
+    if token_hash == "md5":
+        hashes = np.array([_md5_token_hash(t) for t in uniq], dtype=np.uint64)
+    else:
+        hashes = np.array([_fnv1a(t.encode("utf-8", "surrogatepass")) for t in uniq], dtype=np.uint64)
+    bits = ((hashes[:, None] >> np.arange(64, dtype=np.uint64)[None, :]) & np.uint64(1)).astype(np.int64)
+    col = ((2 * bits - 1) * counts[:, None].astype(np.int64)).sum(axis=0)
+    fp = np.uint64(0)
+    for i in np.nonzero(col > 0)[0]:
+        fp |= np.uint64(1) << np.uint64(i)
+    return fp
 
 
 # ---------------- HLL ----------------
@@ -204,7 +234,7 @@ def test_minhash_band_collision_for_near_dups():
     t1 = " ".join(rng.choice(words, 800))  # long, varied → many unique shingles
     t2 = t1 + " trailing comment"
     s1, s2 = mh.signature(shingle_hashes(t1)), mh.signature(shingle_hashes(t2))
-    b1, b2 = band_keys(s1, bands=16), band_keys(s2, bands=16)
+    b1, b2 = batch_band_keys(np.stack([s1, s2]), bands=16)
     assert (b1 == b2).any()  # near-dups share at least one band
 
 
@@ -218,7 +248,7 @@ def test_simhash_near_vs_far():
     t1 = "import numpy as np\n" * 50 + "x = 1\n"
     t2 = "import numpy as np\n" * 50 + "x = 2\n"
     t3 = "SELECT * FROM completely_other_table WHERE z > 9\n" * 50
-    f1, f2, f3 = simhash_text(t1), simhash_text(t2), simhash_text(t3)
+    f1, f2, f3 = batch_simhash_fnv(np.array([t1, t2, t3], dtype=object))
     d12 = hamming_distance(np.array([f1]), np.array([f2]))[0]
     d13 = hamming_distance(np.array([f1]), np.array([f3]))[0]
     assert d12 <= 8
@@ -323,7 +353,7 @@ def test_batch_signatures_bit_identical_to_per_doc(shingle):
     hasher = (lambda t: shingle_hashes(t, 5)) if shingle == "char" else word_hashes
     hs = [hasher(t) for t in _PARITY_TEXTS]
     ref_sigs = np.stack([mh.signature(h) for h in hs])
-    ref_keys = np.stack([band_keys(s, 32) for s in ref_sigs])
+    ref_keys = np.stack([_band_keys_ref(s, 32) for s in ref_sigs])
     values, offsets = concat_hash_sets(hs)
     sigs = mh.batch_signatures(values, offsets)
     keys = batch_band_keys(sigs, 32)
@@ -358,7 +388,7 @@ def test_batch_signatures_odd_slab_boundaries():
 def test_batch_simhash_fnv_bit_identical():
     texts = np.array(_PARITY_TEXTS + [None], dtype=object)
     ref = np.array(
-        [np.uint64(simhash_text(t if t is not None else "", "fnv")) for t in texts],
+        [_simhash_text_ref(t if t is not None else "", "fnv") for t in texts],
         dtype=np.uint64,
     )
     assert np.array_equal(ref, batch_simhash_fnv(texts))
@@ -370,7 +400,7 @@ def test_batch_simhash_md5_bit_identical():
 
     texts = np.array(_PARITY_TEXTS + [None], dtype=object)
     ref = np.array(
-        [np.uint64(simhash_text(t if t is not None else "", "md5")) for t in texts],
+        [_simhash_text_ref(t if t is not None else "", "md5") for t in texts],
         dtype=np.uint64,
     )
     assert np.array_equal(ref, batch_simhash_md5(texts))

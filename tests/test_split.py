@@ -361,56 +361,3 @@ def test_grouped_quota_sample_null_and_missing_groups(ray_session):
 
     with _pytest.raises(ValueError):
         grouped_quota_sample(rd.from_arrow(t), "lang", "doc_id", {"en": -1})
-
-
-def test_quantile_gate_per_group_band(ray_session):
-    import numpy as np
-    import pyarrow as pa
-    import ray.data as rd
-
-    from anomalydetection_ray.functions.split import quantile_gate, quantile_thresholds
-
-    rng = np.random.default_rng(3)
-    langs = ["en"] * 200 + ["de"] * 100
-    vals = np.concatenate([rng.normal(100, 10, 200), rng.normal(500, 50, 100)])
-    vcol = pa.array(vals, type=pa.float64()).to_pylist()
-    vcol[5] = None  # null value -> excluded from thresholds AND dropped by the gate
-    t = pa.table({
-        "lang": pa.array(langs, type=pa.string()),
-        "v": pa.array(vcol, type=pa.float64()),
-    })
-    ds = rd.from_arrow(t).repartition(4)
-    gated, th = quantile_gate(ds, ["lang"], "v", 0.1, 0.9)
-    out = gated.to_pandas()
-    # every surviving row is inside ITS group's band
-    th_i = th.set_index("lang")
-    for lang, g in out.groupby("lang"):
-        lo, hi = th_i.loc[lang, "lo"], th_i.loc[lang, "hi"]
-        assert (g["v"] >= lo).all() and (g["v"] <= hi).all()
-    # per-group trim: ~80% survive within each group, not one global cut
-    vc = out["lang"].value_counts()
-    assert 150 <= vc["en"] <= 170 and 70 <= vc["de"] <= 85
-    assert not out["v"].isna().any()
-    # numpy percentile parity with the broadcast thresholds
-    en = np.asarray([v for l, v in zip(langs, vcol) if l == "en" and v is not None])
-    assert th_i.loc["en", "lo"] == np.percentile(en, 10)
-    assert th_i.loc["en", "hi"] == np.percentile(en, 90)
-
-
-def test_quantile_gate_frozen_thresholds_and_unseen_group(ray_session):
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data as rd
-
-    from anomalydetection_ray.functions.split import quantile_gate
-
-    t = pa.table({
-        "lang": pa.array(["en", "en", "xx", None], type=pa.string()),
-        "v": pa.array([5.0, 50.0, 5.0, 5.0], type=pa.float64()),
-    })
-    th = pd.DataFrame({"lang": ["en"], "lo": [0.0], "hi": [10.0]})
-    gated, th_out = quantile_gate(rd.from_arrow(t), ["lang"], "v", thresholds=th)
-    out = gated.to_pandas()
-    # frozen thresholds honored; unseen group 'xx' and null group dropped
-    assert out["lang"].tolist() == ["en"] and out["v"].tolist() == [5.0]
-    assert th_out is th

@@ -108,85 +108,6 @@ def test_curation_gate_drops_pii_and_repetition(ray_session, tmp_path):
     )
 
 
-# ---------------------------------------------------------------------------
-# Winnowing rolling-hash fingerprints (Schleimer et al. 2003)
-# ---------------------------------------------------------------------------
-
-
-def test_winnow_guarantee_shared_substring():
-    """Two texts sharing any substring of length >= w + k - 1 must share
-    at least one fingerprint — the winnowing guarantee, 50 random cases."""
-    import numpy as np
-
-    from anomalydetection_ray.functions.text import _winnow_one
-
-    k, w = 8, 16
-    rng = np.random.default_rng(11)
-    letters = np.frombuffer(b"abcdefghijklmnopqrstuvwxyz", dtype=np.uint8)
-    for _ in range(50):
-        shared = rng.choice(letters, w + k - 1)
-        t1 = np.concatenate([rng.choice(letters, rng.integers(0, 80)), shared,
-                             rng.choice(letters, rng.integers(0, 80))])
-        t2 = np.concatenate([rng.choice(letters, rng.integers(0, 80)), shared,
-                             rng.choice(letters, rng.integers(0, 80))])
-        f1, f2 = _winnow_one(t1, k, w), _winnow_one(t2, k, w)
-        assert len(np.intersect1d(f1, f2)) >= 1
-
-
-def test_winnow_disjoint_alphabets_share_nothing():
-    import numpy as np
-
-    from anomalydetection_ray.functions.text import _winnow_one
-
-    a = np.frombuffer(b"aaabbbcccdddeeefffggghhhiiijjjkkklllmmm" * 3, dtype=np.uint8)
-    b = np.frombuffer(b"AAABBBCCCDDDEEEFFFGGGHHHIIIJJJKKKLLLMMM" * 3, dtype=np.uint8)
-    assert len(np.intersect1d(_winnow_one(a, 8, 16), _winnow_one(b, 8, 16))) == 0
-
-
-def test_winnow_batch_nulls_and_short_text():
-    from anomalydetection_ray.functions.text import winnow_fingerprints_batch
-
-    tb = pa.table({"text": pa.array([None, "short", "x" * 100], type=pa.string())})
-    out = winnow_fingerprints_batch(tb, k=8, w=16)
-    col = out["fingerprints"].to_pylist()
-    assert col[0] is None
-    assert col[1] == []  # 5 bytes < k
-    assert len(col[2]) >= 1
-    # deterministic across calls
-    again = winnow_fingerprints_batch(tb, k=8, w=16)["fingerprints"].to_pylist()
-    assert col == again
-
-
-@pytest.mark.parametrize("nblocks", [1, 5])
-def test_winnow_containment_pairs_end_to_end(ray_session, nblocks):
-    import ray.data as rd
-
-    from anomalydetection_ray.functions.text import winnow_containment_pairs
-    from anomalydetection_ray.pipelines.queries import as_table
-
-    chunk = "the quick brown fox jumps over the lazy dog near the river bank today"
-    docs = pa.table(
-        {
-            "doc_id": pa.array([1, 2, 3, 4], type=pa.int64()),
-            "text": [
-                # disjoint 8-gram vocabularies outside the planted chunk, so
-                # the ONLY shared fingerprints come from the chunk itself
-                # (any shared k-gram may legitimately fire a fingerprint —
-                # that is what min_shared filters in real corpora)
-                "0123456789012345678901234567890123456789 " + chunk,
-                "TOTALLY DIFFERENT CONTENT ABOUT DATABASES AND QUERY PLANNERS",
-                chunk + " ~!~@~#~$~%~^~&~*~(~)~_~+~{~}~|~:~<~>~?~",
-                None,
-            ],
-        }
-    )
-    ds = rd.from_arrow(docs).repartition(nblocks)
-    got = as_table(winnow_containment_pairs(ds, min_shared=1)).to_pandas()
-    pairs = set(zip(got["a"], got["b"]))
-    assert pairs == {(1, 3)}
-    assert (got["shared"] >= 1).all()
-
-
 def test_term_doc_stats_and_tfidf_topk(ray_session):
     import duckdb
     import numpy as np
@@ -239,20 +160,15 @@ def test_term_doc_stats_and_tfidf_topk(ray_session):
 
 
 def test_bm25_scores_match_python_reference(ray_session):
-    """BM25 (Okapi, Lucene idf): exact parity with a per-doc Python
-    reference at any block layout; zero score for docs with no query
-    term; top-k equals the scores sort; corpus-stats reuse; guards."""
+    """BM25 (Okapi, Lucene idf): corpus stats match a per-doc Python
+    reference at any block layout; per-row scores match it too; zero
+    score for docs with no query term; guards."""
     import math
 
     import numpy as np
     import ray.data as rd
 
-    from anomalydetection_ray.functions.text import (
-        bm25_corpus_stats,
-        bm25_scores,
-        bm25_topk,
-    )
-    from anomalydetection_ray.pipelines.queries import as_table
+    from anomalydetection_ray.functions.text import bm25_corpus_stats, bm25_score_batch
 
     texts = [
         "hash join fast",
@@ -290,27 +206,14 @@ def test_bm25_scores_match_python_reference(ray_session):
         ds = rd.from_arrow(docs).repartition(parts)
         n_docs, avgdl, df = bm25_corpus_stats(ds, q)
         assert (n_docs, df) == (N, df_ref) and abs(avgdl - avgdl_ref) < 1e-12
-        got = (
-            as_table(bm25_scores(ds, q)).to_pandas().sort_values("doc_id")["bm25"].to_numpy()
-        )
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    got = bm25_score_batch(docs, idf, avgdl_ref, k1=k1, b=b)["bm25"].to_numpy()
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     # docs with no query term score exactly 0 (None, "", "the quick...")
     assert want[2] == want[3] == want[5] == 0.0 and got[2] == got[3] == got[5] == 0.0
 
-    # top-k == scores sort (rounded-6, id tie-break), stats reusable
-    top = bm25_topk(rd.from_arrow(docs).repartition(3), q, k=3)
-    order = sorted(range(N), key=lambda i: (-round(want[i], 6), i))[:3]
-    assert top["doc_id"].to_pylist() == order
-    reused = as_table(
-        bm25_scores(rd.from_arrow(docs), q, corpus_stats=(N, avgdl_ref, df_ref))
-    ).to_pandas().sort_values("doc_id")["bm25"].to_numpy()
-    np.testing.assert_allclose(reused, want, rtol=0, atol=1e-12)
-
     with pytest.raises(ValueError, match="non-empty"):
         bm25_corpus_stats(rd.from_arrow(docs), [])
-    with pytest.raises(ValueError, match="positive"):
-        bm25_topk(rd.from_arrow(docs), q, k=0)
 
 
 def test_char_trigram_lm_fit_score_unseen_and_layout(ray_session):
@@ -432,60 +335,6 @@ def test_decontaminate_matches_python_reference(ray_session):
     assert 0 < len(got) < 200  # the test corpus genuinely splits
 
 
-def test_chunk_documents_matches_python_reference(ray_session):
-    import numpy as np
-    import pyarrow as pa
-    import ray.data as rd
-
-    from anomalydetection_ray.functions.text import chunk_documents
-
-    rng = np.random.default_rng(31)
-    vocab = [f"w{i}" for i in range(40)]
-    texts = [" ".join(rng.choice(vocab, size=int(n))) for n in rng.integers(1, 60, 50)]
-    texts += ["", None, "solo"]
-    ids = list(range(len(texts)))
-    t = pa.table({"doc_id": pa.array(ids, type=pa.int64()), "text": pa.array(texts, type=pa.string())})
-
-    def ref(text, max_tokens, overlap):
-        toks = text.split() if text else []
-        stride = max_tokens - overlap
-        out = []
-        i = 0
-        while i < len(toks):
-            out.append(" ".join(toks[i : i + max_tokens]))
-            i += stride
-        return out
-
-    for max_tokens, overlap, parts in ((8, 0, 3), (8, 3, 1), (5, 4, 4)):
-        got = (
-            chunk_documents(
-                rd.from_arrow(t).repartition(parts), "doc_id", "text",
-                max_tokens=max_tokens, overlap=overlap,
-            )
-            .to_pandas()
-            .sort_values(["doc_id", "chunk_id"])
-        )
-        for did, text in zip(ids, texts):
-            want = ref(text, max_tokens, overlap)
-            sub = got[got["doc_id"] == did]
-            assert sub["chunk"].tolist() == want, (did, max_tokens, overlap)
-            assert sub["chunk_id"].tolist() == list(range(len(want)))
-            assert (sub["n_chunk_tokens"] == sub["chunk"].str.split().str.len()).all()
-        # reconstruction invariant at overlap=0
-        if overlap == 0:
-            rec = got.groupby("doc_id")["chunk"].apply(" ".join)
-            for did, text in zip(ids, texts):
-                if text and text.split():
-                    assert rec[did] == " ".join(text.split())
-
-    import pytest as _pytest
-
-    with _pytest.raises(ValueError):
-        chunk_documents(rd.from_arrow(t), "doc_id", "text", max_tokens=0)
-    with _pytest.raises(ValueError):
-        chunk_documents(rd.from_arrow(t), "doc_id", "text", max_tokens=4, overlap=4)
-
-
 def test_dsir_weights_match_single_pass_reference(ray_session):
     import numpy as np
     import pyarrow as pa
@@ -551,135 +400,6 @@ def test_dsir_logratio_vector_validation():
     # all-empty corpora degrade to a uniform/uniform ratio: exactly zero
     lr = dsir_logratio_vector(np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64))
     assert (lr == 0).all()
-
-
-def test_dsir_resample_proportional_and_deterministic(ray_session):
-    import numpy as np
-    import pyarrow as pa
-    import ray.data as rd
-
-    from anomalydetection_ray.functions.text import dsir_resample
-
-    rng = np.random.default_rng(11)
-    sci = ["protein", "enzyme", "genome", "catalysis", "neuron"]
-    web = ["click", "buy", "sale", "free", "login", "page"]
-    texts = [" ".join(rng.choice(sci if i < 40 else web, size=10)) for i in range(200)]
-    ids = list(range(len(texts)))
-    t = pa.table({"doc_id": pa.array(ids, type=pa.int64()), "text": pa.array(texts, type=pa.string())})
-    tgt = rd.from_arrow(t.slice(0, 40))  # pure science target
-
-    picked = dsir_resample(
-        rd.from_arrow(t).repartition(4), "doc_id", "text", tgt, n=30, n_buckets=256
-    )
-    picked_ids = sorted(picked["doc_id"].to_pylist())
-    assert len(picked_ids) == 30 and len(set(picked_ids)) == 30
-    # overwhelmingly science docs: their weights dwarf the web docs'
-    assert sum(1 for d in picked_ids if d < 40) >= 25
-    # deterministic across runs and block layouts
-    again = dsir_resample(
-        rd.from_arrow(t).repartition(9), "doc_id", "text", tgt, n=30, n_buckets=256
-    )
-    assert sorted(again["doc_id"].to_pylist()) == picked_ids
-    assert "__dsir_w" not in picked.column_names
-
-
-def test_pack_sequences_invariants(ray_session):
-    import numpy as np
-    import pyarrow as pa
-    import ray.data as rd
-
-    from anomalydetection_ray.functions.text import pack_sequences
-
-    rng = np.random.default_rng(5)
-    toks = rng.integers(1, 50, 300).astype("int64")
-    t = pa.table({"doc_id": pa.array(np.arange(300), type=pa.int64()), "n_tokens": pa.array(toks)})
-
-    for sort_flag, parts in ((False, 1), (False, 6), (True, 6)):
-        got = (
-            pack_sequences(
-                rd.from_arrow(t).repartition(parts), "doc_id", "n_tokens", budget=100,
-                sort_within_block=sort_flag,
-            )
-            .to_pandas()
-        )
-        # every input row appears exactly once
-        assert sorted(got["doc_id"]) == list(range(300))
-        g = got.groupby("seq_id")
-        # budget respected, seq_tokens is the true fill, positions 0..k-1
-        assert (g["n_tokens"].sum() <= 100).all()
-        assert (g["n_tokens"].sum() == g["seq_tokens"].first()).all()
-        assert (got["seq_tokens"] == got.groupby("seq_id")["seq_tokens"].transform("first")).all()
-        for _, sub in g:
-            assert sorted(sub["seq_pos"]) == list(range(len(sub)))
-        # seq key is the first member's id (pos 0 row)
-        first = got[got["seq_pos"] == 0]
-        assert (first["seq_id"] == first["doc_id"]).all()
-        # packing is tight: next-fit waste is < max item size per bin
-        fill = g["n_tokens"].sum().mean()
-        assert fill > 50  # mean item 25, so >=2 items/bin minimum
-
-    # single-block, unsorted: sequences are contiguous runs in row order
-    one = pack_sequences(rd.from_arrow(t), "doc_id", "n_tokens", budget=100).to_pandas()
-    changes = (one["seq_id"] != one["seq_id"].shift()).cumsum()
-    assert changes.is_monotonic_increasing
-    assert one.groupby("seq_id")["doc_id"].apply(
-        lambda s: (np.diff(np.sort(s)) == 1).all()
-    ).all()
-
-
-def test_pack_sequences_oversize_and_errors(ray_session):
-    import pyarrow as pa
-    import pytest as _pytest
-    import ray.data as rd
-
-    from anomalydetection_ray.functions.text import pack_sequences
-
-    t = pa.table({"doc_id": pa.array([1, 2, 3], type=pa.int64()),
-                  "n_tokens": pa.array([10, 500, 10], type=pa.int64())})
-    with _pytest.raises(Exception, match="budget"):
-        pack_sequences(rd.from_arrow(t), "doc_id", "n_tokens", budget=100).materialize()
-    got = (
-        pack_sequences(rd.from_arrow(t), "doc_id", "n_tokens", budget=100, allow_oversize=True)
-        .to_pandas()
-        .sort_values("doc_id")
-    )
-    over = got[got["doc_id"] == 2]
-    assert (over["seq_id"] == 2).all() and (over["seq_tokens"] == 500).all() and len(over) == 1
-
-    bad = pa.table({"doc_id": pa.array([1], type=pa.int64()),
-                    "n_tokens": pa.array([None], type=pa.int64())})
-    with _pytest.raises(Exception, match="null"):
-        pack_sequences(rd.from_arrow(bad), "doc_id", "n_tokens", budget=100).materialize()
-    with _pytest.raises(ValueError):
-        pack_sequences(rd.from_arrow(t), "doc_id", "n_tokens", budget=0)
-
-
-def test_pack_sequences_composes_with_chunking(ray_session):
-    import numpy as np
-    import pyarrow as pa
-    import ray.data as rd
-
-    from anomalydetection_ray.functions.text import chunk_documents, pack_sequences
-
-    rng = np.random.default_rng(13)
-    vocab = [f"w{i}" for i in range(30)]
-    texts = [" ".join(rng.choice(vocab, size=int(k))) for k in rng.integers(5, 400, 40)]
-    t = pa.table({"doc_id": pa.array(np.arange(40), type=pa.int64()),
-                  "text": pa.array(texts, type=pa.string())})
-    chunks = chunk_documents(rd.from_arrow(t).repartition(3), "doc_id", "text", max_tokens=64)
-
-    def key(tb):
-        import pyarrow.compute as pc
-        k = pc.binary_join_element_wise(
-            pc.cast(tb["doc_id"], pa.string()), pc.cast(tb["chunk_id"], pa.string()), ":"
-        )
-        return tb.append_column("chunk_key", k)
-
-    keyed = chunks.map_batches(key, batch_format="pyarrow", batch_size=None)
-    packed = pack_sequences(keyed, "chunk_key", "n_chunk_tokens", budget=256).to_pandas()
-    assert (packed.groupby("seq_id")["n_chunk_tokens"].sum() <= 256).all()
-    total_chunks = chunks.count()
-    assert len(packed) == total_chunks
 
 
 def test_decontaminate_bloom_mode_matches_exact(ray_session):
@@ -754,7 +474,6 @@ def test_normalize_and_strip_markup_and_encoding_damage():
     import pyarrow as pa
 
     from anomalydetection_ray.functions.text import (
-        encoding_damage_batch,
         normalize_text_batch,
         strip_markup_batch,
     )
@@ -786,12 +505,6 @@ def test_normalize_and_strip_markup_and_encoding_damage():
     assert raw[1] != out[1]
     nfd = normalize_text_batch(tb, form="NFD")["text"].to_pylist()
     assert nfd[3] == "e" + chr(0x301) + "tude"
-
-    ppm = encoding_damage_batch(tb)["mojibake_ppm"].to_pylist()
-    assert ppm[0] > 0 and ppm[1] > 0 and ppm[2] == 0 and ppm[4] == 0
-    # replacement char counts as damage
-    rep = pa.table({"text": ["ok " + chr(0xFFFD) + " bad"]})
-    assert encoding_damage_batch(rep)["mojibake_ppm"].to_pylist()[0] > 0
 
 
 def test_strip_markup_no_double_unescape():
@@ -901,21 +614,6 @@ def test_grouped_lexical_diversity_global_zipf(ray_session):
     assert out.loc[0, "zipf_slope"] == want
 
 
-def test_token_zipf_slope_edges(ray_session):
-    import pyarrow as pa
-    import ray.data as rd
-
-    from anomalydetection_ray.functions.text import token_zipf_slope
-
-    one = rd.from_arrow(pa.table({"text": pa.array(["solo solo solo"])}))
-    r = token_zipf_slope(one)
-    assert r["n_ranks"] == 1 and r["zipf_slope"] is None and r["top_token"] == "solo"
-
-    empty = rd.from_arrow(pa.table({"text": pa.array([], type=pa.string())}))
-    r = token_zipf_slope(empty)
-    assert r["n_ranks"] == 0 and r["zipf_slope"] is None
-
-
 def test_corpus_totals_degenerate_single_token_corpus(ray_session, tmp_path):
     """Round-5 review: a corpus with < 2 ranked tokens has no Zipf slope
     (SQL regr_slope is NULL on one point) — the engine row must carry a
@@ -942,33 +640,3 @@ def test_corpus_totals_degenerate_single_token_corpus(ray_session, tmp_path):
     )
     assert row["zipf_top_token"] == "hello"
     assert row["zipf_n_ranks"] == 1
-
-
-def test_winnow_containment_pairs_string_ids(ray_session):
-    """Round-5 review: the pair schema hardcoded int64 ids — string-id
-    corpora crashed mid-shuffle and numeric-string ids silently coerced.
-    The pair columns now mirror the input id type."""
-    import ray.data as rd
-
-    from anomalydetection_ray.functions.text import winnow_containment_pairs
-    from anomalydetection_ray.pipelines.queries import as_table
-
-    shared = "the quick brown fox jumps over the lazy dog again and again " * 3
-    t = pa.table({
-        "doc_id": pa.array(["doc-a", "doc-b", "doc-c"], type=pa.string()),
-        "text": pa.array([shared + " unique one tail",
-                          shared + " other distinct tail",
-                          "completely different content with nothing in common here"]),
-    })
-    out = as_table(winnow_containment_pairs(
-        rd.from_arrow(t).repartition(2), k=6, w=8, min_shared=2
-    )).to_pandas()
-    assert set(out.columns) == {"a", "b", "shared"}
-    assert len(out) == 1
-    assert (out.iloc[0]["a"], out.iloc[0]["b"]) == ("doc-a", "doc-b")
-    # unsupported id types fail loudly at plan-build time
-    bad = rd.from_arrow(pa.table({
-        "doc_id": pa.array([1.5, 2.5]), "text": pa.array(["x", "y"])
-    }))
-    with pytest.raises(ValueError, match="unsupported id column type"):
-        winnow_containment_pairs(bad)

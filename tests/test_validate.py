@@ -309,35 +309,13 @@ def test_sharded_resume_recomputes_only_invalid_shards(ray_session, dirty_corpus
     rerun_and_check({2})
 
 
-def test_row_drift_scorer_actor(ray_session, clean_corpus, dirty_corpus, tmp_path):
-    import ray.data as rdata
-
-    from anomalydetection_ray.checks.drift import RowDriftScorer
-    from anomalydetection_ray.pipelines.validate import write_baseline
-
-    dc, _ = clean_corpus
-    dd, man = dirty_corpus
-    snap = str(tmp_path / "b.parquet")
-    write_baseline(f"{dc}/corpus", snap)
-    ds = rdata.read_parquet(f"{dd}/corpus", columns=["lang", "content"])
-    scored = ds.map_batches(
-        RowDriftScorer,
-        fn_constructor_kwargs={"snapshot_path": snap, "column": "content"},
-        batch_format="pyarrow",
-        concurrency=2,
-    ).to_pandas()
-    drifted = scored[scored["lang"] == man.drift_lang]["drift_score"].mean()
-    normal = scored[scored["lang"] == "python"]["drift_score"].mean()
-    assert drifted > normal + 0.15, (drifted, normal)
-
-
-def test_salted_key_counts_match_unsalted(ray_session):
-    """Skew path: the two-phase salted count must equal the plain count on
-    a Zipfian-hot key distribution (SURVEY.md §7.3)."""
+def test_key_counts_exact_on_hot_key(ray_session):
+    """Skew: one giant hot key plus a long tail still counts exactly
+    (SURVEY.md §7.3)."""
     import numpy as np
     import ray.data as rdata
 
-    from anomalydetection_ray.checks.uniqueness import key_counts, salted_key_counts
+    from anomalydetection_ray.checks.uniqueness import key_counts
 
     rng = np.random.default_rng(9)
     # one giant hot key + a long tail
@@ -348,8 +326,9 @@ def test_salted_key_counts_match_unsalted(ray_session):
     rng.shuffle(keys)
     ds = rdata.from_items([{"k": str(k)} for k in keys])
     plain = key_counts(ds, ["k"]).to_pandas().sort_values("k").reset_index(drop=True)
-    salted = salted_key_counts(ds, ["k"], n_salt=8).to_pandas().sort_values("k").reset_index(drop=True)
-    assert plain.equals(salted)
+    uniq, cnt = np.unique(keys, return_counts=True)
+    assert plain["k"].tolist() == uniq.tolist()
+    assert plain["cnt"].tolist() == cnt.tolist()
     assert int(plain.loc[plain["k"] == "hotlang", "cnt"].iloc[0]) == 20_000
 
 
@@ -543,35 +522,6 @@ def test_sharded_spill_all_candidates_dropped_finalizes_empty(
     )
 
 
-def test_duplicate_rows_bool_and_null_keys(ray_session):
-    """duplicate_rows must recover rows for bool keys (Python str(True)
-    vs Arrow 'true' used to match nothing) and null-key duplicates
-    (binary_join emitted null past is_in), while a real string 'None'
-    key only matches itself."""
-    import pyarrow as pa
-    import ray.data as rd
-
-    from anomalydetection_ray.checks.uniqueness import duplicate_rows
-
-    tb = pa.table({
-        "flag": pa.array([True, True, False, None, None, True], type=pa.bool_()),
-        "row": pa.array(range(6), type=pa.int64()),
-    })
-    out = duplicate_rows(rd.from_arrow(tb).repartition(2), ["flag"])
-    got = sorted(r["row"] for t in out.iter_batches(batch_format="pyarrow", batch_size=None)
-                 for r in t.to_pylist())
-    assert got == [0, 1, 3, 4, 5]  # True x3 and null x2; the single False is clean
-
-    tb2 = pa.table({
-        "k": pa.array(["None", None, None, "x"], type=pa.string()),
-        "row": pa.array(range(4), type=pa.int64()),
-    })
-    out2 = duplicate_rows(rd.from_arrow(tb2), ["k"])
-    got2 = sorted(r["row"] for t in out2.iter_batches(batch_format="pyarrow", batch_size=None)
-                  for r in t.to_pylist())
-    assert got2 == [1, 2]  # only the null dup pair; 'None' the string is unique
-
-
 def test_orphans_bloom_null_bearing_int_fact_keys(ray_session):
     """A null in a fact block must not flip the block's valid int keys to
     float64 hashing (they all read as 'definite orphans' against the
@@ -638,33 +588,6 @@ def test_runstate_unit_name_escaping_injective(tmp_path):
     s.mark_done("a_b", {"v": 2})
     assert s.done_metrics("a/b")["metrics"]["v"] == 1
     assert s.done_metrics("a_b")["metrics"]["v"] == 2
-
-
-def test_row_drift_scorer_nulls_score_null(ray_session, clean_corpus, tmp_path):
-    """A null content row has no rank under a null-free baseline: its
-    drift_score must be NULL, not 1.0 (round-5 review: NaN searchsorted
-    landed past the sample end and branded every null a max anomaly)."""
-    import pyarrow as pa
-    import ray.data as rdata
-
-    from anomalydetection_ray.checks.drift import RowDriftScorer
-    from anomalydetection_ray.pipelines.validate import write_baseline
-
-    dc, _ = clean_corpus
-    snap = str(tmp_path / "b.parquet")
-    write_baseline(f"{dc}/corpus", snap)
-    langs = rdata.read_parquet(f"{dc}/corpus", columns=["lang"]).take_batch(1)["lang"]
-    t = pa.table({
-        "lang": pa.array([langs[0]] * 3, type=pa.string()),
-        "content": pa.array(["ordinary content row", None, "another row"], type=pa.string()),
-    })
-    scored = rdata.from_arrow(t).map_batches(
-        RowDriftScorer,
-        fn_constructor_kwargs={"snapshot_path": snap, "column": "content"},
-        batch_format="pyarrow",
-        concurrency=1,
-    ).to_pandas()
-    assert scored["drift_score"].isna().tolist() == [False, True, False]
 
 
 def test_bloom_probe_int_repo_with_nulls_no_false_orphans(ray_session, tmp_path):
@@ -992,6 +915,75 @@ def test_suite_ray_executions_per_op(ray_session, dirty_corpus, tmp_path, monkey
     assert third.verdicts.equals(first.verdicts)
     for name in first.violations:
         assert third.violations[name].equals(first.violations[name]), name
+
+
+def test_spilled_resume_runs_no_ray_execution(ray_session, dirty_corpus, tmp_path, monkeypatch):
+    """A spilled run_suite keeps its per-(kind, partition) violation
+    counts in the ``rowpass`` marker, so a resume with nothing
+    invalidated runs no Ray Data execution at all. The counts equal the
+    driver-held run's, and a marker without counts is recomputed."""
+    import json
+
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    from anomalydetection_ray.pipelines.validate import SuiteConfig, run_suite
+    from anomalydetection_ray.state import RunState
+
+    calls: list = []
+    real = StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return real(self, *args, **kwargs)
+
+    d, _ = dirty_corpus
+    held = run_suite(f"{d}/corpus", str(tmp_path / "held"), SuiteConfig())
+    assert held.violations_dir is None
+    out = str(tmp_path / "out")
+    cfg = SuiteConfig(max_driver_violation_rows=4)
+    first = run_suite(f"{d}/corpus", out, cfg)
+    assert first.violations_dir is not None
+    assert first.verdicts.equals(held.verdicts)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    again = run_suite(f"{d}/corpus", out, cfg)
+    assert len(calls) == 0
+    assert again.verdicts.equals(first.verdicts)
+
+    # a marker written without counts is not trusted: the finalize reruns
+    marker = RunState(out)._marker("rowpass")
+    with open(marker) as f:
+        payload = json.load(f)
+    del payload["metrics"]["counts"]
+    with open(marker, "w") as f:
+        json.dump(payload, f)
+    third = run_suite(f"{d}/corpus", out, cfg)
+    assert len(calls) > 0
+    assert third.verdicts.equals(first.verdicts)
+    assert "counts" in RunState(out).done_metrics("rowpass")["metrics"]
+
+
+def test_stats_merge_independent_of_partial_order():
+    """merge_partials_to_stats orders the partial rows by content before
+    combining them, so the stats table (KLL bytes and the float moments
+    included) does not depend on the order the scan's blocks arrived in."""
+    import pyarrow as pa
+
+    from anomalydetection_ray.checks.stats import make_stats_partial_fn, merge_partials_to_stats
+
+    rng = np.random.default_rng(3)
+    fn = make_stats_partial_fn(["v"], ["p"])
+    parts = []
+    for _ in range(16):
+        n = int(rng.integers(500, 3000))  # > k, so the partial KLLs hold several levels
+        parts.append(fn(pa.table({
+            "p": pa.array(rng.choice(["a", "b"], n)),
+            "v": pa.array(rng.lognormal(0, 2, n) * 10.0 ** rng.integers(-3, 4)),
+        })))
+    a = pa.Table.from_pandas(merge_partials_to_stats(parts), preserve_index=False)
+    for order in (parts[::-1], [parts[i] for i in rng.permutation(len(parts))]):
+        b = pa.Table.from_pandas(merge_partials_to_stats(order), preserve_index=False)
+        assert b.equals(a)
 
 
 def test_resume_reuses_finalized_violations(ray_session, dirty_corpus, tmp_path, monkeypatch):

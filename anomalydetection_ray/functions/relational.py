@@ -257,6 +257,166 @@ def shuffle_hash_join(
     return local_group_map(tagged, lkeys, joined_block, num_blocks)
 
 
+def _combined_key_hash(tb: pa.Table, keys: list[str]):
+    """Per-row combined 64-bit hash of composite key columns + a
+    validity mask (False where ANY key column is null — SQL keys never
+    match on null)."""
+    from ..sketches.hll import hash64_arrow
+
+    h = np.zeros(tb.num_rows, dtype=np.uint64)
+    valid = np.ones(tb.num_rows, dtype=bool)
+    for k in keys:
+        col = tb[k].combine_chunks()
+        valid &= np.asarray(pc.is_valid(col))
+        h = h * np.uint64(0x100000001B3) + hash64_arrow(col)
+    return h, valid
+
+
+def build_join_key_bloom(ds, keys: list[str], capacity: int = 2_000_000, fp_rate: float = 0.01) -> bytes:
+    """Distributed Bloom of a side's (composite) join keys: per-block
+    partial filters stream to a driver bitwise-or merge — no shuffle, a
+    few hundred KB per partial. Undershooting ``capacity`` only raises
+    the false-positive rate (extra useless rows survive the prefilter);
+    it can never drop a matching row."""
+    from ..sketches import BloomFilter
+    from .shuffle import select_if_needed
+
+    cap, fp = capacity, fp_rate
+
+    def partial(tb: pa.Table) -> pa.Table:
+        bf = BloomFilter(cap, fp)
+        h, valid = _combined_key_hash(tb, keys)
+        bf.update(h[valid])
+        return pa.Table.from_pydict({"bloom": [bf.to_bytes()]})
+
+    merged = BloomFilter(cap, fp)
+    for tb in (
+        select_if_needed(ds, keys)
+        .map_batches(partial, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
+        .iter_batches(batch_format="pyarrow", batch_size=None)
+    ):
+        for b in tb["bloom"].to_pylist():
+            merged.merge(BloomFilter.from_bytes(b))
+    return merged.to_bytes()
+
+
+def bloom_prefiltered_join(
+    left_ds,
+    left_key: str | list[str],
+    right_ds,
+    right_key: str | list[str],
+    how: str = "inner",
+    prefilter: str = "left",
+    capacity: int = 2_000_000,
+    fp_rate: float = 0.01,
+    num_blocks: int | None = None,
+    suffix: str = "_r",
+):
+    """:func:`shuffle_hash_join` with a Bloom prefilter on the bulky side
+    — the classic shuffle-byte saver for SELECTIVE large-large joins: at
+    100 TB the all-to-all exchange is the dominant cost, and rows whose
+    keys cannot match never need to cross it. A Bloom of the build
+    side's keys (distributed partial build, driver or-merge, ONE
+    ``ray.put`` broadcast) drops provably-unmatchable rows of the probe
+    side before the tagged-union shuffle; false positives just ride
+    through to the exact join, so output is row-identical to the plain
+    plan (equivalence-tested).
+
+    ``prefilter="left"`` (drop left rows missing from right) is only
+    sound when unmatched left rows leave no trace: ``how`` ∈ {inner,
+    semi}. ``prefilter="right"`` (drop right rows missing from left) is
+    sound for {inner, left, semi, anti} — those modes never emit an
+    unmatched right row. Null-key rows on the prefiltered side are
+    dropped in the same modes (SQL: null keys never match). Other
+    combinations raise — fall back to :func:`shuffle_hash_join`.
+
+    The extra cost is one streaming pass over the build side's key
+    columns (narrow — prune at the read) and one Bloom broadcast; skip
+    the prefilter when the join is not selective (most probe keys
+    match), where it buys nothing."""
+    import ray
+
+    from ..sketches import BloomFilter
+
+    lkeys = [left_key] if isinstance(left_key, str) else list(left_key)
+    rkeys = [right_key] if isinstance(right_key, str) else list(right_key)
+    sound = {"left": ("inner", "semi"), "right": ("inner", "left", "semi", "anti")}
+    if prefilter not in sound:
+        raise ValueError("prefilter must be 'left' or 'right'")
+    if how not in sound[prefilter]:
+        raise ValueError(
+            f"bloom prefilter on the {prefilter} side is unsound for how={how!r} "
+            f"(unmatched {prefilter} rows survive that join); allowed: {sound[prefilter]}"
+        )
+    build_ds, build_keys = (right_ds, rkeys) if prefilter == "left" else (left_ds, lkeys)
+    probe_keys = lkeys if prefilter == "left" else rkeys
+    bloom_ref = ray.put(build_join_key_bloom(build_ds, build_keys, capacity, fp_rate))
+
+    def probe(tb: pa.Table) -> pa.Table:
+        # zero-copy read-only view over the plasma-shared payload — the
+        # probe runs per batch; from_bytes would memcpy the whole bit
+        # array every call (same discipline as decontaminate's probe)
+        bf = BloomFilter.view_bytes(ray.get(bloom_ref))
+        h, valid = _combined_key_hash(tb, probe_keys)
+        keep = np.zeros(tb.num_rows, dtype=bool)
+        if valid.any():
+            keep[valid] = bf.contains(h[valid])
+        return tb.filter(pa.array(keep))
+
+    filtered = (left_ds if prefilter == "left" else right_ds).map_batches(
+        probe, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
+    )
+    if prefilter == "left":
+        return shuffle_hash_join(filtered, left_key, right_ds, right_key, how=how,
+                                 num_blocks=num_blocks, suffix=suffix)
+    return shuffle_hash_join(left_ds, left_key, filtered, right_key, how=how,
+                             num_blocks=num_blocks, suffix=suffix)
+
+
+def hash_join(
+    left_ds,
+    left_key: str | list[str],
+    right_ds,
+    right_key: str | list[str],
+    how: str = "inner",
+    broadcast_max_bytes: int = 64 << 20,
+    num_blocks: int | None = None,
+    right_size_hint_bytes: int | None = None,
+    suffix: str = "_r",
+):
+    """Cost-based join: broadcast the right side when its metadata size
+    estimate (never executes — ``metadata_size_estimate``) says it fits a
+    single object-store put; otherwise the fully-distributed
+    :func:`shuffle_hash_join`. The same plan-choice pattern as the dedup
+    family's driver-vs-distributed tails. A TRANSFORMED right side has no
+    metadata estimate and takes the scale-safe shuffle plan; callers that
+    know an upper bound (e.g. a filter over a fresh read) pass
+    ``right_size_hint_bytes`` to keep the broadcast plan. ``how`` ∈
+    {"right", "full"} always takes the shuffle plan: unmatched right
+    rows span batches, which the per-batch broadcast join can't see.
+    Plan-invariant output: ``suffix`` flows to BOTH plans, so right
+    columns colliding with a left name get the same suffixed name
+    whether the right side broadcast or shuffled (round-5 review — the
+    broadcast plan used to raise where the shuffle plan suffixed, making
+    success a function of data size)."""
+    from .shuffle import metadata_size_estimate
+
+    if how in ("right", "full"):
+        return shuffle_hash_join(
+            left_ds, left_key, right_ds, right_key, how=how, num_blocks=num_blocks, suffix=suffix
+        )
+    est = right_size_hint_bytes if right_size_hint_bytes is not None else metadata_size_estimate(right_ds)
+    if est is not None and est <= broadcast_max_bytes:
+        from ..pipelines.queries import as_table
+
+        return broadcast_join(
+            left_ds, left_key, as_table(right_ds), right_key, how=how, suffix=suffix
+        )
+    return shuffle_hash_join(
+        left_ds, left_key, right_ds, right_key, how=how, num_blocks=num_blocks, suffix=suffix
+    )
+
+
 def broadcast_join(
     fact_ds,
     fact_key: str | list[str],
@@ -279,8 +439,8 @@ def broadcast_join(
     semi/anti return fact columns only (the dim ships just its keys).
     ``suffix`` (e.g. ``"_r"``) renames dim columns that collide with a
     fact name, matching :func:`shuffle_hash_join`'s output schema so the
-    two plans are interchangeable (round-5 review); ``suffix=None`` keeps
-    the historical loud ValueError.
+    cost-gated :func:`hash_join` is plan-invariant (round-5 review);
+    ``suffix=None`` keeps the historical loud ValueError.
     """
     import polars as pl
     import ray

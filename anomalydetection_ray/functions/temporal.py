@@ -427,6 +427,160 @@ def lag_lead(
     return local_group_map(select_if_needed(ds, need), [key], block, num_blocks)
 
 
+def ewma(
+    ds,
+    key: str,
+    order_col: str,
+    value_col: str,
+    alpha: float,
+    out_col: str = "ewma",
+    carry: list[str] | None = None,
+    num_blocks: int | None = None,
+):
+    """Per-key exponentially-weighted moving average (the streaming
+    anomaly-baseline smoother: ``e_t = α·x_t + (1-α)·e_{t-1}`` over each
+    key's ``order_col``-ordered history — pandas
+    ``ewm(alpha, adjust=False)`` semantics).
+
+    The recurrence is sequential per key but keys are independent, so
+    the distribution shape is the same as :func:`lag_lead`: hash-shuffle
+    co-locates each key's full history, then ONE vectorized polars
+    ``ewm_mean().over(key)`` per block (Rust kernel — the recurrence
+    never runs as a Python loop). Total-order per-block sort keeps the
+    result invariant to block layout under ties. Null values emit null
+    and DECAY the prior state's weight across the gap (pandas
+    ``ignore_na=False`` / polars ``ignore_nulls=False`` weighting: with
+    values [1, null, 10] at alpha=0.5 the third row smooths to 7.0, not
+    the 5.5 a state-frozen gap would give); the first non-null row of a
+    key seeds the average. A single key's history must fit a block
+    — the same documented contract as every per-key window here (salt
+    upstream if one key exceeds it)."""
+    if not (0.0 < alpha <= 1.0):
+        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    carry = carry or []
+    need = list(dict.fromkeys([key, order_col, value_col] + carry))
+    if out_col in need:
+        raise ValueError(f"out_col {out_col!r} collides with an input column")
+    base = ds.schema().base_schema
+    out_schema = pa.schema(
+        [(c, base.field(c).type) for c in need] + [(out_col, pa.float64())]
+    )
+
+    def block(tb: pa.Table) -> pa.Table:
+        if tb.num_rows == 0:
+            return pa.Table.from_pydict({f.name: [] for f in out_schema}, schema=out_schema)
+        df = pl.from_arrow(tb.select(need)).sort(need)
+        df = df.with_columns(
+            pl.col(value_col)
+            .cast(pl.Float64)
+            .ewm_mean(alpha=alpha, adjust=False, ignore_nulls=False)
+            .over(key)
+            .alias(out_col)
+        )
+        return df.select([f.name for f in out_schema]).to_arrow().cast(out_schema)
+
+    return local_group_map(select_if_needed(ds, need), [key], block, num_blocks)
+
+
+def cusum_flags(
+    ds,
+    key: str,
+    order_col: str,
+    value_col: str,
+    k: float = 0.5,
+    h: float = 5.0,
+    baseline: "pd.DataFrame | None" = None,
+    carry: list[str] | None = None,
+    num_blocks: int | None = None,
+):
+    """Per-key two-sided CUSUM changepoint statistic (Page 1954) — the
+    classic sequential mean-shift detector a streaming monitor runs where
+    a plain threshold misses SLOW drifts (many small deviations in one
+    direction accumulate; reference analog: the score-histogram drift
+    check, ``end_to_end_prediction.py:546``).
+
+    Over each key's ``order_col``-ordered history, on the standardized
+    deviation ``z_t = (x_t − μ) / σ``:
+
+    - ``cusum_pos``: S⁺_t = max(0, S⁺_{t−1} + z_t − k)
+    - ``cusum_neg``: S⁻_t = max(0, S⁻_{t−1} − z_t − k)
+    - ``cusum_alarm`` (int32): 1 where either side exceeds ``h``.
+
+    ``k`` is the drift allowance and ``h`` the decision interval, both in
+    σ units (0.5/5 is the textbook ARL≈465 design). μ/σ come from
+    ``baseline`` (pandas: key, mu, sigma — the in-control reference
+    period, broadcast once) or, when None, from each key's OWN full
+    history (retrospective changepoint scan). σ ≤ 0 or null ⇒ z = 0 (no
+    signal, never a divide); null values contribute z = 0 — the running
+    statistic decays by ``k`` and is still emitted, it never jumps.
+
+    Distribution shape = :func:`ewma`: hash-shuffle co-locates each key's
+    history, then the max(0, ·) recursion runs as pure Rust/vector
+    kernels via the reflection identity ``S_t = cs_t − min(0,
+    min_{j≤t} cs_j)`` with ``cs = cum_sum(z − k)`` — one ``cum_sum`` +
+    one ``cum_min`` per side ``.over(key)``, no Python loop. Same
+    one-key-per-block contract as every per-key window here."""
+    if not (k >= 0.0 and h > 0.0):
+        raise ValueError(f"need k >= 0 and h > 0, got k={k}, h={h}")
+    carry = carry or []
+    need = list(dict.fromkeys([key, order_col, value_col] + carry))
+    out_cols = ["cusum_pos", "cusum_neg", "cusum_alarm"]
+    for c in out_cols:
+        if c in need:
+            raise ValueError(f"output column {c!r} collides with an input column")
+    if baseline is not None:
+        missing = {key, "mu", "sigma"} - set(baseline.columns)
+        if missing:
+            raise ValueError(f"baseline is missing columns {sorted(missing)}")
+        if not baseline[key].is_unique:
+            # a duplicated baseline key would fan every event of that key
+            # out through the left join — duplicated rows and interleaved
+            # CUSUM series, silently
+            raise ValueError(f"baseline has duplicate {key!r} rows; one (mu, sigma) per key")
+    base = ds.schema().base_schema
+    out_schema = pa.schema(
+        [(c, base.field(c).type) for c in need]
+        + [("cusum_pos", pa.float64()), ("cusum_neg", pa.float64()), ("cusum_alarm", pa.int32())]
+    )
+    bl = None if baseline is None else pl.from_pandas(baseline[[key, "mu", "sigma"]])
+
+    def block(tb: pa.Table) -> pa.Table:
+        if tb.num_rows == 0:
+            return pa.Table.from_pydict({f.name: [] for f in out_schema}, schema=out_schema)
+        df = pl.from_arrow(tb.select(need)).sort(need)
+        x = pl.col(value_col).cast(pl.Float64)
+        if bl is None:
+            mu, sigma = x.mean().over(key), x.std(ddof=1).over(key)
+        else:
+            # polars leaves join row order unspecified (same hazard as
+            # dedup/lines.py): the CUSUM recursion is order-sensitive, so
+            # re-sort to time order after attaching the baseline
+            df = df.join(
+                bl.with_columns(pl.col(key).cast(df.schema[key])), on=key, how="left"
+            ).sort(need)
+            mu, sigma = pl.col("mu"), pl.col("sigma")
+        z = (
+            pl.when(sigma.is_null() | (sigma <= 0) | x.is_null())
+            .then(0.0)
+            .otherwise((x - mu) / sigma)
+            .alias("_z")
+        )
+        df = df.with_columns(z)
+        sides = []
+        for name, sign in (("cusum_pos", 1.0), ("cusum_neg", -1.0)):
+            cs = (pl.col("_z") * sign - k).cum_sum().over(key)
+            runmin = pl.min_horizontal(cs.cum_min().over(key), pl.lit(0.0))
+            sides.append((cs - runmin).alias(name))
+        df = df.with_columns(sides).with_columns(
+            ((pl.col("cusum_pos") > h) | (pl.col("cusum_neg") > h))
+            .cast(pl.Int32)
+            .alias("cusum_alarm")
+        )
+        return df.select([f.name for f in out_schema]).to_arrow().cast(out_schema)
+
+    return local_group_map(select_if_needed(ds, need), [key], block, num_blocks)
+
+
 def window_rank(
     ds,
     key: str,
@@ -686,3 +840,130 @@ def funnel_counts(
     else:
         out["n_users"] = np.zeros(nsteps, dtype=np.int64)
     return out
+
+
+_PERIOD_US = {
+    "hour": 3_600_000_000,
+    "day": 86_400_000_000,
+    "week": 604_800_000_000,
+}
+
+
+def cohort_retention(
+    ds,
+    key: str = "user_id",
+    ts_col: str = "ts",
+    period: str = "day",
+):
+    """Cohort-retention matrix over an event stream: each entity's cohort
+    is the period of its FIRST event; for every (cohort, period_offset)
+    cell, count the distinct entities active in that period (the classic
+    product-analytics retention triangle; SQL equivalent:
+    ``date_trunc`` + per-user ``MIN`` + ``COUNT(DISTINCT)``).
+
+    Plan (scale-first): prune to (key, ts), drop null keys/timestamps
+    (SQL aggregation semantics), truncate to the period start
+    (``pc.floor_temporal`` — 'week' starts Monday, matching DuckDB's
+    ``date_trunc('week')``), and PRE-DEDUP (key, period) per batch
+    before anything moves — at 100 TB an entity has many events per
+    period and only distinct (key, period) pairs matter, so the exchange
+    carries ~16 B per entity-period, never per event. One co-partition
+    by key (``local_group_map``: every entity's periods land whole in
+    one block) computes cohort = min(period) and per-block
+    (cohort, offset) partial counts — correct because after the global
+    (key, period) dedup inside the co-located block each entity
+    contributes exactly one row per active period, so a plain count IS
+    the distinct-entity count. Partials (≤ periods² rows per block) sum
+    on the driver: the retention matrix itself is driver-sized by
+    nature. At multi-year daily granularity prefer ``period="week"`` to
+    keep the matrix small.
+
+    Timestamps must be a NAIVE temporal type; periods are fixed-width in
+    epoch-µs space (no calendar months — a month period would need
+    calendar arithmetic, not a fixed divisor), so offsets are exact
+    integers by construction. Tz-aware timestamps raise loudly: local
+    days/weeks vary in length across DST transitions, so a fixed
+    divisor would silently merge adjacent offset cells (round-5 review;
+    convert to UTC or strip the zone upstream, where the caller owns
+    the calendar semantics).
+
+    Returns a pandas DataFrame (cohort, period_offset, n_active,
+    cohort_size, retention_rate) sorted by (cohort, period_offset),
+    retention_rate rounded to 6 places (= n_active / cohort_size; the
+    offset-0 cell of each cohort is its size, so rate starts at 1.0).
+    """
+    import pandas as pd
+    import pyarrow.compute as pc
+
+    if period not in _PERIOD_US:
+        raise ValueError(f"period must be one of {sorted(_PERIOD_US)}, got {period!r}")
+    unit_us = _PERIOD_US[period]
+    need = [key, ts_col]
+
+    def bucket(tb: pa.Table) -> pa.Table:
+        t = tb.schema.field(ts_col).type
+        if pa.types.is_timestamp(t) and t.tz is not None:
+            raise ValueError(
+                f"cohort_retention requires naive timestamps; {ts_col!r} is {t}. "
+                "DST makes local periods variable-width, which the fixed-divisor "
+                "offset would mis-bin — convert to UTC or strip the zone upstream"
+            )
+        m = pc.and_kleene(pc.is_valid(tb[key]), pc.is_valid(tb[ts_col]))
+        tb = tb.filter(pc.coalesce(m, False))
+        p = pc.floor_temporal(tb[ts_col], unit=period).cast(pa.timestamp("us")).cast(pa.int64())
+        out = pa.table({key: tb[key], "__p": p})
+        # pre-dedup (key, period) inside the batch — the wide event
+        # stream never reaches the exchange
+        return pl.from_arrow(out).unique().to_arrow().cast(out.schema)
+
+    base = select_if_needed(ds, need).map_batches(
+        bucket, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
+    )
+    part_schema = pa.schema(
+        [("cohort", pa.int64()), ("period_offset", pa.int64()), ("n_active", pa.int64())]
+    )
+
+    def block(tb: pa.Table) -> pa.Table:
+        if tb.num_rows == 0:
+            return pa.Table.from_pydict({f.name: [] for f in part_schema}, schema=part_schema)
+        df = pl.from_arrow(tb).unique()  # cross-batch (key, period) dups
+        out = (
+            df.with_columns(cohort=pl.col("__p").min().over(key))
+            .with_columns(period_offset=(pl.col("__p") - pl.col("cohort")) // unit_us)
+            .group_by(["cohort", "period_offset"])
+            .agg(pl.len().cast(pl.Int64).alias("n_active"))
+        )
+        return out.select([f.name for f in part_schema]).to_arrow().cast(part_schema)
+
+    parts = local_group_map(base, [key], block, keys_non_null=True)
+    tbs = [t for t in parts.iter_batches(batch_format="pyarrow", batch_size=None) if t.num_rows]
+    if not tbs:
+        return pd.DataFrame(
+            {
+                "cohort": pd.Series([], dtype="datetime64[us]"),
+                "period_offset": pd.Series([], dtype="int64"),
+                "n_active": pd.Series([], dtype="int64"),
+                "cohort_size": pd.Series([], dtype="int64"),
+                "retention_rate": pd.Series([], dtype="float64"),
+            }
+        )
+    summed = (
+        pl.from_arrow(pa.concat_tables(tbs))
+        .group_by(["cohort", "period_offset"])
+        .agg(pl.col("n_active").sum())
+    )
+    sizes = summed.filter(pl.col("period_offset") == 0).select(
+        pl.col("cohort"), pl.col("n_active").alias("cohort_size")
+    )
+    out = (
+        summed.join(sizes, on="cohort", how="inner")
+        .with_columns(
+            retention_rate=(pl.col("n_active").cast(pl.Float64) / pl.col("cohort_size")).round(6)
+        )
+        .sort(["cohort", "period_offset"])
+        .to_pandas()
+    )
+    out["cohort"] = pd.to_datetime(out["cohort"], unit="us").astype("datetime64[us]")
+    for c in ("period_offset", "n_active", "cohort_size"):
+        out[c] = out[c].astype("int64")
+    return out[["cohort", "period_offset", "n_active", "cohort_size", "retention_rate"]]

@@ -28,6 +28,19 @@ SURFACE_FILES = [
     *sorted((ROOT / "suitebench").glob("*.py")),
 ]
 
+# Unreached code that stays, with its tests, for one more change: deleting
+# every unreached definition at once retires about a hundred tests, so the
+# deletion is split in two. ROADMAP #3 names these as the next to go. An
+# entry that a surface starts to reach must leave the list.
+KEPT_MODULES = {f"{NAME}.pipelines.sweep", f"{NAME}.sources.ingest"}
+KEPT_DEFINITIONS = {
+    "bloom_prefiltered_join", "hash_join",  # functions/relational.py
+    "ewma", "cusum_flags", "cohort_retention",  # functions/temporal.py
+    "explode_list_column", "unpivot_long", "distributed_pca",  # functions/vector.py
+    "run_sweep",  # pipelines/sweep.py
+    "read_csv_table", "read_jsonl_table",  # sources/ingest.py
+}
+
 
 def _module_name(path: Path) -> str:
     rel = path.relative_to(ROOT).with_suffix("")
@@ -125,8 +138,11 @@ def _reached_modules() -> set[str]:
 
 
 def test_every_module_is_reached_from_a_surface():
-    unreached = sorted(set(MODULES) - _reached_modules())
-    assert not unreached, f"modules no surface imports: {unreached}"
+    unreached = set(MODULES) - _reached_modules()
+    assert unreached == KEPT_MODULES, (
+        f"modules no surface imports: {sorted(unreached - KEPT_MODULES)}; "
+        f"kept modules now reached: {sorted(KEPT_MODULES - unreached)}"
+    )
 
 
 def _references(path: Path) -> list[tuple[str, str | None]]:
@@ -164,7 +180,7 @@ def test_every_public_definition_is_referenced():
     for path in sources:
         for name, owner in _references(path):
             refs.setdefault(name, set()).add((path, owner))
-    orphans = []
+    orphans, kept = [], set()
     for path in PACKAGE_FILES:
         for top in _tree(path).body:
             if not isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -172,6 +188,11 @@ def test_every_public_definition_is_referenced():
             if top.name.startswith("_") or _is_registered(top):
                 continue
             users = refs.get(top.name, set()) - {(path, top.name)}
-            if not users:
+            if users:
+                continue
+            if top.name in KEPT_DEFINITIONS:
+                kept.add(top.name)
+            else:
                 orphans.append(f"{path.relative_to(ROOT)}:{top.lineno} {top.name}")
     assert not orphans, "public definitions nothing references:\n" + "\n".join(orphans)
+    assert kept == KEPT_DEFINITIONS, f"kept definitions now referenced: {sorted(KEPT_DEFINITIONS - kept)}"

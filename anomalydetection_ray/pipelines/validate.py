@@ -177,10 +177,17 @@ def _parquet_files(d: str) -> list[str]:
     return [os.path.join(d, f) for f in sorted(os.listdir(d)) if f.endswith(".parquet")]
 
 
+def _part_labels(col: pa.Array | pa.ChunkedArray) -> pa.Array | pa.ChunkedArray:
+    """Partition labels of a verdict: the value as a string, ``<null>`` for
+    null — shared by the driver-held and the spilled violation counts so
+    both label a partition identically."""
+    return pc.fill_null(pc.cast(col, pa.string()), "<null>")
+
+
 def _per_part_counts(tbl: pa.Table, part_col: str) -> dict[str, int]:
     if tbl.num_rows == 0:
         return {}
-    col = pc.fill_null(pc.cast(tbl[part_col], pa.string()), "<null>")
+    col = _part_labels(tbl[part_col])
     vals, counts = np.unique(np.asarray(col), return_counts=True)
     return {str(v): int(c) for v, c in zip(vals, counts)}
 
@@ -520,15 +527,15 @@ def _spill_violation_counts(files: list[str], part: str) -> dict[str, dict[str, 
     """Per-(kind, partition) violation counts of the sorted violation files
     — the only violation-derived state the driver holds in spill mode.
     Streams just the two columns batch by batch on the driver, so no
-    violation table materializes; partitions are labelled as
-    :func:`_per_part_counts` labels them."""
+    violation table materializes; partitions are labelled by
+    :func:`_part_labels`, as in :func:`_per_part_counts`."""
     counts: dict[str, dict[str, int]] = {}
     for f in files:
         for b in pq.ParquetFile(f).iter_batches(columns=["violation_kind", part]):
             t = pa.table(
                 {
                     "k": b.column("violation_kind"),
-                    "p": pc.fill_null(pc.cast(b.column(part), pa.string()), "<null>"),
+                    "p": _part_labels(b.column(part)),
                 }
             )
             g = t.group_by(["k", "p"]).aggregate([([], "count_all")])

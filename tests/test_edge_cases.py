@@ -125,6 +125,7 @@ def test_operators_on_empty_inputs(ray_session):
     from anomalydetection_ray.functions.split import grouped_fixed_count_sample
     from anomalydetection_ray.functions.temporal import range_join_agg, window_rank
     from anomalydetection_ray.functions.text import tfidf_top_terms
+    from anomalydetection_ray.functions.vector import unpivot_long
 
     assert as_table(
         range_join_agg(ev, ev, key="k", left_ts="t", right_ts="t",
@@ -134,6 +135,7 @@ def test_operators_on_empty_inputs(ray_session):
     assert as_table(grouped_fixed_count_sample(ev, key="k", on="v", n=5)).num_rows == 0
     assert tfidf_top_terms(docs, n_docs=0, k=5).num_rows == 0
     assert len(rollup_agg(ev, ["k"], {"cnt": (None, "count")})) == 0
+    assert as_table(unpivot_long(ev, ["k"], ["v"])).num_rows == 0
 
 
 def test_local_group_map_null_keys(ray_session):
@@ -419,6 +421,7 @@ def test_round4f_ops_empty_and_degenerate_inputs(ray_session):
 
     from anomalydetection_ray.functions.anomaly import isolation_forest_scores, mahalanobis_scores
     from anomalydetection_ray.functions.shuffle import grouped_kll_quantiles, robust_outlier_flags
+    from anomalydetection_ray.functions.temporal import cusum_flags
     from anomalydetection_ray.functions.text import decontaminate
     from anomalydetection_ray.pipelines.queries import as_table
 
@@ -430,6 +433,12 @@ def test_round4f_ops_empty_and_degenerate_inputs(ray_session):
 
     out2 = as_table(robust_outlier_flags(empty_kv, ["g"], "v"))
     assert out2.num_rows == 0
+
+    empty_ts = rd.from_arrow(
+        pa.table({"k": pa.array([], type=pa.string()), "t": pa.array([], type=pa.int64()), "v": pa.array([], type=pa.float64())})
+    )
+    out3 = as_table(cusum_flags(empty_ts, "k", "t", "v"))
+    assert out3.num_rows == 0
 
     docs = rd.from_arrow(pa.table({"doc_id": pa.array([1], type=pa.int64()), "text": ["a b c"]}))
     empty_docs = rd.from_arrow(pa.table({"doc_id": pa.array([], type=pa.int64()), "text": pa.array([], type=pa.string())}))

@@ -262,7 +262,6 @@ def main(argv: list[str] | None = None) -> int:
 
             from . import tune_shuffle_to_cluster
             from .sources.readers import read_parquet_clean
-            from .pipelines.queries import as_table
 
             tune_shuffle_to_cluster()  # must precede dataset creation (readers.py)
             ds = read_parquet_clean(args.table)

@@ -72,7 +72,6 @@ def fd_candidate_hashes(
     ds,
     determinant: list[str],
     dependent: str,
-    batch_size: int | None = 65536,
     driver_merge_max_bytes: int = 8 << 30,
 ):
     """Dataset of int64 ``hx`` determinant hashes bound to ≥2 distinct
@@ -88,7 +87,7 @@ def fd_candidate_hashes(
     pairs = select_if_needed(ds, cols).map_batches(
         _pair_combine_fn(determinant, dependent),
         batch_format="pyarrow",
-        batch_size=batch_size,
+        batch_size=65536,
         zero_copy_batch=True,
     )
     # metadata-only estimate: ds.size_bytes() on a transformed lazy plan
@@ -135,7 +134,6 @@ def fd_violations(
     ds,
     determinant: list[str],
     dependent: str,
-    batch_size: int | None = 65536,
     driver_merge_max_bytes: int = 8 << 30,
     broadcast_max_candidates: int = 2_000_000,
 ):
@@ -166,8 +164,7 @@ def fd_violations(
     )
 
     cand_ds = fd_candidate_hashes(
-        ds, determinant, dependent, batch_size=batch_size,
-        driver_merge_max_bytes=driver_merge_max_bytes,
+        ds, determinant, dependent, driver_merge_max_bytes=driver_merge_max_bytes
     ).materialize()
     n_cand = cand_ds.count()  # metadata read on the materialized set
     if n_cand == 0:
@@ -178,7 +175,7 @@ def fd_violations(
     def add_hx(tb: pa.Table) -> pa.Table:
         return tb.append_column(hx_col, pa.array(hash_key_rows(tb, determinant, seed=0)))
 
-    rows = work.map_batches(add_hx, batch_format="pyarrow", batch_size=batch_size, zero_copy_batch=True)
+    rows = work.map_batches(add_hx, batch_format="pyarrow", batch_size=65536, zero_copy_batch=True)
     if broadcast_max_candidates > 0 and n_cand <= broadcast_max_candidates:
         cand = np.sort(
             np.concatenate(

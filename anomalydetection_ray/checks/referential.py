@@ -71,7 +71,7 @@ def semi_join(fact_ds, fact_key: str, dim_ds, dim_key: str, anti: bool = False):
     return fact_ds.map_batches(probe, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
 
 
-def dim_key_broadcast(col, fp_rate: float = 0.001) -> tuple[BloomFilter, np.ndarray]:
+def dim_key_broadcast(col) -> tuple[BloomFilter, np.ndarray]:
     """A dimension key column → (Bloom filter, sorted distinct keys): the
     broadcast pair both Bloom probes ship. Built on the driver from the
     one collected column — a Ray pipeline per build costs ~0.1 s CPU
@@ -84,16 +84,16 @@ def dim_key_broadcast(col, fp_rate: float = 0.001) -> tuple[BloomFilter, np.ndar
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     vals = np.asarray(pc.drop_null(col))
-    bloom = BloomFilter(max(1024, len(col)), fp_rate).update(vals)
+    bloom = BloomFilter(max(1024, len(col)), 0.001).update(vals)
     return bloom, np.unique(vals)
 
 
-def orphans_bloom(fact_ds, fact_key: str, dim_ds, dim_key: str, fp_rate: float = 0.001):
+def orphans_bloom(fact_ds, fact_key: str, dim_ds, dim_key: str):
     """Definite orphans via Bloom prefilter + exact re-verification.
 
     Pass 1 (streaming, no shuffle): rows failing the Bloom probe are
     definite orphans (no Bloom false negatives). Rows passing the probe are
-    either present or false positives — at fp_rate=1e-3 the candidate
+    either present or false positives — at a 1e-3 false-positive rate the candidate
     leak is 0.1% of orphans, re-checked exactly below against the dim key
     set, so the reported set is exact. At dims too large to collect, swap
     the exact key set for a hash-partitioned join of candidates only
@@ -107,7 +107,7 @@ def orphans_bloom(fact_ds, fact_key: str, dim_ds, dim_key: str, fp_rate: float =
     # both broadcast sides are built from it there
     dim = as_table(dim_ds.select_columns([dim_key]))
     col = dim[dim_key] if dim_key in dim.column_names else pa.array([], pa.null())
-    bloom, exact = dim_key_broadcast(col, fp_rate)
+    bloom, exact = dim_key_broadcast(col)
     bloom_ref, exact_ref = ray.put(bloom.to_bytes()), ray.put(exact)
 
     def probe(batch: pa.Table) -> pa.Table:

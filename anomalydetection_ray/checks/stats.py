@@ -354,7 +354,6 @@ def categorical_profile(
     ds,
     column: str,
     partition_by: list[str] | None = None,
-    batch_size: int | None = 65536,
 ) -> pd.DataFrame:
     """Per-partition categorical profile: exact mode (ties break to the
     smallest value), its count, the distinct-value count and the Shannon
@@ -388,10 +387,10 @@ def categorical_profile(
     base = select_if_needed(ds, need).map_batches(
         lambda tb: tb.filter(pc.is_valid(tb.column(column))),
         batch_format="pyarrow",
-        batch_size=batch_size,
+        batch_size=65536,
         zero_copy_batch=True,
     )
-    counts = key_counts(base, need, batch_size=batch_size)
+    counts = key_counts(base, need)
 
     g = keys or ["__g__"]
 
@@ -438,7 +437,7 @@ def categorical_profile(
     return fin.select(["mode", "mode_count", "n_distinct", "entropy"]).to_pandas()
 
 
-def mutual_information(ds, col_a: str, col_b: str, batch_size: int | None = 65536) -> dict:
+def mutual_information(ds, col_a: str, col_b: str) -> dict:
     """Exact mutual information between two categorical columns, plus the
     marginal and joint Shannon entropies (natural log) — the
     "is this metadata column informative about that one" dependence
@@ -471,10 +470,10 @@ def mutual_information(ds, col_a: str, col_b: str, batch_size: int | None = 6553
             pc.and_(pc.is_valid(tb[col_a]), pc.is_valid(tb[col_b]))
         ),
         batch_format="pyarrow",
-        batch_size=batch_size,
+        batch_size=65536,
         zero_copy_batch=True,
     )
-    joint = key_counts(base, [col_a, col_b], batch_size=batch_size)
+    joint = key_counts(base, [col_a, col_b])
 
     def clnc_sums(cnt_col):
         def partial(tb: pa.Table) -> pa.Table:

@@ -28,7 +28,7 @@ def _key_combiner(keys: list[str]):
     return combine
 
 
-def key_counts(ds, keys: list[str], batch_size: int | None = 65536):
+def key_counts(ds, keys: list[str]):
     """Exact per-key counts: map-side combiner → hash-shuffle of the
     (keys, cnt_partial) partials → per-block local sum.
 
@@ -38,7 +38,7 @@ def key_counts(ds, keys: list[str], batch_size: int | None = 65536):
     from ..functions.shuffle import grouped_sum, select_if_needed
 
     partials = select_if_needed(ds, keys).map_batches(
-        _key_combiner(keys), batch_format="pyarrow", batch_size=batch_size, zero_copy_batch=True
+        _key_combiner(keys), batch_format="pyarrow", batch_size=65536, zero_copy_batch=True
     )
     return grouped_sum(partials, keys, "cnt_partial", "cnt")
 
@@ -68,7 +68,7 @@ def sorted_isin(sorted_vals: np.ndarray, values: np.ndarray) -> np.ndarray:
     return sorted_vals[idx] == values
 
 
-def _hash_combine_fn(keys: list[str], seed: int = 0):
+def _hash_combine_fn(keys: list[str]):
     """map_batches fn: one (h, cnt_partial) row per distinct key hash per
     block — the 16-bytes/row combiner feeding both the shuffled
     (duplicate_key_hashes) and per-slice (uniqueness_partial_table)
@@ -76,23 +76,21 @@ def _hash_combine_fn(keys: list[str], seed: int = 0):
     import polars as pl
 
     def combine(batch: pa.Table) -> pa.Table:
-        h = hash_key_rows(batch, keys, seed)
+        h = hash_key_rows(batch, keys)
         out = pl.DataFrame({"h": h}).group_by("h").len().rename({"len": "cnt_partial"})
         return out.to_arrow().cast(_HASH_PAIR_SCHEMA)
 
     return combine
 
 
-def duplicate_key_hashes(
-    ds,
-    keys: list[str],
-    min_count: int = 2,
-    batch_size: int | None = 65536,
-    seed: int = 0,
-    driver_merge_max_bytes: int = 8 << 30,
-) -> pa.Table:
-    """``(h, cnt)`` table of the int64 hashes of keys appearing >=
-    min_count times, collected on the driver.
+# input size (metadata estimate) up to which the (hash, cnt) partials
+# merge on the driver instead of through a hash shuffle
+_DRIVER_MERGE_MAX_BYTES = 8 << 30
+
+
+def duplicate_key_hashes(ds, keys: list[str]) -> pa.Table:
+    """``(h, cnt)`` table of the int64 hashes of keys appearing at least
+    twice, collected on the driver.
 
     The scale path for uniqueness: the shuffle moves (hash, cnt) int64
     pairs — 16 bytes/row — instead of the full (possibly wide) string key
@@ -102,7 +100,7 @@ def duplicate_key_hashes(
     (pipelines/validate.py does this), so the final result is exact.
 
     Cost-based plan choice: when the input's metadata size estimate is
-    under ``driver_merge_max_bytes`` (~20M rows of pairs), the per-block
+    under ``_DRIVER_MERGE_MAX_BYTES`` (~20M rows of pairs), the per-block
     (hash, cnt) partials stream to ONE driver-side polars group-sum —
     the hash shuffle's fixed aggregator-actor spawn costs more than the
     entire merge at that scale. Above the threshold the all-to-all
@@ -110,7 +108,7 @@ def duplicate_key_hashes(
     from ..functions.shuffle import grouped_sum, select_if_needed
 
     partials = select_if_needed(ds, keys).map_batches(
-        _hash_combine_fn(keys, seed), batch_format="pyarrow", batch_size=batch_size, zero_copy_batch=True
+        _hash_combine_fn(keys), batch_format="pyarrow", batch_size=65536, zero_copy_batch=True
     )
     # metadata-only estimate: ds.size_bytes() on a transformed lazy plan
     # can execute the whole upstream pipeline just to learn the size —
@@ -118,7 +116,7 @@ def duplicate_key_hashes(
     from ..functions.shuffle import metadata_size_estimate
 
     est = metadata_size_estimate(ds)
-    if est is not None and est <= driver_merge_max_bytes:
+    if est is not None and est <= _DRIVER_MERGE_MAX_BYTES:
         import polars as pl
 
         tabs = [
@@ -137,22 +135,21 @@ def duplicate_key_hashes(
             pl.from_arrow(pa.concat_tables(tabs))
             .group_by("h")
             .agg(pl.col("cnt_partial").sum().alias("cnt"))
-            .filter(pl.col("cnt") >= min_count)
+            .filter(pl.col("cnt") >= 2)
             .sort("h")
         )
         return dup.to_arrow().cast(_DUP_HASH_SCHEMA)
     from ..pipelines.queries import as_table
 
     counts = grouped_sum(partials, ["h"], "cnt_partial", "cnt", keys_non_null=True)
-    thresh = min_count
     return as_table(
         counts.map_batches(
-            lambda t: t.filter(pc.greater_equal(t["cnt"], thresh)), batch_format="pyarrow", batch_size=None
+            lambda t: t.filter(pc.greater_equal(t["cnt"], 2)), batch_format="pyarrow", batch_size=None
         )
     )
 
 
-def uniqueness_partial_table(ds, keys: list[str], batch_size: int | None = 65536, seed: int = 0) -> pa.Table:
+def uniqueness_partial_table(ds, keys: list[str]) -> pa.Table:
     """One (h, cnt_partial) table per dataset slice — a checkpointable
     uniqueness partial: hash-count partials from different slices sum
     associatively at any later merge (:func:`duplicate_hashes_from_partials`). Pre-collapsed to one row per
@@ -162,7 +159,7 @@ def uniqueness_partial_table(ds, keys: list[str], batch_size: int | None = 65536
     from ..functions.shuffle import select_if_needed
 
     partials = select_if_needed(ds, keys).map_batches(
-        _hash_combine_fn(keys, seed), batch_format="pyarrow", batch_size=batch_size, zero_copy_batch=True
+        _hash_combine_fn(keys), batch_format="pyarrow", batch_size=65536, zero_copy_batch=True
     )
     tabs = [
         tb
@@ -180,7 +177,7 @@ def uniqueness_partial_table(ds, keys: list[str], batch_size: int | None = 65536
     return merged.to_arrow().cast(_HASH_PAIR_SCHEMA)
 
 
-def duplicate_hashes_from_partials(partial_tables, min_count: int = 2) -> np.ndarray:
+def duplicate_hashes_from_partials(partial_tables) -> np.ndarray:
     """Merge uniqueness partial tables → SORTED int64 duplicate-hash array
     (the broadcast probe set for the row pass). Associative: any grouping
     of shards into partials gives the same result."""
@@ -190,14 +187,12 @@ def duplicate_hashes_from_partials(partial_tables, min_count: int = 2) -> np.nda
     if not tabs:
         return np.array([], dtype=np.int64)
     df = pl.from_arrow(pa.concat_tables(tabs)).group_by("h").agg(pl.col("cnt_partial").sum())
-    dup = df.filter(pl.col("cnt_partial") >= min_count)["h"].to_numpy()
+    dup = df.filter(pl.col("cnt_partial") >= 2)["h"].to_numpy()
     return np.sort(dup.astype(np.int64, copy=False))
 
 
-def duplicate_keys(ds, keys: list[str], min_count: int = 2):
-    """Keys whose total count >= min_count (uniqueness violations)."""
-    counts = key_counts(ds, keys)
-    thresh = min_count  # capture as int for the closure
-    return counts.map_batches(
-        lambda t: t.filter(pc.greater_equal(t["cnt"], thresh)), batch_format="pyarrow", batch_size=None
+def duplicate_keys(ds, keys: list[str]):
+    """Keys that occur more than once (uniqueness violations)."""
+    return key_counts(ds, keys).map_batches(
+        lambda t: t.filter(pc.greater_equal(t["cnt"], 2)), batch_format="pyarrow", batch_size=None
     )

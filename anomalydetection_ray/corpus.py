@@ -75,8 +75,8 @@ class CorpusManifest:
             return cls(**json.load(f))
 
 
-def _zipf_probs(n: int, s: float = 1.2) -> np.ndarray:
-    w = 1.0 / np.arange(1, n + 1) ** s
+def _zipf_probs(n: int) -> np.ndarray:
+    w = 1.0 / np.arange(1, n + 1) ** 1.2
     return w / w.sum()
 
 

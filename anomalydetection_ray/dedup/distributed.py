@@ -60,8 +60,6 @@ def pair_payload_join(
     id_col: str,
     payload_col: str,
     verify_block,
-    payload_type: pa.DataType | None = None,
-    num_blocks: int | None = None,
 ):
     """Candidate ``(a, b)`` pairs + per-id payloads → verified edges, fully
     distributed.
@@ -79,8 +77,7 @@ def pair_payload_join(
     for; below it, the broadcast gather in ``dedup/neardup.py`` is
     cheaper and callers use that instead.
     """
-    if payload_type is None:
-        payload_type = arrow_schema(payload_ds).field(payload_col).type
+    payload_type = arrow_schema(payload_ds).field(payload_col).type
     s1 = pa.schema(
         [(_KEY, pa.int64()), ("a", pa.int64()), ("b", pa.int64()), ("__p", payload_type), (_SIDE, pa.int8())]
     )
@@ -107,7 +104,7 @@ def pair_payload_join(
     stage1_payload = select_if_needed(payload_ds, [id_col, payload_col]).map_batches(
         payload_to_s1, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
     )
-    with_pa = local_group_map(stage1_pairs.union(stage1_payload), [_KEY], join1, num_blocks, keys_non_null=True)
+    with_pa = local_group_map(stage1_pairs.union(stage1_payload), [_KEY], join1, keys_non_null=True)
 
     def halfpairs_to_s2(tb: pa.Table) -> pa.Table:
         return _norm(tb, s2, {_KEY: tb["b"], "a": tb["a"], "b": tb["b"], "__pa": tb["__pa"], _SIDE: pa.nulls(tb.num_rows, pa.int8()).fill_null(0)})
@@ -136,13 +133,13 @@ def pair_payload_join(
     stage2_payload = select_if_needed(payload_ds, [id_col, payload_col]).map_batches(
         payload_to_s2, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
     )
-    return local_group_map(stage2_pairs.union(stage2_payload), [_KEY], join2_verify, num_blocks, keys_non_null=True)
+    return local_group_map(stage2_pairs.union(stage2_payload), [_KEY], join2_verify, keys_non_null=True)
 
 
 _LABEL_SCHEMA = pa.schema([("id", pa.int64()), ("label", pa.int64())])
 
 
-def label_propagate_min(edges_ds, max_iters: int = 64, num_blocks: int | None = None):
+def label_propagate_min(edges_ds):
     """Edge graph → (id, label) Dataset where label = min id of the
     connected component (union-find's survivor rule, distributed).
 
@@ -175,7 +172,7 @@ def label_propagate_min(edges_ds, max_iters: int = 64, num_blocks: int | None = 
 
     labels = grouped_min(
         sym_edges.map_batches(init_labels, batch_format="pyarrow", batch_size=None, zero_copy_batch=True),
-        ["id"], "label", "label", num_blocks,
+        ["id"], "label", "label",
     ).materialize()
     if labels.count() == 0:
         # empty edge graph: Dataset.sum on an empty label set returns None
@@ -203,12 +200,12 @@ def label_propagate_min(edges_ds, max_iters: int = 64, num_blocks: int | None = 
         return msg.rename({"dst": "id"}).select(["id", "label"]).to_arrow().cast(_LABEL_SCHEMA)
 
     converged = False
-    for _ in range(max_iters):
+    for _ in range(64):
         tagged = sym_edges.map_batches(edges_to_j, batch_format="pyarrow", batch_size=None, zero_copy_batch=True).union(
             labels.map_batches(labels_to_j, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
         )
-        messages = local_group_map(tagged, ["__k"], send, num_blocks, keys_non_null=True)
-        labels = grouped_min(messages.union(labels), ["id"], "label", "label", num_blocks).materialize()
+        messages = local_group_map(tagged, ["__k"], send, keys_non_null=True)
+        labels = grouped_min(messages.union(labels), ["id"], "label", "label").materialize()
         s = labels.sum("label")
         if prev_sum is not None and s == prev_sum:
             converged = True
@@ -218,11 +215,11 @@ def label_propagate_min(edges_ds, max_iters: int = 64, num_blocks: int | None = 
         # Silently returning partially-propagated labels would leave extra
         # survivors and break the documented "distributed plan == driver
         # union-find" invariant with no signal — and similarity CHAINS
-        # longer than max_iters are plausible in exactly the adversarial
+        # longer than 64 rounds are plausible in exactly the adversarial
         # regime this path is selected for (ADVICE round 2). Fail loudly.
         raise RuntimeError(
-            f"label propagation did not reach a fixpoint within {max_iters} "
-            "rounds (component diameter exceeds max_iters); raise max_iters"
+            "label propagation did not reach a fixpoint within 64 rounds "
+            "(component diameter exceeds 64)"
         )
     return labels
 
@@ -270,7 +267,12 @@ def _block_forest(tb: pa.Table) -> pa.Table:
     )
 
 
-def cluster_drop_ids(edges_ds, max_iters: int = 64, num_blocks: int | None = None, driver_max_edges: int = 2_000_000):
+# contracted edge count up to which one driver union-find finishes the
+# components instead of distributed label propagation
+_DRIVER_MAX_EDGES = 2_000_000
+
+
+def cluster_drop_ids(edges_ds):
     """Verified edges → Dataset of ids to DROP (every non-min member of
     each connected component) — the distributed replacement for the
     driver union-find in ``dedup/neardup.py``.
@@ -288,7 +290,7 @@ def cluster_drop_ids(edges_ds, max_iters: int = 64, num_blocks: int | None = Non
     contracted = edges_ds.map_batches(
         _block_forest, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
     ).materialize()
-    if contracted.count() <= driver_max_edges:
+    if contracted.count() <= _DRIVER_MAX_EDGES:
         parent: dict = {}
 
         def find(x):
@@ -310,7 +312,7 @@ def cluster_drop_ids(edges_ds, max_iters: int = 64, num_blocks: int | None = Non
             pa.Table.from_pydict({"id": pa.array(drop, type=pa.int64())})
         )
 
-    labels = label_propagate_min(contracted, max_iters, num_blocks)
+    labels = label_propagate_min(contracted)
 
     def non_min(tb: pa.Table) -> pa.Table:
         keep = pc.not_equal(tb["id"], tb["label"])
@@ -319,7 +321,7 @@ def cluster_drop_ids(edges_ds, max_iters: int = 64, num_blocks: int | None = Non
     return labels.map_batches(non_min, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
 
 
-def shuffle_anti_join(ds, id_col: str, drop_ids_ds, num_blocks: int | None = None):
+def shuffle_anti_join(ds, id_col: str, drop_ids_ds):
     """Rows of ``ds`` whose ``id_col`` is NOT in the (distributed) drop-id
     set — a thin alias over the generic co-partitioned
     :func:`~anomalydetection_ray.functions.relational.
@@ -330,5 +332,5 @@ def shuffle_anti_join(ds, id_col: str, drop_ids_ds, num_blocks: int | None = Non
     from ..functions.relational import shuffle_membership_filter
 
     return shuffle_membership_filter(
-        ds, id_col, drop_ids_ds, "id", keep=False, num_blocks=num_blocks, keys_non_null=True
+        ds, id_col, drop_ids_ds, "id", keep=False, keys_non_null=True
     )

@@ -65,11 +65,16 @@ def _check_fingerprint_collision(t: pa.Table) -> None:
         )
 
 
+# fingerprint bytes (metadata estimate) up to which the driver gathers
+# them once instead of co-partitioning them in a shuffle
+_DRIVER_MERGE_MAX_BYTES = 1 << 30
+
+
 def exact_dedup(
     ds,
     id_col: str,
     text_col: str,
-    driver_merge_max_bytes: int = 1 << 30,
+    driver_merge_max_bytes: int = _DRIVER_MERGE_MAX_BYTES,
     size_hint_bytes: int | None = None,
 ):
     """Survivors: the min-id row of every distinct text value.
@@ -128,7 +133,6 @@ def dedup_against_snapshot(
     text_col: str,
     snapshot_ds,
     snapshot_text_col: str | None = None,
-    driver_merge_max_bytes: int = 1 << 30,
     snapshot_size_hint_bytes: int | None = None,
 ):
     """INCREMENTAL exact dedup: drop rows of ``ds`` whose exact content
@@ -142,7 +146,7 @@ def dedup_against_snapshot(
     exact_dedup (16 B/row; text never moves), then the standard two-rung
     tail keyed on the SNAPSHOT's size estimate:
 
-    - snapshot fingerprints under ``driver_merge_max_bytes`` gather once,
+    - snapshot fingerprints under ``_DRIVER_MERGE_MAX_BYTES`` gather once,
       ``ray.put`` once as a two-column polars frame, and every new batch
       drops matches with one vectorized anti-join — the corpus never
       shuffles;
@@ -178,7 +182,7 @@ def dedup_against_snapshot(
         est = snapshot_size_hint_bytes
     else:
         est = metadata_size_estimate(snapshot_ds)
-    if est is not None and est <= driver_merge_max_bytes:
+    if est is not None and est <= _DRIVER_MERGE_MAX_BYTES:
         import polars as pl
         import ray
 

@@ -147,7 +147,6 @@ def line_drop_pairs(
     mode: str = "drop_common",
     min_docs: int = 2,
     normalize: str = "strip",
-    num_blocks: int | None = None,
 ):
     """The (id, idx) occurrences :func:`line_dedup` would remove, as a
     lazy Dataset — the narrow pass alone, exposed for inspection/audit."""
@@ -167,7 +166,7 @@ def line_drop_pairs(
         zero_copy_batch=True,
     )
     return local_group_map(
-        triples, ["h1"], _drops_block(mode, min_docs, id_type), num_blocks, keys_non_null=True
+        triples, ["h1"], _drops_block(mode, min_docs, id_type), keys_non_null=True
     )
 
 
@@ -248,7 +247,6 @@ def line_dedup(
     min_docs: int = 2,
     normalize: str = "strip",
     driver_max_drops: int = 2_000_000,
-    num_blocks: int | None = None,
 ):
     """Rewrite every document with its duplicated lines removed (see
     module docstring for policies and the two cost-gated apply plans).
@@ -258,7 +256,7 @@ def line_dedup(
     import ray
 
     drops = line_drop_pairs(
-        ds, id_col, text_col, sep, mode, min_docs, normalize, num_blocks
+        ds, id_col, text_col, sep, mode, min_docs, normalize
     ).materialize()
     apply = _apply_drops(id_col, text_col, sep)
     if driver_max_drops > 0 and drops.count() <= driver_max_drops:
@@ -304,7 +302,7 @@ def line_dedup(
     ).union(
         drops.map_batches(drops_to_u, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
     )
-    return local_group_map(tagged, [id_col], block, num_blocks)
+    return local_group_map(tagged, [id_col], block)
 
 
 def _drop_schema(id_type: pa.DataType) -> pa.Schema:

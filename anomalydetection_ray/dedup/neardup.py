@@ -38,7 +38,6 @@ from ..sketches.minhash import (
     MinHasher,
     batch_band_keys,
     concat_hash_sets,
-    exact_jaccard,
     shingle_hashes,
     word_hashes,
 )
@@ -139,14 +138,15 @@ def _block_edges(tb: pa.Table) -> pa.Table:
     return edges.to_arrow().cast(_EDGE_SCHEMA)
 
 
-def lsh_candidate_edges(ds, id_col: str, text_col: str, num_perm: int = 128, bands: int = 32, shingle: str = "char", k: int = 5, seed: int = 42, concurrency: int | None = None):
-    """Dataset of candidate (id, rep) edges from MinHash LSH banding."""
+def lsh_candidate_edges(ds, id_col: str, text_col: str, shingle: str, k: int):
+    """Dataset of candidate (id, rep) edges from MinHash LSH banding
+    (128 permutations in 32 bands, seed 42)."""
     triples = _sel(ds, [id_col, text_col]).map_batches(
         MinHashBandStage,
-        fn_constructor_args=(id_col, text_col, num_perm, bands, shingle, k, seed),
+        fn_constructor_args=(id_col, text_col, 128, 32, shingle, k, 42),
         batch_format="pyarrow", batch_size=None,
         zero_copy_batch=True,
-        concurrency=concurrency or sized_actor_concurrency(ds),
+        concurrency=sized_actor_concurrency(ds),
     )
     return local_group_map(triples, ["band", "key"], _block_edges, keys_non_null=True)
 
@@ -301,7 +301,7 @@ class _BroadcastJaccardVerify:
         return pa.Table.from_pydict({"a": pa.array(a[keep]), "b": pa.array(b[keep])}, schema=_PAIR_SCHEMA)
 
 
-def _verify_pairs_broadcast(work, pairs_ds, id_col, text_col, threshold, shingle, k, max_bytes=None, components_mode=False):
+def _verify_pairs_broadcast(work, pairs_ds, id_col, text_col, threshold, shingle, k, components_mode=False):
     """Middle verification plan: candidate-pair count exceeds the driver
     budget but the candidate DOCS' hash sets fit a broadcast.
 
@@ -313,9 +313,6 @@ def _verify_pairs_broadcast(work, pairs_ds, id_col, text_col, threshold, shingle
     the fallback when candidates outgrow the budget. Returns verified
     edges as a Dataset, or None when over budget."""
     import ray
-
-    if max_bytes is None:
-        max_bytes = BROADCAST_VERIFY_MAX_BYTES
 
     from ..pipelines.queries import as_table
 
@@ -347,7 +344,7 @@ def _verify_pairs_broadcast(work, pairs_ds, id_col, text_col, threshold, shingle
         if blk.num_rows == 0:
             continue
         gathered += blk.nbytes
-        if gathered > max_bytes:
+        if gathered > BROADCAST_VERIFY_MAX_BYTES:
             return None
         parts.append(blk)
     if not parts:
@@ -394,7 +391,7 @@ def _verify_pairs_broadcast(work, pairs_ds, id_col, text_col, threshold, shingle
 
         stars = _gather_capped(
             pairs_ds.map_batches(first_per_a, batch_format="pyarrow", batch_size=None, zero_copy_batch=True),
-            max_bytes,
+            BROADCAST_VERIFY_MAX_BYTES,
         )
         if stars is not None and stars.num_rows and sids.size:
             sa = stars["a"].to_numpy(zero_copy_only=False)
@@ -485,7 +482,6 @@ def _verify_edges(
     threshold: float,
     shingle: str,
     k: int,
-    max_bytes: int | None = None,
 ) -> list[tuple] | None:
     """Exact-Jaccard check of candidate edges; gathers ONLY candidate rows.
 
@@ -498,7 +494,7 @@ def _verify_edges(
     if not cand:
         return []
     rows = broadcast_value_filter(_sel(ds, [id_col, text_col]), id_col, np.array(cand), keep=True)
-    t = _gather_capped(rows, max_bytes)
+    t = _gather_capped(rows)
     if t is None:
         return None
     if t.num_rows == 0:
@@ -720,15 +716,12 @@ def minhash_lsh_dedup(
     ds,
     id_col: str,
     text_col: str,
-    num_perm: int = 128,
-    bands: int = 32,
     shingle: str = "char",
-    k: int = 5,
-    seed: int = 42,
     verify_threshold: float | None = None,
     driver_max_edges: int = DRIVER_MAX_EDGES,
 ):
-    """Near-dup dedup: keep the min-id representative of each LSH cluster.
+    """Near-dup dedup: keep the min-id representative of each LSH cluster
+    (MinHash over ``shingle`` 5-grams).
 
     ``verify_threshold`` switches on exact n-gram-Jaccard edge verification
     (the "n-gram Jaccard dedup" operator): only candidate pairs whose TRUE
@@ -736,7 +729,8 @@ def minhash_lsh_dedup(
     the fully-distributed verify/cluster plan replaces the driver path
     (see :func:`_dedup_via_edges`).
     """
-    edges_ds = lsh_candidate_edges(ds, id_col, text_col, num_perm, bands, shingle, k, seed)
+    k = 5
+    edges_ds = lsh_candidate_edges(ds, id_col, text_col, shingle, k)
     verify_block = (
         _jaccard_verify_block(verify_threshold, shingle, k) if verify_threshold is not None else None
     )
@@ -1202,11 +1196,7 @@ def minhash_lsh_dedup_verified(
     id_col: str,
     text_col: str,
     threshold: float,
-    num_perm: int = 256,
-    bands: int = 64,
     shingle: str = "word",
-    k: int = 5,
-    seed: int = 42,
     driver_max_edges: int = DRIVER_MAX_EDGES,
     collapse_exact: bool = True,
     size_hint_bytes: int | None = None,
@@ -1236,6 +1226,8 @@ def minhash_lsh_dedup_verified(
     import ray
 
     from ..functions.shuffle import metadata_size_estimate
+
+    num_perm, bands, k, seed = 256, 64, 5, 42
 
     # Cost-based small-input plan (same gate every sibling has): when the
     # input's metadata size estimate — or the caller's upper bound for a
@@ -1315,23 +1307,20 @@ def neardup_pairs(
     id_col: str,
     text_col: str,
     threshold: float,
-    num_perm: int = 256,
-    bands: int = 64,
-    shingle: str = "word",
-    k: int = 5,
-    seed: int = 42,
     driver_max_pairs: int = DRIVER_MAX_EDGES,
 ):
     """All (id_a < id_b) pairs with exact Jaccard ≥ threshold, found via
-    LSH candidates + exact verification. With these parameters the LSH
-    recall at J=threshold≥0.5 is >1-1e-6 (1-(1-J^r)^b, r=4, b=64), so the
-    result matches a brute-force pairwise oracle on non-adversarial data.
+    LSH candidates (256 permutations in 64 bands over word 5-grams) +
+    exact verification. The LSH recall at J=threshold≥0.5 is
+    >1-1e-6 (1-(1-J^r)^b, r=4, b=64), so the result matches a
+    brute-force pairwise oracle on non-adversarial data.
 
     Within-bucket pairing is all-pairs per bucket (not just to the min) so
     no pair is lost to the representative chain.
     """
     from ..functions.shuffle import metadata_size_estimate
 
+    num_perm, bands, shingle, k, seed = 256, 64, "word", 5, 42
     # Cost-gated in-process plan (same gate as the dedup siblings), with
     # one extra bail: pair LISTING must verify every distinct candidate
     # (no connectivity skip), so after the cheap gather + banding + matrix
@@ -1476,31 +1465,32 @@ def _simhash_bucket_edges(ids: np.ndarray, fp: np.ndarray, n_blocks: int, max_ha
     return j["id"].to_numpy()[m], j["id_b"].to_numpy()[m]
 
 
+# size estimate up to which the (id, simhash) pairs dedup in one driver pass
+_SIMHASH_MERGE_MAX_BYTES = 1 << 30
+
+
 def simhash_dedup(
     ds,
     id_col: str,
     text_col: str,
-    max_hamming: int = 3,
-    n_blocks: int = 4,
     driver_max_edges: int = DRIVER_MAX_EDGES,
     token_hash: str = "fnv",
     size_hint_bytes: int | None = None,
-    driver_merge_max_bytes: int = 1 << 30,
 ):
     """Near-dup dedup via SimHash: Manku-style prefix-block grouping finds
-    every pair within ``max_hamming`` (requires max_hamming < n_blocks);
-    within-bucket pairs are verified by exact Hamming distance.
+    every pair within Hamming distance 3 (with 4 prefix blocks one block
+    of such a pair matches exactly); within-bucket pairs are verified by
+    exact Hamming distance.
 
     Plan choice is cost-based like :func:`~..dedup.exact.exact_dedup`:
     when the input's size estimate (or the caller's ``size_hint_bytes``
     upper bound, for transformed inputs with no estimate) fits
-    ``driver_merge_max_bytes``, the (id, simhash) pairs — 16 B/doc —
+    ``_SIMHASH_MERGE_MAX_BYTES``, the (id, simhash) pairs — 16 B/doc —
     stream to ONE driver pass (bucket self-join + exact Hamming verify +
     union-find + broadcast drop filter), skipping the hash shuffle's
     fixed aggregator-actor spawn that dwarfs small corpora. Larger
     inputs keep the distributed bucket shuffle."""
-    if max_hamming >= n_blocks:
-        raise ValueError("pigeonhole requires max_hamming < n_blocks")
+    n_blocks, max_hamming = 4, 3  # pigeonhole: max_hamming < n_blocks
 
     fps = simhash_fingerprints(ds, id_col, text_col, token_hash)
     from ..functions.shuffle import metadata_size_estimate
@@ -1508,7 +1498,7 @@ def simhash_dedup(
     est = size_hint_bytes if size_hint_bytes is not None else metadata_size_estimate(ds)
     # driver_max_edges <= 0 means "nothing driver-side" (the distributed-
     # plan equivalence tests force it); honor that here too
-    if driver_max_edges > 0 and est is not None and est <= driver_merge_max_bytes:
+    if driver_max_edges > 0 and est is not None and est <= _SIMHASH_MERGE_MAX_BYTES:
         tabs = [
             t
             for t in fps.iter_batches(batch_format="pyarrow", batch_size=None)
@@ -1612,13 +1602,13 @@ class HyperplaneLSHStage:
         )
 
 
-def embedding_neardup_pairs(
-    ds, id_col: str, vec_col: str, dim: int, threshold: float = 0.95, n_bits: int = 128, bands: int = 16, seed: int = 42, driver_max_edges: int = DRIVER_MAX_EDGES
-) -> pa.Table:
+def embedding_neardup_pairs(ds, id_col: str, vec_col: str, dim: int, threshold: float = 0.95) -> pa.Table:
     """All (a < b) pairs with exact cosine ≥ threshold: hyperplane-LSH
     candidates (all-pairs per bucket) + exact verification over the
     gathered candidate vectors. Matches a brute-force pairwise oracle up
-    to LSH recall (>99.98% at cos=0.95 with 16 bands × 8 bits)."""
+    to LSH recall (>99.98% at cos=0.95 with 16 bands × 8 bits; 128 planes,
+    seed 42). Above ``DRIVER_MAX_EDGES`` candidate pairs the vectors
+    shuffle to their pairs instead of gathering on the driver."""
     pair_schema = pa.schema([("a", pa.int64()), ("b", pa.int64())])
 
     def block_pairs(tb: pa.Table) -> pa.Table:
@@ -1635,7 +1625,7 @@ def embedding_neardup_pairs(
 
     triples = _sel(ds, [id_col, vec_col]).map_batches(
         HyperplaneLSHStage,
-        fn_constructor_args=(id_col, vec_col, dim, n_bits, bands, seed),
+        fn_constructor_args=(id_col, vec_col, dim, 128, 16, 42),
         batch_format="pyarrow", batch_size=None,
         zero_copy_batch=True,
         concurrency=sized_actor_concurrency(ds),
@@ -1645,7 +1635,7 @@ def embedding_neardup_pairs(
 
     rt = None
     cand_pairs: list[tuple] = []
-    if pairs_tbl.count() <= driver_max_edges:
+    if pairs_tbl.count() <= DRIVER_MAX_EDGES:
         t = as_table(pairs_tbl)
         cand_pairs = list(
             {(int(a), int(b)) for a, b in zip(t["a"].to_numpy(zero_copy_only=False), t["b"].to_numpy(zero_copy_only=False))}

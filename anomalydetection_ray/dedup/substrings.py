@@ -297,20 +297,14 @@ def _apply_marked(ds, id_col: str, text_col: str, k: int, plan: str, dup,
                               zero_copy_batch=True)
 
 
-def dup_span_stats(
-    ds,
-    id_col: str = "doc_id",
-    text_col: str = "text",
-    k: int = 40,
-    min_docs: int = 2,
-    driver_max_hashes: int = 2_000_000,
-):
-    """Per-document duplicated-substring statistics over ALL rows (zeros
-    for clean docs): ``dup_gram_count`` marked stride-1 positions,
-    ``dup_span_count`` merged spans, ``dup_span_bytes`` their total
-    coverage. Input columns pass through."""
-    plan, dup = duplicated_gram_hashes(ds, text_col, k, min_docs, driver_max_hashes)
-    return _apply_marked(ds, id_col, text_col, k, plan, dup, emit_spans=False)
+def dup_span_stats(ds, k: int = 40, min_docs: int = 2, driver_max_hashes: int = 2_000_000):
+    """Per-document duplicated-substring statistics of the ``text``
+    column over ALL rows (zeros for clean docs), keyed by ``doc_id``:
+    ``dup_gram_count`` marked stride-1 positions, ``dup_span_count``
+    merged spans, ``dup_span_bytes`` their total coverage. Input columns
+    pass through."""
+    plan, dup = duplicated_gram_hashes(ds, "text", k, min_docs, driver_max_hashes)
+    return _apply_marked(ds, "doc_id", "text", k, plan, dup, emit_spans=False)
 
 
 def strip_dup_spans(
@@ -318,7 +312,6 @@ def strip_dup_spans(
     id_col: str = "doc_id",
     text_col: str = "text",
     k: int = 40,
-    min_docs: int = 2,
     driver_max_hashes: int = 2_000_000,
     min_remaining_bytes: int = 0,
 ):
@@ -327,7 +320,7 @@ def strip_dup_spans(
     substring-unique at >= k grams). Rows whose remaining text falls
     under ``min_remaining_bytes`` are dropped. STAT_COLS describe what
     was cut; the original text is replaced."""
-    plan, dup = duplicated_gram_hashes(ds, text_col, k, min_docs, driver_max_hashes)
+    plan, dup = duplicated_gram_hashes(ds, text_col, k, 2, driver_max_hashes)
     marked = _apply_marked(ds, id_col, text_col, k, plan, dup, emit_spans=True)
 
     def cut(tb: pa.Table) -> pa.Table:

@@ -215,14 +215,13 @@ def isolation_forest_scores(
     out_col: str = "iforest_score",
     n_trees: int = 100,
     sample_size: int = 256,
-    train_sample: int = 10_000,
     seed: int = 42,
     carry: list[str] | None = None,
 ):
     """Isolation-forest anomaly score per row, fit-on-sample /
     score-distributed.
 
-    FIT — a deterministic hash-rate sample of the corpus (hash of
+    FIT — a deterministic hash-rate sample of 10,000 rows (hash of
     ``id_col``, same discipline as IVF/k-means: reproducible at any
     parallelism, never an input prefix), sorted by id so arrival order
     cannot perturb tree construction, builds the forest on the driver.
@@ -237,7 +236,7 @@ def isolation_forest_scores(
     from .similarity import deterministic_hash_sample
 
     sample_tbl = deterministic_hash_sample(
-        ds, id_col, [id_col, vec_col], train_sample, seed,
+        ds, id_col, [id_col, vec_col], 10_000, seed,
         empty_msg="isolation_forest_scores: hash-rate sample came back empty",
     )
     sample = list_column_to_matrix(sample_tbl[vec_col].combine_chunks())

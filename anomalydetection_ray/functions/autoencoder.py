@@ -179,8 +179,8 @@ class NumpyAutoencoder:
 
 
 class AutoencoderScoreStage:
-    """Actor-pool ``map_batches`` stage: embedding column → reconstruction
-    -error score column. The snapshot is read from disk exactly once per
+    """Actor-pool ``map_batches`` stage: ``embedding`` column →
+    ``recon_error`` reconstruction-error column. The snapshot is read from disk exactly once per
     ACTOR (``__init__``), never per batch — the same contract as
     ``EmbeddingModelStage`` (reference load-once,
     ``models/feature_extraction.py:37-43``).
@@ -189,39 +189,25 @@ class AutoencoderScoreStage:
     so tests can count loads-per-actor from outside the actor processes.
     """
 
-    def __init__(
-        self,
-        snapshot_path: str,
-        vec_col: str = "embedding",
-        out_col: str = "recon_error",
-        load_hook=None,
-    ):
+    def __init__(self, snapshot_path: str, load_hook=None):
         if load_hook is not None:
             load_hook()
         self.model = NumpyAutoencoder.load_snapshot(snapshot_path)
-        self.vec_col, self.out_col = vec_col, out_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if self.out_col in batch.column_names:
-            raise ValueError(f"output column {self.out_col!r} already exists; rename or drop it first")
+        if "recon_error" in batch.column_names:
+            raise ValueError("output column 'recon_error' already exists; rename or drop it first")
         if batch.num_rows == 0:
-            return batch.append_column(self.out_col, pa.array([], type=pa.float64()))
-        x = list_column_to_matrix(batch[self.vec_col].combine_chunks())
+            return batch.append_column("recon_error", pa.array([], type=pa.float64()))
+        x = list_column_to_matrix(batch["embedding"].combine_chunks())
         err = self.model.reconstruction_error(x)
-        return batch.append_column(self.out_col, pa.array(err, type=pa.float64()))
+        return batch.append_column("recon_error", pa.array(err, type=pa.float64()))
 
 
-def score_with_autoencoder(
-    ds,
-    snapshot_path: str,
-    vec_col: str = "embedding",
-    out_col: str = "recon_error",
-    concurrency: int | None = None,
-    batch_size: int | None = None,
-):
-    """Corpus-wide reconstruction scoring as an actor pool sized to the
-    input (tiny inputs don't pay a full pool spawn; at scale the pool
-    saturates the cluster cap). The default batch size ABSORBS empty
+def score_with_autoencoder(ds, snapshot_path: str):
+    """Corpus-wide reconstruction scoring into ``recon_error`` as an actor
+    pool sized to the input (tiny inputs don't pay a full pool spawn; at
+    scale the pool saturates the cluster cap). The batch size ABSORBS empty
     input blocks (``batch_size=None`` lets Ray pass them through without
     calling the UDF, emitting schema-less 0-row blocks that diverge
     downstream unions — round-5 review, the shim's RefBundle warning)."""
@@ -229,9 +215,9 @@ def score_with_autoencoder(
 
     return ds.map_batches(
         AutoencoderScoreStage,
-        fn_constructor_kwargs={"snapshot_path": snapshot_path, "vec_col": vec_col, "out_col": out_col},
+        fn_constructor_kwargs={"snapshot_path": snapshot_path},
         batch_format="pyarrow",
-        batch_size=ABSORB_EMPTY_BATCH_SIZE if batch_size is None else batch_size,
+        batch_size=ABSORB_EMPTY_BATCH_SIZE,
         zero_copy_batch=True,
-        concurrency=concurrency or sized_actor_concurrency(ds),
+        concurrency=sized_actor_concurrency(ds),
     )

@@ -79,11 +79,10 @@ class EmbeddingModelStage:
         self,
         model_factory,
         text_col: str = "template",
-        out_col: str = "embedding",
         model_batch_size: int = 256,
     ):
         self.model = model_factory()  # once per actor — the T2 contract
-        self.text_col, self.out_col = text_col, out_col
+        self.text_col = text_col
         self.model_batch_size = max(1, int(model_batch_size))
         # Output dim is pinned HERE, not per batch: an empty block must
         # emit the same fixed_size_list<float, dim> as every other block
@@ -108,11 +107,11 @@ class EmbeddingModelStage:
         self.dim = int(dim)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if self.out_col in batch.column_names:
+        if "embedding" in batch.column_names:
             # duplicate fields break by-name access far downstream —
             # fail at the stage that would create them (round-5 review:
             # re-embedding an already-embedded corpus)
-            raise ValueError(f"output column {self.out_col!r} already exists; rename or drop it first")
+            raise ValueError("output column 'embedding' already exists; rename or drop it first")
         col = batch[self.text_col]
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
@@ -129,14 +128,12 @@ class EmbeddingModelStage:
         emb_col = pa.FixedSizeListArray.from_arrays(
             pa.array(emb.ravel(), type=pa.float32()), self.dim
         )
-        return batch.append_column(self.out_col, emb_col)
+        return batch.append_column("embedding", emb_col)
 
 
 def embedding_stage_kwargs(
     model_factory,
     *,
-    text_col: str = "template",
-    out_col: str = "embedding",
     model_batch_size: int = 256,
     batch_size: int | None = 4096,
     concurrency: int | None = None,
@@ -161,8 +158,7 @@ def embedding_stage_kwargs(
     kwargs: dict = {
         "fn_constructor_kwargs": {
             "model_factory": model_factory,
-            "text_col": text_col,
-            "out_col": out_col,
+            "text_col": "template",
             "model_batch_size": model_batch_size,
         },
         "batch_format": "pyarrow",

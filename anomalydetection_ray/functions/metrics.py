@@ -85,13 +85,13 @@ def _drop_unscorable(tb: pa.Table, label_col: str, score_col: str) -> pa.Table:
     return tb if pc.all(mask).as_py() in (True, None) else tb.filter(mask)
 
 
-def auc_streaming(ds, label_col: str, score_col: str, lo: float, hi: float, n_bins: int = 4096) -> float:
+def auc_streaming(ds, label_col: str, score_col: str, lo: float, hi: float) -> float:
     """Approximate ROC-AUC from per-class fixed-bin score histograms.
 
     AUC = P(score⁺ > score⁻) + ½·P(score⁺ = score⁻); with histograms the
     within-bin comparison uses the ½-tie convention, bounding the error by
     the mass falling in mixed bins. One streaming pass, partials are two
-    int64[n_bins] vectors per block.
+    int64[n_bins] vectors (4096 bins) per block.
 
     Scores outside [lo, hi] CLIP into the edge bins (the same policy as
     ``sketches/histogram.py:FixedHistogram.update``, and the same reason:
@@ -103,6 +103,7 @@ def auc_streaming(ds, label_col: str, score_col: str, lo: float, hi: float, n_bi
     """
     if not hi > lo:
         raise ValueError(f"need hi > lo, got [{lo}, {hi}]")
+    n_bins = 4096
     edges = np.linspace(lo, hi, n_bins + 1)
 
     def partial(batch: pa.Table) -> pa.Table:

@@ -171,14 +171,14 @@ class ImageFeatureStage:
     extracts a deterministic descriptor; decoder resolved once per actor.
     """
 
-    def __init__(self, dim: int = 64, mode: str = "fake", payload_col: str = "payload"):
+    def __init__(self, dim: int = 64, mode: str = "fake"):
         _check_mode(mode)
-        self.dim, self.mode, self.payload_col = dim, mode, payload_col
+        self.dim, self.mode = dim, mode
         if mode == "real":
             self.decode, self.backend = _resolve_image_decoder()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch[self.payload_col].to_pylist()
+        payloads = batch["payload"].to_pylist()
         if not payloads:  # np.stack([]) raises on a drained block
             feats = np.zeros((0, self.dim), dtype=np.float32)
         elif self.mode == "real":
@@ -188,7 +188,7 @@ class ImageFeatureStage:
                 [_fake_floats(p if p is not None else b"", self.dim, b"img") for p in payloads]
             )
         col = pa.FixedSizeListArray.from_arrays(pa.array(feats.reshape(-1), type=pa.float32()), self.dim)
-        return batch.drop_columns([self.payload_col]).append_column("image_feat", col)
+        return batch.drop_columns(["payload"]).append_column("image_feat", col)
 
 
 class AudioFeatureStage:
@@ -197,14 +197,14 @@ class AudioFeatureStage:
     ``mode="real"`` decodes PCM (soundfile if importable, else stdlib
     WAV); ``duration_s`` is then the true decoded duration."""
 
-    def __init__(self, dim: int = 32, mode: str = "fake", payload_col: str = "payload"):
+    def __init__(self, dim: int = 32, mode: str = "fake"):
         _check_mode(mode)
-        self.dim, self.mode, self.payload_col = dim, mode, payload_col
+        self.dim, self.mode = dim, mode
         if mode == "real":
             self.decode, self.backend = _resolve_audio_decoder()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch[self.payload_col].to_pylist()
+        payloads = batch["payload"].to_pylist()
         if not payloads:  # np.stack([]) raises on a drained block
             feats = np.zeros((0, self.dim), dtype=np.float32)
             durations = np.zeros(0, dtype=np.float64)
@@ -224,7 +224,7 @@ class AudioFeatureStage:
                 dtype=np.float64,
             )
         col = pa.FixedSizeListArray.from_arrays(pa.array(feats.reshape(-1), type=pa.float32()), self.dim)
-        out = batch.drop_columns([self.payload_col]).append_column("audio_feat", col)
+        out = batch.drop_columns(["payload"]).append_column("audio_feat", col)
         return out.append_column("duration_s", pa.array(durations, type=pa.float64()))
 
 
@@ -275,9 +275,9 @@ class ImageResizeStage:
     target/source area ratio so downstream stages see realistic
     byte-volume reduction."""
 
-    def __init__(self, target_w: int = 224, target_h: int = 224, mode: str = "fake", payload_col: str = "payload"):
+    def __init__(self, target_w: int = 224, target_h: int = 224, mode: str = "fake"):
         _check_mode(mode)
-        self.tw, self.th, self.mode, self.payload_col = target_w, target_h, mode, payload_col
+        self.tw, self.th, self.mode = target_w, target_h, mode
         if mode == "real":
             self.decode, self.backend = _resolve_image_decoder()
             from .codecs import encode_png, resize_nearest
@@ -285,7 +285,7 @@ class ImageResizeStage:
             self.encode, self.resize = encode_png, resize_nearest
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch[self.payload_col].to_pylist()
+        payloads = batch["payload"].to_pylist()
         n = batch.num_rows
         if self.mode == "real":
             out_payloads = [
@@ -303,7 +303,7 @@ class ImageResizeStage:
                 digest = hashlib.sha256(b"rsz" + p).digest()
                 reps = target_len // len(digest) + 1
                 out_payloads.append((digest * reps)[:target_len])
-        out = batch.drop_columns([self.payload_col, "width", "height"])
+        out = batch.drop_columns(["payload", "width", "height"])
         out = out.append_column("payload", pa.array(out_payloads, type=pa.binary()))
         out = out.append_column("width", pa.array(np.full(n, self.tw, dtype=np.int32)))
         return out.append_column("height", pa.array(np.full(n, self.th, dtype=np.int32)))

@@ -306,11 +306,9 @@ def score_quality(
     snapshot_path: str,
     text_col: str = "text",
     out_col: str = "quality_prob",
-    batch_size: int | None = None,
-    concurrency: int | None = None,
 ):
     """Corpus-wide quality scoring as an actor pool sized to the input;
-    the default batch size absorbs empty blocks (schema-less 0-row
+    the batch size absorbs empty blocks (schema-less 0-row
     blocks diverge downstream unions)."""
     from .shuffle import ABSORB_EMPTY_BATCH_SIZE, sized_actor_concurrency
 
@@ -319,7 +317,7 @@ def score_quality(
         fn_constructor_kwargs={"snapshot_path": snapshot_path,
                                "text_col": text_col, "out_col": out_col},
         batch_format="pyarrow",
-        batch_size=ABSORB_EMPTY_BATCH_SIZE if batch_size is None else batch_size,
+        batch_size=ABSORB_EMPTY_BATCH_SIZE,
         zero_copy_batch=True,
-        concurrency=concurrency or sized_actor_concurrency(ds),
+        concurrency=sized_actor_concurrency(ds),
     )

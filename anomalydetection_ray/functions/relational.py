@@ -39,7 +39,7 @@ def broadcast_value_filter(ds, col: str, values, keep: bool = True):
 
 
 def shuffle_membership_filter(ds, col: str, values_ds, values_col: str, keep: bool = True,
-                              num_blocks: int | None = None, keys_non_null: bool = False):
+                              keys_non_null: bool = False):
     """Distributed membership filter: rows of ``ds`` whose ``col`` is
     (``keep=True``) / is not (``keep=False``) present in a DISTRIBUTED
     value set — the scale plan when the value set is too large to gather
@@ -94,10 +94,10 @@ def shuffle_membership_filter(ds, col: str, values_ds, values_col: str, keep: bo
     tagged = ds.map_batches(rows_to_u, batch_format="pyarrow", batch_size=None, zero_copy_batch=True).union(
         values_ds.map_batches(vals_to_u, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
     )
-    return local_group_map(tagged, [col], probe, num_blocks, keys_non_null=keys_non_null)
+    return local_group_map(tagged, [col], probe, keys_non_null=keys_non_null)
 
 
-def frequency_filter(ds, col: str, min_count: int, driver_max_keys: int = 2_000_000, num_blocks: int | None = None):
+def frequency_filter(ds, col: str, min_count: int, driver_max_keys: int = 2_000_000):
     """Keep rows whose `col` value occurs more than `min_count` times
     (strict >, matching ``models/preprocessing.py:7-10``).
 
@@ -125,7 +125,7 @@ def frequency_filter(ds, col: str, min_count: int, driver_max_keys: int = 2_000_
     if driver_max_keys > 0 and keep_ds.count() <= driver_max_keys:
         keep = np.asarray(as_table_column(keep_ds, col))
         return broadcast_value_filter(ds, col, keep, keep=True)
-    return shuffle_membership_filter(ds, col, keep_ds, col, keep=True, num_blocks=num_blocks)
+    return shuffle_membership_filter(ds, col, keep_ds, col, keep=True)
 
 
 def as_table_column(ds, col: str) -> pa.ChunkedArray:
@@ -142,8 +142,6 @@ def shuffle_hash_join(
     right_ds,
     right_key: str | list[str],
     how: str = "inner",
-    num_blocks: int | None = None,
-    suffix: str = "_r",
 ):
     """Partitioned hash join for two LARGE sides (round-2 verdict gap:
     dim tables too big to broadcast had no plan).
@@ -162,9 +160,9 @@ def shuffle_hash_join(
     are cast to the left key types. Output matches
     :func:`broadcast_join`: left columns keep their names and types, the
     right key columns are dropped (they equal the left keys on matches),
-    right columns colliding with a left name get ``suffix``. A suffixed
+    right columns colliding with a left name get ``_r``. A suffixed
     right name that STILL collides (the left side already had
-    ``col+suffix``) raises up front instead of emitting a duplicate
+    ``col_r``) raises up front instead of emitting a duplicate
     field (ADVICE round 3). ``how`` ∈ {"inner", "left", "right", "full",
     "semi", "anti"} — semi/anti return left columns only (for anti, the
     right side ships just its key columns); right/full keep unmatched
@@ -187,7 +185,7 @@ def shuffle_hash_join(
     lnames = [f.name for f in lschema]
     key_only = how in ("semi", "anti")
     rmap = {  # right column -> output name (keys dropped, collisions suffixed)
-        f.name: (f.name + suffix if f.name in lnames else f.name)
+        f.name: (f.name + "_r" if f.name in lnames else f.name)
         for f in rschema
         if f.name not in rkeys and not key_only
     }
@@ -195,7 +193,7 @@ def shuffle_hash_join(
     if len(set(out_rnames)) != len(out_rnames) or set(out_rnames) & set(lnames):
         clash = sorted((set(out_rnames) & set(lnames)) | {n for n in out_rnames if out_rnames.count(n) > 1})
         raise ValueError(
-            f"suffixed right column names collide with the output schema: {clash}; pass a different suffix"
+            f"suffixed right column names collide with the output schema: {clash}; rename the right side"
         )
     marker = "__join_side"
     union_schema = pa.schema(
@@ -254,167 +252,7 @@ def shuffle_hash_join(
     ).union(
         right_in.map_batches(right_to_u, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
     )
-    return local_group_map(tagged, lkeys, joined_block, num_blocks)
-
-
-def _combined_key_hash(tb: pa.Table, keys: list[str]):
-    """Per-row combined 64-bit hash of composite key columns + a
-    validity mask (False where ANY key column is null — SQL keys never
-    match on null)."""
-    from ..sketches.hll import hash64_arrow
-
-    h = np.zeros(tb.num_rows, dtype=np.uint64)
-    valid = np.ones(tb.num_rows, dtype=bool)
-    for k in keys:
-        col = tb[k].combine_chunks()
-        valid &= np.asarray(pc.is_valid(col))
-        h = h * np.uint64(0x100000001B3) + hash64_arrow(col)
-    return h, valid
-
-
-def build_join_key_bloom(ds, keys: list[str], capacity: int = 2_000_000, fp_rate: float = 0.01) -> bytes:
-    """Distributed Bloom of a side's (composite) join keys: per-block
-    partial filters stream to a driver bitwise-or merge — no shuffle, a
-    few hundred KB per partial. Undershooting ``capacity`` only raises
-    the false-positive rate (extra useless rows survive the prefilter);
-    it can never drop a matching row."""
-    from ..sketches import BloomFilter
-    from .shuffle import select_if_needed
-
-    cap, fp = capacity, fp_rate
-
-    def partial(tb: pa.Table) -> pa.Table:
-        bf = BloomFilter(cap, fp)
-        h, valid = _combined_key_hash(tb, keys)
-        bf.update(h[valid])
-        return pa.Table.from_pydict({"bloom": [bf.to_bytes()]})
-
-    merged = BloomFilter(cap, fp)
-    for tb in (
-        select_if_needed(ds, keys)
-        .map_batches(partial, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
-        .iter_batches(batch_format="pyarrow", batch_size=None)
-    ):
-        for b in tb["bloom"].to_pylist():
-            merged.merge(BloomFilter.from_bytes(b))
-    return merged.to_bytes()
-
-
-def bloom_prefiltered_join(
-    left_ds,
-    left_key: str | list[str],
-    right_ds,
-    right_key: str | list[str],
-    how: str = "inner",
-    prefilter: str = "left",
-    capacity: int = 2_000_000,
-    fp_rate: float = 0.01,
-    num_blocks: int | None = None,
-    suffix: str = "_r",
-):
-    """:func:`shuffle_hash_join` with a Bloom prefilter on the bulky side
-    — the classic shuffle-byte saver for SELECTIVE large-large joins: at
-    100 TB the all-to-all exchange is the dominant cost, and rows whose
-    keys cannot match never need to cross it. A Bloom of the build
-    side's keys (distributed partial build, driver or-merge, ONE
-    ``ray.put`` broadcast) drops provably-unmatchable rows of the probe
-    side before the tagged-union shuffle; false positives just ride
-    through to the exact join, so output is row-identical to the plain
-    plan (equivalence-tested).
-
-    ``prefilter="left"`` (drop left rows missing from right) is only
-    sound when unmatched left rows leave no trace: ``how`` ∈ {inner,
-    semi}. ``prefilter="right"`` (drop right rows missing from left) is
-    sound for {inner, left, semi, anti} — those modes never emit an
-    unmatched right row. Null-key rows on the prefiltered side are
-    dropped in the same modes (SQL: null keys never match). Other
-    combinations raise — fall back to :func:`shuffle_hash_join`.
-
-    The extra cost is one streaming pass over the build side's key
-    columns (narrow — prune at the read) and one Bloom broadcast; skip
-    the prefilter when the join is not selective (most probe keys
-    match), where it buys nothing."""
-    import ray
-
-    from ..sketches import BloomFilter
-
-    lkeys = [left_key] if isinstance(left_key, str) else list(left_key)
-    rkeys = [right_key] if isinstance(right_key, str) else list(right_key)
-    sound = {"left": ("inner", "semi"), "right": ("inner", "left", "semi", "anti")}
-    if prefilter not in sound:
-        raise ValueError("prefilter must be 'left' or 'right'")
-    if how not in sound[prefilter]:
-        raise ValueError(
-            f"bloom prefilter on the {prefilter} side is unsound for how={how!r} "
-            f"(unmatched {prefilter} rows survive that join); allowed: {sound[prefilter]}"
-        )
-    build_ds, build_keys = (right_ds, rkeys) if prefilter == "left" else (left_ds, lkeys)
-    probe_keys = lkeys if prefilter == "left" else rkeys
-    bloom_ref = ray.put(build_join_key_bloom(build_ds, build_keys, capacity, fp_rate))
-
-    def probe(tb: pa.Table) -> pa.Table:
-        # zero-copy read-only view over the plasma-shared payload — the
-        # probe runs per batch; from_bytes would memcpy the whole bit
-        # array every call (same discipline as decontaminate's probe)
-        bf = BloomFilter.view_bytes(ray.get(bloom_ref))
-        h, valid = _combined_key_hash(tb, probe_keys)
-        keep = np.zeros(tb.num_rows, dtype=bool)
-        if valid.any():
-            keep[valid] = bf.contains(h[valid])
-        return tb.filter(pa.array(keep))
-
-    filtered = (left_ds if prefilter == "left" else right_ds).map_batches(
-        probe, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
-    )
-    if prefilter == "left":
-        return shuffle_hash_join(filtered, left_key, right_ds, right_key, how=how,
-                                 num_blocks=num_blocks, suffix=suffix)
-    return shuffle_hash_join(left_ds, left_key, filtered, right_key, how=how,
-                             num_blocks=num_blocks, suffix=suffix)
-
-
-def hash_join(
-    left_ds,
-    left_key: str | list[str],
-    right_ds,
-    right_key: str | list[str],
-    how: str = "inner",
-    broadcast_max_bytes: int = 64 << 20,
-    num_blocks: int | None = None,
-    right_size_hint_bytes: int | None = None,
-    suffix: str = "_r",
-):
-    """Cost-based join: broadcast the right side when its metadata size
-    estimate (never executes — ``metadata_size_estimate``) says it fits a
-    single object-store put; otherwise the fully-distributed
-    :func:`shuffle_hash_join`. The same plan-choice pattern as the dedup
-    family's driver-vs-distributed tails. A TRANSFORMED right side has no
-    metadata estimate and takes the scale-safe shuffle plan; callers that
-    know an upper bound (e.g. a filter over a fresh read) pass
-    ``right_size_hint_bytes`` to keep the broadcast plan. ``how`` ∈
-    {"right", "full"} always takes the shuffle plan: unmatched right
-    rows span batches, which the per-batch broadcast join can't see.
-    Plan-invariant output: ``suffix`` flows to BOTH plans, so right
-    columns colliding with a left name get the same suffixed name
-    whether the right side broadcast or shuffled (round-5 review — the
-    broadcast plan used to raise where the shuffle plan suffixed, making
-    success a function of data size)."""
-    from .shuffle import metadata_size_estimate
-
-    if how in ("right", "full"):
-        return shuffle_hash_join(
-            left_ds, left_key, right_ds, right_key, how=how, num_blocks=num_blocks, suffix=suffix
-        )
-    est = right_size_hint_bytes if right_size_hint_bytes is not None else metadata_size_estimate(right_ds)
-    if est is not None and est <= broadcast_max_bytes:
-        from ..pipelines.queries import as_table
-
-        return broadcast_join(
-            left_ds, left_key, as_table(right_ds), right_key, how=how, suffix=suffix
-        )
-    return shuffle_hash_join(
-        left_ds, left_key, right_ds, right_key, how=how, num_blocks=num_blocks, suffix=suffix
-    )
+    return local_group_map(tagged, lkeys, joined_block)
 
 
 def broadcast_join(
@@ -423,7 +261,6 @@ def broadcast_join(
     dim,
     dim_key: str | list[str],
     how: str = "inner",
-    suffix: str | None = None,
 ):
     """Join a streaming fact Dataset against a small dim table.
 
@@ -437,10 +274,7 @@ def broadcast_join(
     broadcast, use a partitioned hash join (bucket both sides) instead —
     see SURVEY.md §7.3. ``how`` ∈ {"inner", "left", "semi", "anti"} —
     semi/anti return fact columns only (the dim ships just its keys).
-    ``suffix`` (e.g. ``"_r"``) renames dim columns that collide with a
-    fact name, matching :func:`shuffle_hash_join`'s output schema so the
-    cost-gated :func:`hash_join` is plan-invariant (round-5 review);
-    ``suffix=None`` keeps the historical loud ValueError.
+    A dim column that collides with a fact name raises ValueError.
     """
     import polars as pl
     import ray
@@ -463,28 +297,10 @@ def broadcast_join(
     fact_names = {f.name for f in arrow_schema(fact_ds)}
     clash = sorted({f.name for f in dim_tbl.schema if f.name not in dkeys} & fact_names)
     if clash:
-        if suffix is None:
-            raise ValueError(
-                f"dim columns collide with fact columns: {clash}; rename the dim side "
-                "(broadcast_join does not suffix)"
-            )
-        # rename ONCE in the broadcast table — shuffle_hash_join's exact
-        # rule, including the still-colliding guard
-        new_names = [
-            n + suffix if (n not in dkeys and n in fact_names) else n
-            for n in dim_tbl.column_names
-        ]
-        out_names = [n for n in new_names if n not in dkeys]
-        if len(set(out_names)) != len(out_names) or set(out_names) & fact_names:
-            bad = sorted(
-                (set(out_names) & fact_names)
-                | {n for n in out_names if out_names.count(n) > 1}
-            )
-            raise ValueError(
-                f"suffixed right column names collide with the output schema: {bad}; "
-                "pass a different suffix"
-            )
-        dim_tbl = dim_tbl.rename_columns(new_names)
+        raise ValueError(
+            f"dim columns collide with fact columns: {clash}; rename the dim side "
+            "(broadcast_join does not suffix)"
+        )
     dim_out = [f for f in dim_tbl.schema if f.name not in dkeys]
     ref = ray.put(dim_tbl)
 
@@ -517,8 +333,6 @@ def skew_join(
     *,
     hot_threshold: int | None = None,
     k: int = 256,
-    num_blocks: int | None = None,
-    suffix: str = "_r",
     max_hot_right_rows: int = 2_000_000,
 ):
     """Skew-aware hybrid join — the north rule's "explicit skew-aware
@@ -532,8 +346,8 @@ def skew_join(
        (:func:`~anomalydetection_ray.functions.shuffle.dataset_heavy_hitters`
        — O(blocks × k) driver work, no shuffle) finds every key that can
        exceed ``hot_threshold`` rows (default: a full block's row share,
-       ``n / num_blocks``). The MG bound makes the hot set a SUPERSET of
-       the true hot keys, never larger than ``k``.
+       ``n / default_num_blocks()``). The MG bound makes the hot set a
+       SUPERSET of the true hot keys, never larger than ``k``.
     2. Right rows with hot keys (for fact-skew-over-dimension, ~1 row per
        hot key) are gathered and broadcast once via ``ray.put``; left
        rows with hot keys stream through a per-batch polars probe — no
@@ -551,8 +365,7 @@ def skew_join(
     import ray
 
     if not isinstance(left_key, str) or not isinstance(right_key, str) or how in ("right", "full"):
-        return shuffle_hash_join(left_ds, left_key, right_ds, right_key, how=how,
-                                 num_blocks=num_blocks, suffix=suffix)
+        return shuffle_hash_join(left_ds, left_key, right_ds, right_key, how=how)
     if how not in ("inner", "left", "semi", "anti"):
         raise ValueError("how must be one of 'inner', 'left', 'right', 'full', 'semi', 'anti'")
 
@@ -562,11 +375,10 @@ def skew_join(
 
     mg = dataset_heavy_hitters(left_ds, left_key, k=k)
     if hot_threshold is None:
-        hot_threshold = max(mg.n // max(num_blocks or default_num_blocks(), 1), 2)
+        hot_threshold = max(mg.n // default_num_blocks(), 2)
     hot = mg.candidates(hot_threshold)
     if len(hot) == 0:
-        return shuffle_hash_join(left_ds, left_key, right_ds, right_key, how=how,
-                                 num_blocks=num_blocks, suffix=suffix)
+        return shuffle_hash_join(left_ds, left_key, right_ds, right_key, how=how)
 
     # gather the right side's hot rows under a row budget
     key_only = how in ("semi", "anti")
@@ -584,15 +396,14 @@ def skew_join(
         n_hot_right += tb.num_rows
         if n_hot_right > max_hot_right_rows:
             # dim-side skew: the hot rows themselves don't fit a broadcast
-            return shuffle_hash_join(left_ds, left_key, right_ds, right_key, how=how,
-                                     num_blocks=num_blocks, suffix=suffix)
+            return shuffle_hash_join(left_ds, left_key, right_ds, right_key, how=how)
         hot_parts.append(tb)
 
     lschema = arrow_schema(left_ds)
     rschema = arrow_schema(right_in)
     lnames = [f.name for f in lschema]
     rmap = {
-        f.name: (f.name + suffix if f.name in lnames else f.name)
+        f.name: (f.name + "_r" if f.name in lnames else f.name)
         for f in rschema
         if f.name != right_key and not key_only
     }
@@ -600,7 +411,7 @@ def skew_join(
     if len(set(out_rnames)) != len(out_rnames) or set(out_rnames) & set(lnames):
         clash = sorted((set(out_rnames) & set(lnames)) | {n for n in out_rnames if out_rnames.count(n) > 1})
         raise ValueError(
-            f"suffixed right column names collide with the output schema: {clash}; pass a different suffix"
+            f"suffixed right column names collide with the output schema: {clash}; rename the right side"
         )
     out_schema = pa.schema(
         list(lschema) if key_only else list(lschema) + [pa.field(rmap[f.name], f.type) for f in rschema if f.name in rmap]
@@ -635,6 +446,5 @@ def skew_join(
     hot_out = left_hot.map_batches(
         hot_probe, batch_format="pyarrow", batch_size=ABSORB_EMPTY_BATCH_SIZE, zero_copy_batch=True
     )
-    cold_out = shuffle_hash_join(left_cold, left_key, right_cold, right_key, how=how,
-                                 num_blocks=num_blocks, suffix=suffix)
+    cold_out = shuffle_hash_join(left_cold, left_key, right_cold, right_key, how=how)
     return hot_out.union(cold_out)

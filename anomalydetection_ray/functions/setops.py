@@ -30,7 +30,7 @@ def _tagged_distinct(ds, cols: list[str], side: int, schema: pa.Schema):
     )
 
 
-def _set_op(a_ds, b_ds, cols: list[str], keep: str, num_blocks: int | None = None):
+def _set_op(a_ds, b_ds, cols: list[str], keep: str):
     from .shuffle import arrow_schema
 
     # arrow_schema, not ds.schema().base_schema.field(): the latter has no
@@ -57,14 +57,14 @@ def _set_op(a_ds, b_ds, cols: list[str], keep: str, num_blocks: int | None = Non
             g = g.filter(pl.col("in_a") & ~pl.col("in_b"))
         return g.select(cols).to_arrow().cast(schema)
 
-    return local_group_map(tagged, cols, block, num_blocks)
+    return local_group_map(tagged, cols, block)
 
 
-def intersect_distinct(a_ds, b_ds, cols: list[str], num_blocks: int | None = None):
+def intersect_distinct(a_ds, b_ds, cols: list[str]):
     """SQL ``INTERSECT``: distinct key tuples present in BOTH datasets."""
-    return _set_op(a_ds, b_ds, cols, "intersect", num_blocks)
+    return _set_op(a_ds, b_ds, cols, "intersect")
 
 
-def except_distinct(a_ds, b_ds, cols: list[str], num_blocks: int | None = None):
+def except_distinct(a_ds, b_ds, cols: list[str]):
     """SQL ``EXCEPT``: distinct key tuples of ``a_ds`` absent from ``b_ds``."""
-    return _set_op(a_ds, b_ds, cols, "except", num_blocks)
+    return _set_op(a_ds, b_ds, cols, "except")

@@ -29,18 +29,18 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def default_num_blocks(min_blocks: int = 8) -> int:
-    """Shuffle fan-out: ~2 output blocks per CPU (cluster-wide)."""
+def default_num_blocks() -> int:
+    """Shuffle fan-out: ~2 output blocks per CPU (cluster-wide), at least 8."""
     import ray
 
     from .. import tune_shuffle_to_cluster
 
     tune_shuffle_to_cluster()
     try:
-        cpus = int(ray.cluster_resources().get("CPU", min_blocks))
+        cpus = int(ray.cluster_resources().get("CPU", 8))
     except Exception:
-        cpus = min_blocks
-    return max(min_blocks, cpus * 2)
+        cpus = 8
+    return max(8, cpus * 2)
 
 
 def select_if_needed(ds, cols: list[str]):
@@ -78,27 +78,27 @@ def arrow_schema(ds) -> pa.Schema:
     return pa.schema([])
 
 
-def default_actor_concurrency(min_actors: int = 2) -> int:
+def default_actor_concurrency() -> int:
     """Actor-pool size for stateful map_batches stages: ~60% of cluster
-    CPUs. Actors hold their CPU for the pipeline's lifetime, so sizing the
+    CPUs, at least 2. Actors hold their CPU for the pipeline's lifetime, so sizing the
     pool to ALL CPUs starves concurrent read tasks and downstream shuffle
     aggregators — a hard deadlock on small clusters."""
     import ray
 
     try:
-        cpus = int(ray.cluster_resources().get("CPU", min_actors))
+        cpus = int(ray.cluster_resources().get("CPU", 2))
     except Exception:
-        cpus = min_actors
-    return max(min_actors, int(cpus * 0.6))
+        cpus = 2
+    return max(2, int(cpus * 0.6))
 
 
-def blocks_for_bytes(nbytes: int, bytes_per_block: int = 32 << 20) -> int:
+def blocks_for_bytes(nbytes: int) -> int:
     """Read fan-out sized to the INPUT: ~one block per 32 MB, capped at
     the cluster default. Ray's default heuristic splits even a 1 MB file
     into cpus×2 blocks, and a stage whose per-batch kernel has fixed
     setup cost (polars explode, model dispatch) then pays that cost
     dozens of times for kilobytes of work each."""
-    return max(1, min(default_num_blocks(), -(-nbytes // bytes_per_block)))
+    return max(1, min(default_num_blocks(), -(-nbytes // (32 << 20))))
 
 
 def metadata_size_estimate(ds) -> int | None:
@@ -138,7 +138,7 @@ def metadata_size_estimate(ds) -> int | None:
     return None
 
 
-def sized_actor_concurrency(ds, min_actors: int = 1, bytes_per_actor: int = 32 << 20) -> int:
+def sized_actor_concurrency(ds, bytes_per_actor: int = 32 << 20) -> int:
     """Actor-pool size scaled to the INPUT: ~one actor per 32 MB of the
     metadata size estimate (:func:`metadata_size_estimate` — never
     executes), capped at :func:`default_actor_concurrency`. Spawning a
@@ -150,7 +150,7 @@ def sized_actor_concurrency(ds, min_actors: int = 1, bytes_per_actor: int = 32 <
     est = metadata_size_estimate(ds)
     if est is None:
         return cap
-    return max(min_actors, min(cap, -(-est // bytes_per_actor)))
+    return max(1, min(cap, -(-est // bytes_per_actor)))
 
 
 
@@ -184,7 +184,7 @@ def _null_fill_scalar(t: pa.DataType):
 ABSORB_EMPTY_BATCH_SIZE = 1 << 30
 
 
-def local_group_map(ds, keys: list[str], block_fn, num_blocks: int | None = None, keys_non_null: bool = False):
+def local_group_map(ds, keys: list[str], block_fn, keys_non_null: bool = False):
     """Co-partition by ``keys`` then apply ``block_fn(pa.Table) ->
     pa.Table`` once per whole block (all rows of any key are present).
 
@@ -197,9 +197,8 @@ def local_group_map(ds, keys: list[str], block_fn, num_blocks: int | None = None
     repartition (``Dataset.repartition(keys=...)``) respawns its aggregator-actor pool
     on EVERY pipeline execution — measured ~7 s fixed cost per run at 32
     CPUs on a 4k-row input, and 28.6 s vs 3.3 s for the sort on a 58M-row
-    distinct — so the sort wins at both ends of the scale. ``num_blocks``
-    is accepted for API compatibility; the sort picks its own partition
-    count from the input.
+    distinct — so the sort wins at both ends of the scale. The sort picks
+    its own partition count from the input.
 
     Ray's sort REJECTS null keys (sample-boundary comparison raises
     TypeError), which the old hash shuffle tolerated, so by default each
@@ -223,7 +222,6 @@ def local_group_map(ds, keys: list[str], block_fn, num_blocks: int | None = None
     silently absorbs empty blocks; groups stay whole because the batch
     size exceeds any physical block's row count (batches only ever MERGE
     sorted partitions, never split one)."""
-    del num_blocks
     import pyarrow.compute as pc
 
     if keys_non_null:
@@ -263,7 +261,6 @@ def driver_grouped_agg(
     ds,
     keys: list[str],
     spec: dict[str, tuple[str | None, str]],
-    batch_size: int | None = None,
 ):
     """Low-cardinality grouped aggregate with NO shuffle.
 
@@ -296,7 +293,7 @@ def driver_grouped_agg(
     blocks = [
         tb
         for tb in select_if_needed(ds, need)
-        .map_batches(partial, batch_format="pyarrow", batch_size=batch_size, zero_copy_batch=True)
+        .map_batches(partial, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
         .iter_batches(batch_format="pyarrow", batch_size=None)
         if tb.num_rows
     ]
@@ -425,7 +422,6 @@ def grouping_sets_agg(
     keys: list[str],
     sets: list[tuple[str, ...]],
     spec: dict[str, tuple[str | None, str]],
-    batch_size: int | None = None,
 ):
     """SQL ``GROUP BY GROUPING SETS (...)`` from ONE scan: aggregates at
     every requested key subset, with absent key columns NULL — DuckDB's
@@ -456,7 +452,7 @@ def grouping_sets_agg(
     blocks = [
         tb
         for tb in select_if_needed(ds, need)
-        .map_batches(partial, batch_format="pyarrow", batch_size=batch_size, zero_copy_batch=True)
+        .map_batches(partial, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
         .iter_batches(batch_format="pyarrow", batch_size=None)
         if tb.num_rows
     ]
@@ -478,20 +474,15 @@ def grouping_sets_agg(
     return pl.concat(levels).to_pandas()
 
 
-def rollup_agg(
-    ds,
-    keys: list[str],
-    spec: dict[str, tuple[str | None, str]],
-    batch_size: int | None = None,
-):
+def rollup_agg(ds, keys: list[str], spec: dict[str, tuple[str | None, str]]):
     """SQL ``GROUP BY ROLLUP(keys...)``: every prefix level, finest
     first, down to the grand total — the prefix-sets special case of
     :func:`grouping_sets_agg` (one scan, driver re-merge per level)."""
     sets = [tuple(keys[:m]) for m in range(len(keys), -1, -1)]
-    return grouping_sets_agg(ds, keys, sets, spec, batch_size=batch_size)
+    return grouping_sets_agg(ds, keys, sets, spec)
 
 
-def grouped_min(ds, keys: list[str], value_col: str, out_col: str, num_blocks: int | None = None, keys_non_null: bool = False):
+def grouped_min(ds, keys: list[str], value_col: str, out_col: str):
     """MIN(value) GROUP BY keys for high-cardinality keys (e.g. exact-dedup
     survivor selection: min id per content fingerprint)."""
 
@@ -504,7 +495,7 @@ def grouped_min(ds, keys: list[str], value_col: str, out_col: str, num_blocks: i
         fields = [tb.schema.field(k) for k in keys] + [pa.field(out_col, tb.schema.field(value_col).type)]
         return out.to_arrow().cast(pa.schema(fields))
 
-    return local_group_map(ds, keys, local, num_blocks, keys_non_null=keys_non_null)
+    return local_group_map(ds, keys, local)
 
 
 def quantile_column_names(quantiles: list[float]) -> list[str]:
@@ -524,7 +515,6 @@ def grouped_exact_quantiles(
     keys: list[str],
     value_col: str,
     quantiles: list[float],
-    num_blocks: int | None = None,
     mad_col: str | None = None,
 ):
     """EXACT per-group quantiles at scale: hash-shuffle ONLY
@@ -570,7 +560,7 @@ def grouped_exact_quantiles(
             rows.append(rec)
         return pa.Table.from_pylist(rows, schema=schema)
 
-    return local_group_map(select_if_needed(ds, keys + [value_col]), keys, local, num_blocks)
+    return local_group_map(select_if_needed(ds, keys + [value_col]), keys, local)
 
 
 def grouped_kll_quantiles(
@@ -578,8 +568,6 @@ def grouped_kll_quantiles(
     keys: list[str],
     value_col: str,
     quantiles: list[float],
-    k: int = 256,
-    num_blocks: int | None = None,
 ):
     """APPROXIMATE per-group quantiles from mergeable KLL sketches — the
     scale path next to :func:`grouped_exact_quantiles`: the exact plan
@@ -590,8 +578,8 @@ def grouped_kll_quantiles(
     KLL per group it contains; the hash shuffle co-locates each group's
     sketches; one n-ary ``KLL.merge_many`` per group emits the quantile
     columns (same names as the exact op). Worst-case rank error is the
-    sketch's O(1/k) guarantee — assert RANK ERROR, never value equality
-    (SURVEY §7.4; k=256 measures ~0.01)."""
+    sketch's O(1/k) guarantee at k=256 — assert RANK ERROR, never value
+    equality (SURVEY §7.4; measures ~0.01)."""
     from ..sketches.kll import KLL
 
     qs = list(quantiles)
@@ -608,7 +596,7 @@ def grouped_kll_quantiles(
         rows = []
         for key_vals, g in df.group_by(keys):
             rec = dict(zip(keys, key_vals))
-            rec["__kll"] = KLL(k).update(g[value_col].to_numpy()).to_bytes()
+            rec["__kll"] = KLL(256).update(g[value_col].to_numpy()).to_bytes()
             rows.append(rec)
         return pa.Table.from_pylist(rows, schema=schema)
 
@@ -628,19 +616,15 @@ def grouped_kll_quantiles(
     parts = select_if_needed(ds, keys + [value_col]).map_batches(
         partial, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
     )
-    return local_group_map(parts, keys, final, num_blocks)
+    return local_group_map(parts, keys, final)
 
 
 def robust_outlier_flags(
     ds,
     keys: list[str],
     value_col: str,
-    threshold: float = 3.5,
-    consistency: float = 1.4826,
     z_col: str = "robust_z",
-    flag_col: str = "is_outlier",
     stats: pd.DataFrame | None = None,
-    num_blocks: int | None = None,
 ):
     """Per-row ROBUST outlier flag from the group median/MAD z-score —
     the heavy-tail-safe anomaly rule (Iglewicz–Hoaglin modified z-score;
@@ -659,15 +643,15 @@ def robust_outlier_flags(
        (:func:`~anomalydetection_ray.functions.relational.broadcast_join`,
        how='left') and every batch appends, in pure Arrow kernels:
 
-       - ``z_col`` = (x − med) / (consistency · mad), NULL when mad == 0
+       - ``z_col`` = (x − med) / (c · mad), NULL when mad == 0
          (or the group is absent from ``stats``);
-       - ``flag_col`` (int32 0/1) = |x − med| > threshold · consistency ·
-         mad — division-free, so degenerate mad=0 groups still flag every
+       - ``is_outlier`` (int32 0/1) = |x − med| > t · c · mad —
+         division-free, so degenerate mad=0 groups still flag every
          value off the median, matching
          ``ABS(x - med) > t * c * mad`` in SQL.
 
-    consistency=1.4826 makes MAD estimate σ under normality; threshold=3.5
-    is the standard modified-z cut. Rows with null values get null z/flag
+    c=1.4826 makes MAD estimate σ under normality; t=3.5 is the standard
+    modified-z cut. Rows with null values get null z/flag
     (SQL comparison semantics); an all-null group never enters the stats
     table, so its rows are exactly that null-value case, and rows whose
     group is absent from a user-supplied ``stats`` get null z/flag too —
@@ -675,12 +659,12 @@ def robust_outlier_flags(
     ``flag = 0``."""
     from .relational import broadcast_join
 
-    for c in (z_col, flag_col, "med", "mad"):
+    for c in (z_col, "is_outlier", "med", "mad"):
         if c in keys or c == value_col:
             raise ValueError(f"output/stat column {c!r} collides with an input column")
     if stats is None:
         st = (
-            grouped_exact_quantiles(ds, keys, value_col, [0.5], num_blocks=num_blocks, mad_col="mad")
+            grouped_exact_quantiles(ds, keys, value_col, [0.5], mad_col="mad")
             .to_pandas()
             .rename(columns={"q50": "med"})
         )
@@ -690,11 +674,12 @@ def robust_outlier_flags(
             raise ValueError(f"stats is missing columns {sorted(missing)}")
         st = stats[keys + ["med", "mad"]]
     joined = broadcast_join(ds, keys, st, keys, how="left")
-    thr = float(threshold) * float(consistency)
+    consistency = 1.4826
+    thr = 3.5 * consistency
 
     def flag(tb: pa.Table) -> pa.Table:
         dev = pc.subtract(pc.cast(tb[value_col], pa.float64()), tb["med"])
-        scale = pc.multiply(tb["mad"], pa.scalar(float(consistency), type=pa.float64()))
+        scale = pc.multiply(tb["mad"], pa.scalar(consistency, type=pa.float64()))
         z = pc.divide(
             dev, pc.if_else(pc.equal(scale, 0.0), pa.scalar(None, type=pa.float64()), scale)
         )
@@ -704,7 +689,7 @@ def robust_outlier_flags(
         return (
             tb.drop_columns(["med", "mad"])
             .append_column(z_col, z)
-            .append_column(flag_col, pc.cast(hit, pa.int32()))
+            .append_column("is_outlier", pc.cast(hit, pa.int32()))
         )
 
     return joined.map_batches(flag, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
@@ -716,8 +701,6 @@ def grouped_topk(
     order_col: str,
     k: int,
     tiebreak: list[str] | None = None,
-    descending: bool = True,
-    num_blocks: int | None = None,
 ):
     """Exact top-k rows per group (the windowed ``ROW_NUMBER() <= k``):
     per-batch PARTIAL top-k first (the combiner — at most k rows per
@@ -736,7 +719,7 @@ def grouped_topk(
         out = (
             df.sort(
                 [order_col] + tb_cols,
-                descending=[descending] + [False] * len(tb_cols),
+                descending=[True] + [False] * len(tb_cols),
                 nulls_last=True,
             )
             .group_by(keys, maintain_order=True)
@@ -745,10 +728,10 @@ def grouped_topk(
         return out.to_arrow().cast(tb.schema)
 
     partial = ds.map_batches(topk_block, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
-    return local_group_map(partial, keys, topk_block, num_blocks)
+    return local_group_map(partial, keys, topk_block)
 
 
-def grouped_sum(ds, keys: list[str], value_col: str, out_col: str, num_blocks: int | None = None, keys_non_null: bool = False):
+def grouped_sum(ds, keys: list[str], value_col: str, out_col: str, keys_non_null: bool = False):
     """SUM(value) GROUP BY keys for high-cardinality keys."""
 
     def local(tb: pa.Table) -> pa.Table:
@@ -761,7 +744,7 @@ def grouped_sum(ds, keys: list[str], value_col: str, out_col: str, num_blocks: i
         fields = [tb.schema.field(k) for k in keys] + [pa.field(out_col, pa.int64())]
         return out.to_arrow().cast(pa.schema(fields))
 
-    return local_group_map(ds, keys, local, num_blocks, keys_non_null=keys_non_null)
+    return local_group_map(ds, keys, local, keys_non_null=keys_non_null)
 
 
 def dataset_heavy_hitters(ds, col: str, k: int = 256):

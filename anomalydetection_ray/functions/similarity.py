@@ -128,13 +128,14 @@ def topk_cosine(ds, id_col: str, vec_col: str, queries: np.ndarray, k: int = 10)
 # ---------------------------------------------------------------------------
 
 
-def train_centroids(sample: np.ndarray, n_cells: int, iters: int = 10, seed: int = 42) -> np.ndarray:
-    """Plain seeded Lloyd k-means on a (bounded) sample, cosine geometry."""
-    rng = np.random.RandomState(seed)
+def train_centroids(sample: np.ndarray, n_cells: int) -> np.ndarray:
+    """Plain seeded Lloyd k-means (10 iterations) on a (bounded) sample,
+    cosine geometry."""
+    rng = np.random.RandomState(42)
     x = _normalize(sample.astype(np.float64))
     n_cells = min(n_cells, len(x))
     cent = x[rng.choice(len(x), n_cells, replace=False)]
-    for _ in range(iters):
+    for _ in range(10):
         assign = (x @ cent.T).argmax(axis=1)
         for c in range(n_cells):
             members = x[assign == c]
@@ -207,7 +208,6 @@ def ivf_topk_cosine(
     n_cells: int = 64,
     n_probe: int = 8,
     train_sample: int = 10_000,
-    seed: int = 42,
 ) -> pd.DataFrame:
     """Approximate top-k via inverted-file pruning. Recall rises with
     ``n_probe``; ``n_probe == n_cells`` degenerates to exact brute force.
@@ -223,7 +223,7 @@ def ivf_topk_cosine(
     import ray
 
     cent = train_centroids_from_dataset(
-        ds, id_col, vec_col, n_cells, train_sample, seed,
+        ds, id_col, vec_col, n_cells, train_sample,
         empty_msg="empty dataset: no rows to train IVF centroids on",
     )
     cref = ray.put(cent)
@@ -365,14 +365,14 @@ def knn_outlier_scores(
 
 
 def train_centroids_from_dataset(
-    ds, id_col: str, vec_col: str, n_cells: int, train_sample: int = 10_000, seed: int = 42,
+    ds, id_col: str, vec_col: str, n_cells: int, train_sample: int = 10_000,
     empty_msg: str = "empty dataset: no rows to train centroids on",
 ) -> np.ndarray:
     """Deterministic hash-rate-sampled centroid training (the shared
     discipline of ``ivf_topk_cosine``): :func:`deterministic_hash_sample`
     + seeded Lloyd on the gathered sorted sample."""
     sample_tbl = deterministic_hash_sample(
-        ds, id_col, [id_col, vec_col], train_sample, seed, empty_msg=empty_msg,
+        ds, id_col, [id_col, vec_col], train_sample, 42, empty_msg=empty_msg,
     )
     sample = list_column_to_matrix(sample_tbl[vec_col].combine_chunks())
-    return train_centroids(sample, n_cells, seed=seed)
+    return train_centroids(sample, n_cells)

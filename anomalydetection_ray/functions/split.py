@@ -82,7 +82,7 @@ def md5_order_hash(batch: pa.Table, on: str, seed: int = 0) -> np.ndarray:
     )
 
 
-def grouped_fixed_count_sample(ds, key: str, on: str, n: int, seed: int = 42, unit_fn=None):
+def grouped_fixed_count_sample(ds, key: str, on: str, n: int, unit_fn=None):
     """Deterministic PER-GROUP fixed-count without-replacement sample:
     for every distinct ``key`` value, the ``n`` rows with the smallest
     unit hash of ``on`` (the grouped sibling of
@@ -113,8 +113,8 @@ def grouped_fixed_count_sample(ds, key: str, on: str, n: int, seed: int = 42, un
         if "__u" not in tb.column_names:
             # compute on empty tables too: the hash dtype (uint64 md5 vs
             # float64 xxhash-unit) must agree across blocks for the union
-            u = fn(tb, on, seed)
-            u2 = fn(tb, on, seed + 1)
+            u = fn(tb, on, 42)
+            u2 = fn(tb, on, 43)
             tb = tb.append_column("__u", pa.array(u)).append_column("__u2", pa.array(u2))
         if tb.num_rows:
             tb = (
@@ -407,7 +407,7 @@ def largest_remainder_allocation(
     return alloc
 
 
-def grouped_quota_sample(ds, key: str, on: str, quotas: dict, seed: int = 42, unit_fn=None):
+def grouped_quota_sample(ds, key: str, on: str, quotas: dict, unit_fn=None):
     """Deterministic per-group sample with a DIFFERENT quota per group —
     the variable-n sibling of :func:`grouped_fixed_count_sample` (same
     total-order hash cut, same combiner → one co-locating exchange →
@@ -428,8 +428,8 @@ def grouped_quota_sample(ds, key: str, on: str, quotas: dict, seed: int = 42, un
 
     def topq(tb: pa.Table, keep_hash: bool) -> pa.Table:
         if "__u" not in tb.column_names:
-            u = fn(tb, on, seed)
-            u2 = fn(tb, on, seed + 1)
+            u = fn(tb, on, 42)
+            u2 = fn(tb, on, 43)
             tb = tb.append_column("__u", pa.array(u)).append_column("__u2", pa.array(u2))
         if tb.num_rows:
             kt = tb.schema.field(key).type
@@ -466,9 +466,7 @@ def rebalance_mixture(
     on: str,
     target: dict,
     total_n: int,
-    seed: int = 42,
     unit_fn=None,
-    redistribute: bool = True,
 ):
     """Resample a corpus to a TARGET DOMAIN MIXTURE: pick ``total_n``
     rows whose per-``key`` (language/domain/source) composition matches
@@ -498,5 +496,5 @@ def rebalance_mixture(
         avail.pop(None, None)
     else:  # empty corpus: every quota caps at zero availability
         avail = {}
-    alloc = largest_remainder_allocation(avail, target, total_n, redistribute=redistribute)
-    return grouped_quota_sample(ds, key, on, alloc, seed=seed, unit_fn=unit_fn), alloc
+    alloc = largest_remainder_allocation(avail, target, total_n)
+    return grouped_quota_sample(ds, key, on, alloc, unit_fn=unit_fn), alloc

@@ -54,19 +54,16 @@ def asof_join(
     left_ts: str,
     right_ts: str,
     right_values: list[str],
-    strategy: str = "backward",
-    dedupe_right: bool = True,
     right_key: str | None = None,
-    num_blocks: int | None = None,
 ):
     """For every left row, attach the right row with the greatest
     ``right_ts`` <= ``left_ts`` (backward; "forward" = least >=) sharing
     ``key``. Unmatched left rows keep null right values (left-join
     semantics, like DuckDB's ``ASOF LEFT JOIN``).
 
-    ``dedupe_right=True`` collapses right rows sharing (key, ts) to their
-    per-column MAX first — ties at the as-of instant are otherwise
-    nondeterministic in ANY engine (and break oracle comparison).
+    Right rows sharing (key, ts) collapse to their per-column MAX first —
+    ties at the as-of instant are otherwise nondeterministic in ANY engine
+    (and break oracle comparison).
 
     Distributed shape: tag-union → hash-shuffle by key (both sides
     co-locate) → per-block polars sort + ``join_asof``. Only the named
@@ -119,15 +116,14 @@ def asof_join(
         df = pl.from_arrow(tb)
         lhs = df.filter(pl.col(_SIDE) == 0).drop([_SIDE, "__rts"] + list(rename_back))
         rhs = df.filter(pl.col(_SIDE) == 1).select([key, "__rts"] + list(rename_back))
-        if dedupe_right:
-            rhs = rhs.group_by([key, "__rts"]).agg([pl.col(c).max() for c in rename_back])
+        rhs = rhs.group_by([key, "__rts"]).agg([pl.col(c).max() for c in rename_back])
         lhs = lhs.sort(left_ts)
         rhs = rhs.sort("__rts")
-        j = lhs.join_asof(rhs, left_on=left_ts, right_on="__rts", by=key, strategy=strategy)
+        j = lhs.join_asof(rhs, left_on=left_ts, right_on="__rts", by=key, strategy="backward")
         j = j.rename(rename_back).select([f.name for f in out_schema])
         return j.to_arrow().cast(out_schema)
 
-    return local_group_map(tagged, [key], block, num_blocks)
+    return local_group_map(tagged, [key], block)
 
 
 def rolling_window_agg(
@@ -137,7 +133,6 @@ def rolling_window_agg(
     value_col: str,
     window,
     carry: list[str] | None = None,
-    num_blocks: int | None = None,
 ):
     """Per-row trailing time-window aggregate (§2.9): for every event,
     the count and sum of the SAME KEY's events in ``[ts - window, ts]``
@@ -243,7 +238,7 @@ def rolling_window_agg(
         )
         return out.select([f.name for f in out_schema]).to_arrow().cast(out_schema)
 
-    return local_group_map(select_if_needed(ds, need), [key], block, num_blocks)
+    return local_group_map(select_if_needed(ds, need), [key], block)
 
 
 def range_join_agg(
@@ -257,7 +252,6 @@ def range_join_agg(
     right_value: str | None = None,
     right_key: str | None = None,
     carry: list[str] | None = None,
-    num_blocks: int | None = None,
 ):
     """Distributed RANGE (interval) JOIN aggregate — the temporal join
     as-of can't express: for every left row, the COUNT (and optionally
@@ -377,7 +371,7 @@ def range_join_agg(
             cols["rj_sum"] = pl.Series(rj_sum)
         return pl.DataFrame(cols).to_arrow().cast(out_schema)
 
-    return local_group_map(tagged, [key], block, num_blocks)
+    return local_group_map(tagged, [key], block)
 
 
 def lag_lead(
@@ -388,7 +382,6 @@ def lag_lead(
     lags: tuple[int, ...] = (1,),
     leads: tuple[int, ...] = (),
     carry: list[str] | None = None,
-    num_blocks: int | None = None,
 ):
     """Per-key LAG/LEAD offsets (SQL ``LAG(c, n) OVER (PARTITION BY key
     ORDER BY order_col)``): for each column in ``cols`` and each offset,
@@ -424,161 +417,7 @@ def lag_lead(
         )
         return df.select([f.name for f in out_schema]).to_arrow().cast(out_schema)
 
-    return local_group_map(select_if_needed(ds, need), [key], block, num_blocks)
-
-
-def ewma(
-    ds,
-    key: str,
-    order_col: str,
-    value_col: str,
-    alpha: float,
-    out_col: str = "ewma",
-    carry: list[str] | None = None,
-    num_blocks: int | None = None,
-):
-    """Per-key exponentially-weighted moving average (the streaming
-    anomaly-baseline smoother: ``e_t = α·x_t + (1-α)·e_{t-1}`` over each
-    key's ``order_col``-ordered history — pandas
-    ``ewm(alpha, adjust=False)`` semantics).
-
-    The recurrence is sequential per key but keys are independent, so
-    the distribution shape is the same as :func:`lag_lead`: hash-shuffle
-    co-locates each key's full history, then ONE vectorized polars
-    ``ewm_mean().over(key)`` per block (Rust kernel — the recurrence
-    never runs as a Python loop). Total-order per-block sort keeps the
-    result invariant to block layout under ties. Null values emit null
-    and DECAY the prior state's weight across the gap (pandas
-    ``ignore_na=False`` / polars ``ignore_nulls=False`` weighting: with
-    values [1, null, 10] at alpha=0.5 the third row smooths to 7.0, not
-    the 5.5 a state-frozen gap would give); the first non-null row of a
-    key seeds the average. A single key's history must fit a block
-    — the same documented contract as every per-key window here (salt
-    upstream if one key exceeds it)."""
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    carry = carry or []
-    need = list(dict.fromkeys([key, order_col, value_col] + carry))
-    if out_col in need:
-        raise ValueError(f"out_col {out_col!r} collides with an input column")
-    base = ds.schema().base_schema
-    out_schema = pa.schema(
-        [(c, base.field(c).type) for c in need] + [(out_col, pa.float64())]
-    )
-
-    def block(tb: pa.Table) -> pa.Table:
-        if tb.num_rows == 0:
-            return pa.Table.from_pydict({f.name: [] for f in out_schema}, schema=out_schema)
-        df = pl.from_arrow(tb.select(need)).sort(need)
-        df = df.with_columns(
-            pl.col(value_col)
-            .cast(pl.Float64)
-            .ewm_mean(alpha=alpha, adjust=False, ignore_nulls=False)
-            .over(key)
-            .alias(out_col)
-        )
-        return df.select([f.name for f in out_schema]).to_arrow().cast(out_schema)
-
-    return local_group_map(select_if_needed(ds, need), [key], block, num_blocks)
-
-
-def cusum_flags(
-    ds,
-    key: str,
-    order_col: str,
-    value_col: str,
-    k: float = 0.5,
-    h: float = 5.0,
-    baseline: "pd.DataFrame | None" = None,
-    carry: list[str] | None = None,
-    num_blocks: int | None = None,
-):
-    """Per-key two-sided CUSUM changepoint statistic (Page 1954) — the
-    classic sequential mean-shift detector a streaming monitor runs where
-    a plain threshold misses SLOW drifts (many small deviations in one
-    direction accumulate; reference analog: the score-histogram drift
-    check, ``end_to_end_prediction.py:546``).
-
-    Over each key's ``order_col``-ordered history, on the standardized
-    deviation ``z_t = (x_t − μ) / σ``:
-
-    - ``cusum_pos``: S⁺_t = max(0, S⁺_{t−1} + z_t − k)
-    - ``cusum_neg``: S⁻_t = max(0, S⁻_{t−1} − z_t − k)
-    - ``cusum_alarm`` (int32): 1 where either side exceeds ``h``.
-
-    ``k`` is the drift allowance and ``h`` the decision interval, both in
-    σ units (0.5/5 is the textbook ARL≈465 design). μ/σ come from
-    ``baseline`` (pandas: key, mu, sigma — the in-control reference
-    period, broadcast once) or, when None, from each key's OWN full
-    history (retrospective changepoint scan). σ ≤ 0 or null ⇒ z = 0 (no
-    signal, never a divide); null values contribute z = 0 — the running
-    statistic decays by ``k`` and is still emitted, it never jumps.
-
-    Distribution shape = :func:`ewma`: hash-shuffle co-locates each key's
-    history, then the max(0, ·) recursion runs as pure Rust/vector
-    kernels via the reflection identity ``S_t = cs_t − min(0,
-    min_{j≤t} cs_j)`` with ``cs = cum_sum(z − k)`` — one ``cum_sum`` +
-    one ``cum_min`` per side ``.over(key)``, no Python loop. Same
-    one-key-per-block contract as every per-key window here."""
-    if not (k >= 0.0 and h > 0.0):
-        raise ValueError(f"need k >= 0 and h > 0, got k={k}, h={h}")
-    carry = carry or []
-    need = list(dict.fromkeys([key, order_col, value_col] + carry))
-    out_cols = ["cusum_pos", "cusum_neg", "cusum_alarm"]
-    for c in out_cols:
-        if c in need:
-            raise ValueError(f"output column {c!r} collides with an input column")
-    if baseline is not None:
-        missing = {key, "mu", "sigma"} - set(baseline.columns)
-        if missing:
-            raise ValueError(f"baseline is missing columns {sorted(missing)}")
-        if not baseline[key].is_unique:
-            # a duplicated baseline key would fan every event of that key
-            # out through the left join — duplicated rows and interleaved
-            # CUSUM series, silently
-            raise ValueError(f"baseline has duplicate {key!r} rows; one (mu, sigma) per key")
-    base = ds.schema().base_schema
-    out_schema = pa.schema(
-        [(c, base.field(c).type) for c in need]
-        + [("cusum_pos", pa.float64()), ("cusum_neg", pa.float64()), ("cusum_alarm", pa.int32())]
-    )
-    bl = None if baseline is None else pl.from_pandas(baseline[[key, "mu", "sigma"]])
-
-    def block(tb: pa.Table) -> pa.Table:
-        if tb.num_rows == 0:
-            return pa.Table.from_pydict({f.name: [] for f in out_schema}, schema=out_schema)
-        df = pl.from_arrow(tb.select(need)).sort(need)
-        x = pl.col(value_col).cast(pl.Float64)
-        if bl is None:
-            mu, sigma = x.mean().over(key), x.std(ddof=1).over(key)
-        else:
-            # polars leaves join row order unspecified (same hazard as
-            # dedup/lines.py): the CUSUM recursion is order-sensitive, so
-            # re-sort to time order after attaching the baseline
-            df = df.join(
-                bl.with_columns(pl.col(key).cast(df.schema[key])), on=key, how="left"
-            ).sort(need)
-            mu, sigma = pl.col("mu"), pl.col("sigma")
-        z = (
-            pl.when(sigma.is_null() | (sigma <= 0) | x.is_null())
-            .then(0.0)
-            .otherwise((x - mu) / sigma)
-            .alias("_z")
-        )
-        df = df.with_columns(z)
-        sides = []
-        for name, sign in (("cusum_pos", 1.0), ("cusum_neg", -1.0)):
-            cs = (pl.col("_z") * sign - k).cum_sum().over(key)
-            runmin = pl.min_horizontal(cs.cum_min().over(key), pl.lit(0.0))
-            sides.append((cs - runmin).alias(name))
-        df = df.with_columns(sides).with_columns(
-            ((pl.col("cusum_pos") > h) | (pl.col("cusum_neg") > h))
-            .cast(pl.Int32)
-            .alias("cusum_alarm")
-        )
-        return df.select([f.name for f in out_schema]).to_arrow().cast(out_schema)
-
-    return local_group_map(select_if_needed(ds, need), [key], block, num_blocks)
+    return local_group_map(select_if_needed(ds, need), [key], block)
 
 
 def window_rank(
@@ -587,7 +426,6 @@ def window_rank(
     order_cols: list[str],
     kinds: tuple[str, ...] = ("row_number",),
     carry: list[str] | None = None,
-    num_blocks: int | None = None,
     ntile: int | None = None,
 ):
     """Per-key ranking windows (SQL ``ROW_NUMBER()`` / ``RANK()`` /
@@ -672,7 +510,7 @@ def window_rank(
         df = df.with_columns(exprs)
         return df.select([f.name for f in out_schema]).to_arrow().cast(out_schema)
 
-    return local_group_map(select_if_needed(ds, need), [key], block, num_blocks)
+    return local_group_map(select_if_needed(ds, need), [key], block)
 
 
 def sessionize(
@@ -681,7 +519,6 @@ def sessionize(
     ts_col: str,
     gap,
     value_col: str | None = None,
-    num_blocks: int | None = None,
 ):
     """Gap-based session windows (§2.9 beyond tumbling/sliding): per key,
     events sorted by time start a NEW session whenever the gap to the
@@ -744,21 +581,19 @@ def sessionize(
         out = df.group_by([key, "session_id"]).agg(aggs)
         return out.select([f.name for f in out_schema]).to_arrow().cast(out_schema)
 
-    return local_group_map(select_if_needed(ds, need), [key], block, num_blocks)
+    return local_group_map(select_if_needed(ds, need), [key], block)
 
 
 def funnel_counts(
     ds,
     steps: list[str],
-    key: str = "user_id",
-    ts_col: str = "ts",
-    event_col: str = "event_type",
     within=None,
 ):
-    """Ordered-funnel analysis: for each step k, how many distinct ``key``
-    entities performed ``steps[0..k]`` in strict time order — each step
-    strictly AFTER the entity's first qualifying time for the previous
-    step (the classic product-analytics funnel over an event stream;
+    """Ordered-funnel analysis over an events table (``user_id``, ``ts``,
+    ``event_type``): for each step k, how many distinct users performed
+    ``steps[0..k]`` in strict time order — each step strictly AFTER the
+    entity's first qualifying time for the previous step (the classic
+    product-analytics funnel over an event stream;
     reference analog: the staged pass/fail progression its end-to-end
     prediction report tabulates, `end_to_end_prediction.py:546`).
 
@@ -775,7 +610,7 @@ def funnel_counts(
     null timestamps are dropped up front (SQL JOIN/comparison semantics).
 
     ``within`` (optional ``datetime.timedelta``, or a numeric delta for
-    numeric ``ts_col``) bounds the CONVERSION WINDOW: steps 2..k only
+    numeric ``ts``) bounds the CONVERSION WINDOW: steps 2..k only
     count when ``ts <= first_step_ts + within`` — the standard
     "converted within N days of entry" funnel semantics.
 
@@ -789,6 +624,7 @@ def funnel_counts(
 
     if not steps:
         raise ValueError("funnel_counts needs at least one step")
+    key, ts_col, event_col = "user_id", "ts", "event_type"
     nsteps = len(steps)
     need = [key, ts_col, event_col]
     step_set = pa.array(list(dict.fromkeys(steps)))
@@ -841,129 +677,3 @@ def funnel_counts(
         out["n_users"] = np.zeros(nsteps, dtype=np.int64)
     return out
 
-
-_PERIOD_US = {
-    "hour": 3_600_000_000,
-    "day": 86_400_000_000,
-    "week": 604_800_000_000,
-}
-
-
-def cohort_retention(
-    ds,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    period: str = "day",
-):
-    """Cohort-retention matrix over an event stream: each entity's cohort
-    is the period of its FIRST event; for every (cohort, period_offset)
-    cell, count the distinct entities active in that period (the classic
-    product-analytics retention triangle; SQL equivalent:
-    ``date_trunc`` + per-user ``MIN`` + ``COUNT(DISTINCT)``).
-
-    Plan (scale-first): prune to (key, ts), drop null keys/timestamps
-    (SQL aggregation semantics), truncate to the period start
-    (``pc.floor_temporal`` — 'week' starts Monday, matching DuckDB's
-    ``date_trunc('week')``), and PRE-DEDUP (key, period) per batch
-    before anything moves — at 100 TB an entity has many events per
-    period and only distinct (key, period) pairs matter, so the exchange
-    carries ~16 B per entity-period, never per event. One co-partition
-    by key (``local_group_map``: every entity's periods land whole in
-    one block) computes cohort = min(period) and per-block
-    (cohort, offset) partial counts — correct because after the global
-    (key, period) dedup inside the co-located block each entity
-    contributes exactly one row per active period, so a plain count IS
-    the distinct-entity count. Partials (≤ periods² rows per block) sum
-    on the driver: the retention matrix itself is driver-sized by
-    nature. At multi-year daily granularity prefer ``period="week"`` to
-    keep the matrix small.
-
-    Timestamps must be a NAIVE temporal type; periods are fixed-width in
-    epoch-µs space (no calendar months — a month period would need
-    calendar arithmetic, not a fixed divisor), so offsets are exact
-    integers by construction. Tz-aware timestamps raise loudly: local
-    days/weeks vary in length across DST transitions, so a fixed
-    divisor would silently merge adjacent offset cells (round-5 review;
-    convert to UTC or strip the zone upstream, where the caller owns
-    the calendar semantics).
-
-    Returns a pandas DataFrame (cohort, period_offset, n_active,
-    cohort_size, retention_rate) sorted by (cohort, period_offset),
-    retention_rate rounded to 6 places (= n_active / cohort_size; the
-    offset-0 cell of each cohort is its size, so rate starts at 1.0).
-    """
-    import pandas as pd
-    import pyarrow.compute as pc
-
-    if period not in _PERIOD_US:
-        raise ValueError(f"period must be one of {sorted(_PERIOD_US)}, got {period!r}")
-    unit_us = _PERIOD_US[period]
-    need = [key, ts_col]
-
-    def bucket(tb: pa.Table) -> pa.Table:
-        t = tb.schema.field(ts_col).type
-        if pa.types.is_timestamp(t) and t.tz is not None:
-            raise ValueError(
-                f"cohort_retention requires naive timestamps; {ts_col!r} is {t}. "
-                "DST makes local periods variable-width, which the fixed-divisor "
-                "offset would mis-bin — convert to UTC or strip the zone upstream"
-            )
-        m = pc.and_kleene(pc.is_valid(tb[key]), pc.is_valid(tb[ts_col]))
-        tb = tb.filter(pc.coalesce(m, False))
-        p = pc.floor_temporal(tb[ts_col], unit=period).cast(pa.timestamp("us")).cast(pa.int64())
-        out = pa.table({key: tb[key], "__p": p})
-        # pre-dedup (key, period) inside the batch — the wide event
-        # stream never reaches the exchange
-        return pl.from_arrow(out).unique().to_arrow().cast(out.schema)
-
-    base = select_if_needed(ds, need).map_batches(
-        bucket, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
-    )
-    part_schema = pa.schema(
-        [("cohort", pa.int64()), ("period_offset", pa.int64()), ("n_active", pa.int64())]
-    )
-
-    def block(tb: pa.Table) -> pa.Table:
-        if tb.num_rows == 0:
-            return pa.Table.from_pydict({f.name: [] for f in part_schema}, schema=part_schema)
-        df = pl.from_arrow(tb).unique()  # cross-batch (key, period) dups
-        out = (
-            df.with_columns(cohort=pl.col("__p").min().over(key))
-            .with_columns(period_offset=(pl.col("__p") - pl.col("cohort")) // unit_us)
-            .group_by(["cohort", "period_offset"])
-            .agg(pl.len().cast(pl.Int64).alias("n_active"))
-        )
-        return out.select([f.name for f in part_schema]).to_arrow().cast(part_schema)
-
-    parts = local_group_map(base, [key], block, keys_non_null=True)
-    tbs = [t for t in parts.iter_batches(batch_format="pyarrow", batch_size=None) if t.num_rows]
-    if not tbs:
-        return pd.DataFrame(
-            {
-                "cohort": pd.Series([], dtype="datetime64[us]"),
-                "period_offset": pd.Series([], dtype="int64"),
-                "n_active": pd.Series([], dtype="int64"),
-                "cohort_size": pd.Series([], dtype="int64"),
-                "retention_rate": pd.Series([], dtype="float64"),
-            }
-        )
-    summed = (
-        pl.from_arrow(pa.concat_tables(tbs))
-        .group_by(["cohort", "period_offset"])
-        .agg(pl.col("n_active").sum())
-    )
-    sizes = summed.filter(pl.col("period_offset") == 0).select(
-        pl.col("cohort"), pl.col("n_active").alias("cohort_size")
-    )
-    out = (
-        summed.join(sizes, on="cohort", how="inner")
-        .with_columns(
-            retention_rate=(pl.col("n_active").cast(pl.Float64) / pl.col("cohort_size")).round(6)
-        )
-        .sort(["cohort", "period_offset"])
-        .to_pandas()
-    )
-    out["cohort"] = pd.to_datetime(out["cohort"], unit="us").astype("datetime64[us]")
-    for c in ("period_offset", "n_active", "cohort_size"):
-        out[c] = out[c].astype("int64")
-    return out[["cohort", "period_offset", "n_active", "cohort_size", "retention_rate"]]

@@ -42,18 +42,18 @@ def token_count_batch(batch: pa.Table, text_col: str = "text", out_col: str = "n
 BPE_TOKEN_RE = r" ?[\p{L}]+| ?[\p{N}]+| ?[^\s\p{L}\p{N}]+|\s+"
 
 
-def bpe_token_count_batch(batch: pa.Table, text_col: str = "text", out_col: str = "n_bpe_tokens") -> pa.Table:
+def bpe_token_count_batch(batch: pa.Table) -> pa.Table:
     """Subword-style token count: a lookahead-free GPT-2-shaped
     pretokenizer regex counts letter/digit/punctuation segments — the
     cheap token-budget estimator for LLM training pipelines (a real BPE
     merges these further; segment count upper-bounds and tracks it)."""
-    cnt = pc.count_substring_regex(pc.coalesce(batch[text_col], ""), BPE_TOKEN_RE)
-    return batch.append_column(out_col, pc.cast(cnt, pa.int64()))
+    cnt = pc.count_substring_regex(pc.coalesce(batch["text"], ""), BPE_TOKEN_RE)
+    return batch.append_column("n_bpe_tokens", pc.cast(cnt, pa.int64()))
 
 
-def quality_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
+def quality_batch(batch: pa.Table) -> pa.Table:
     """Append n_chars_q, n_tokens, punct_ratio, upper_ratio, mean_token_len."""
-    text = batch[text_col]
+    text = batch["text"]
     n_chars = pc.cast(pc.utf8_length(text), pa.float64())
     n_tokens = pc.cast(pc.count_substring_regex(text, _TOKEN_RE), pa.float64())
     n_punct = pc.cast(pc.count_substring_regex(text, _PUNCT_RE), pa.float64())
@@ -136,8 +136,7 @@ class LangIdModel:
     pattern of the reference's lazily-loaded CodeBERT
     (``models/feature_extraction.py:37-43``)."""
 
-    def __init__(self, text_col: str = "text", out_col: str = "lang_pred", emit_evidence: bool = False):
-        self.text_col, self.out_col = text_col, out_col
+    def __init__(self, emit_evidence: bool = False):
         self.langs = sorted(_STOPWORDS)
         self.tables = [frozenset(_STOPWORDS[l]) for l in self.langs]
         # evidence columns (round-4 verdict #6): the deterministic inputs
@@ -152,7 +151,7 @@ class LangIdModel:
         the first 200 chars. No Python row loop."""
         import polars as pl
 
-        col = batch[self.text_col]
+        col = batch["text"]
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
         n = len(col)
@@ -189,7 +188,7 @@ class LangIdModel:
             for j, lang in enumerate(self.langs):
                 batch = batch.append_column(f"hits_{lang}", pa.array(scores[:, j], type=pa.int64()))
             batch = batch.append_column("has_cjk", pa.array(has_cjk & ~is_null))
-        return batch.append_column(self.out_col, pa.array(pred, type=pa.string()))
+        return batch.append_column("lang_pred", pa.array(pred, type=pa.string()))
 
 
 def fingerprint_batch(batch: pa.Table, text_col: str = "text", out_col: str = "fingerprint") -> pa.Table:
@@ -255,7 +254,7 @@ def kgram_hashes(b: np.ndarray, k: int) -> np.ndarray:
     return h
 
 
-def content_hash128_batch(batch: pa.Table, col: str, out_cols: tuple[str, str] = ("h1", "h2")) -> pa.Table:
+def content_hash128_batch(batch: pa.Table, col: str) -> pa.Table:
     """Vectorized 128-bit content hash: two independent 64-bit polars
     xxhashes (different seeds). For dedup grouping this replaces the
     per-row Python sha256 (~100× faster on content columns) at 2^-128
@@ -269,11 +268,11 @@ def content_hash128_batch(batch: pa.Table, col: str, out_cols: tuple[str, str] =
     s = pl.Series(c)
     h1 = s.hash(seed=0).to_numpy().view(np.int64)
     h2 = s.hash(seed=0x9E3779B9).to_numpy().view(np.int64)
-    batch = batch.append_column(out_cols[0], pa.array(h1, type=pa.int64()))
-    return batch.append_column(out_cols[1], pa.array(h2, type=pa.int64()))
+    batch = batch.append_column("h1", pa.array(h1, type=pa.int64()))
+    return batch.append_column("h2", pa.array(h2, type=pa.int64()))
 
 
-def term_doc_stats(docs_ds, text_col: str = "text", ngram: int = 1):
+def term_doc_stats(docs_ds, ngram: int = 1):
     """Corpus (term, cnt, df) statistics in ONE narrow shuffle: per term,
     the total occurrence count and the DOCUMENT FREQUENCY (number of
     distinct documents containing it) — the inputs TF-IDF needs.
@@ -297,7 +296,7 @@ def term_doc_stats(docs_ds, text_col: str = "text", ngram: int = 1):
     out_schema = pa.schema([("term", pa.string()), ("cnt", pa.int64()), ("df", pa.int64())])
 
     def partial(tb: pa.Table) -> pa.Table:
-        col = tb[text_col]
+        col = tb["text"]
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
         n = len(col)
@@ -325,7 +324,7 @@ def term_doc_stats(docs_ds, text_col: str = "text", ngram: int = 1):
         g = pl.from_arrow(tb).group_by("term").agg(pl.col("cnt").sum(), pl.col("df").sum())
         return g.to_arrow().cast(out_schema)
 
-    parts = select_if_needed(docs_ds, [text_col]).map_batches(
+    parts = select_if_needed(docs_ds, ["text"]).map_batches(
         partial, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
     )
     return local_group_map(parts, ["term"], merge, keys_non_null=True)
@@ -334,7 +333,6 @@ def term_doc_stats(docs_ds, text_col: str = "text", ngram: int = 1):
 def tfidf_top_terms(
     docs_ds,
     n_docs: int,
-    text_col: str = "text",
     k: int = 25,
     ngram: int = 1,
     order: str = "tfidf",
@@ -355,7 +353,7 @@ def tfidf_top_terms(
 
     if order not in ("tfidf", "cnt"):
         raise ValueError("order must be 'tfidf' or 'cnt'")
-    stats = term_doc_stats(docs_ds, text_col=text_col, ngram=ngram)
+    stats = term_doc_stats(docs_ds, ngram=ngram)
     out_schema = pa.schema(
         [("term", pa.string()), ("cnt", pa.int64()), ("df", pa.int64()), ("tfidf", pa.float64())]
     )
@@ -387,7 +385,7 @@ def tfidf_top_terms(
 # ---------------------------------------------------------------------------
 
 
-def bm25_corpus_stats(docs_ds, query_terms: list[str], text_col: str = "text"):
+def bm25_corpus_stats(docs_ds, query_terms: list[str]):
     """Corpus statistics BM25 needs for a fixed term query, in ONE
     streaming pass: ``(n_docs, avgdl, {term: df})``. Per block the
     partial is just ``len(query) + 2`` numbers (doc count, token-count
@@ -403,7 +401,7 @@ def bm25_corpus_stats(docs_ds, query_terms: list[str], text_col: str = "text"):
         raise ValueError("query_terms must be non-empty")
 
     def partial(tb: pa.Table) -> pa.Table:
-        col = tb[text_col]
+        col = tb["text"]
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
         dl = pc.count_substring_regex(pc.coalesce(col, ""), _TOKEN_RE)
@@ -426,7 +424,7 @@ def bm25_corpus_stats(docs_ds, query_terms: list[str], text_col: str = "text"):
             }
         )
 
-    rows = select_if_needed(docs_ds, [text_col]).map_batches(
+    rows = select_if_needed(docs_ds, ["text"]).map_batches(
         partial, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
     )
     agg = pa.concat_tables(
@@ -444,8 +442,6 @@ def bm25_score_batch(
     batch: pa.Table,
     idf: dict[str, float],
     avgdl: float,
-    text_col: str = "text",
-    out_col: str = "bm25",
     k1: float = 1.2,
     b: float = 0.75,
 ) -> pa.Table:
@@ -455,7 +451,7 @@ def bm25_score_batch(
     batch; rows containing no query term score exactly 0."""
     import polars as pl
 
-    col = batch[text_col]
+    col = batch["text"]
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     n = len(col)
@@ -478,7 +474,7 @@ def bm25_score_batch(
             idfv = np.array([idf[t] for t in tf["t"].to_list()], dtype=np.float64)
             denom = tfv + k1 * (1.0 - b + (b * dl[i] / avgdl if avgdl > 0 else 0.0))
             np.add.at(scores, i, idfv * tfv * (k1 + 1.0) / denom)
-    return batch.append_column(out_col, pa.array(scores, type=pa.float64()))
+    return batch.append_column("bm25", pa.array(scores, type=pa.float64()))
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +517,7 @@ class CharTrigramLM:
     ``logprob(texts)`` scores each text as the MEAN natural-log
     probability of its trigrams — the CCNet-shaped "does this look like
     the corpus" quality signal (low = gibberish / boilerplate outliers).
-    Unseen trigrams floor at count ``unseen_count`` (default 1) so
+    Unseen trigrams floor at count 1 so
     scoring never produces -inf on out-of-corpus text. Texts with < 3
     chars get NaN (no trigram evidence).
 
@@ -530,11 +526,11 @@ class CharTrigramLM:
     ``map_batches``; vocabulary is bounded by charset^3, not corpus rows.
     """
 
-    def __init__(self, vocab: np.ndarray, counts: np.ndarray, unseen_count: float = 1.0):
+    def __init__(self, vocab: np.ndarray, counts: np.ndarray):
         self.vocab = vocab
         self.counts = counts.astype(np.float64)
         self.total = float(self.counts.sum())
-        self.unseen = float(unseen_count)
+        self.unseen = 1.0
 
     def logprob(self, texts: list) -> np.ndarray:
         packed, doc_idx, mask = _pack_trigram_windows(texts)
@@ -554,7 +550,7 @@ class CharTrigramLM:
         return out
 
 
-def char_trigram_lm(docs_ds, text_col: str = "text", min_count: int = 1) -> CharTrigramLM:
+def char_trigram_lm(docs_ds, min_count: int = 1) -> CharTrigramLM:
     """Fit :class:`CharTrigramLM` on a corpus with ONE distributed pass:
     per-block packed-trigram ``np.unique`` partials (tiny (uint64, cnt)
     rows — the text never re-shuffles) → ``grouped_sum`` hash shuffle →
@@ -564,7 +560,7 @@ def char_trigram_lm(docs_ds, text_col: str = "text", min_count: int = 1) -> Char
     from .shuffle import grouped_sum, select_if_needed
 
     def partials(tb: pa.Table) -> pa.Table:
-        col = tb[text_col]
+        col = tb["text"]
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
         packed, _, mask = _pack_trigram_windows(col.to_pylist())
@@ -573,7 +569,7 @@ def char_trigram_lm(docs_ds, text_col: str = "text", min_count: int = 1) -> Char
             {"tri": pa.array(u, pa.uint64()), "cnt_partial": pa.array(c, pa.int64())}
         )
 
-    partial_ds = select_if_needed(docs_ds, [text_col]).map_batches(
+    partial_ds = select_if_needed(docs_ds, ["text"]).map_batches(
         partials, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
     )
     counts = grouped_sum(partial_ds, ["tri"], "cnt_partial", "cnt")
@@ -594,15 +590,15 @@ def char_trigram_lm(docs_ds, text_col: str = "text", min_count: int = 1) -> Char
     return CharTrigramLM(vocab[order], cnt[order])
 
 
-def lm_logprob_batch(model: CharTrigramLM, batch: pa.Table, text_col: str = "text", out_col: str = "lm_logprob") -> pa.Table:
+def lm_logprob_batch(model: CharTrigramLM, batch: pa.Table) -> pa.Table:
     """Append the per-row mean trigram log-probability (NaN→null for
     texts with < 3 chars)."""
-    col = batch[text_col]
+    col = batch["text"]
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     lp = model.logprob(col.to_pylist())
     arr = pa.array(lp, pa.float64(), from_pandas=True)  # NaN -> null
-    return batch.append_column(out_col, arr)
+    return batch.append_column("lm_logprob", arr)
 
 
 def _token_ngram_hashes(texts: pa.Array | pa.ChunkedArray, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -635,11 +631,9 @@ def decontaminate(
     ds,
     text_col: str,
     bench_ds,
-    bench_text_col: str | None = None,
     n: int = 13,
     flag_col: str | None = None,
     max_bench_ngrams: int = 50_000_000,
-    seed: int = 17,
     mode: str = "exact",
     fp_rate: float = 1e-6,
 ):
@@ -690,11 +684,10 @@ def decontaminate(
         raise ValueError(f"n must be >= 1, got {n}")
     if mode not in ("exact", "bloom"):
         raise ValueError(f"mode must be 'exact' or 'bloom', got {mode!r}")
-    bcol = bench_text_col or text_col
-    bench_proj = select_if_needed(bench_ds, [bcol])
+    bench_proj = select_if_needed(bench_ds, [text_col])
 
     def bench_partial(tb: pa.Table) -> pa.Table:
-        _, h = _token_ngram_hashes(tb[bcol], n, seed)
+        _, h = _token_ngram_hashes(tb[text_col], n, 17)
         return pa.table({"h": pa.array(np.unique(h), type=pa.uint64())})
 
     if mode == "bloom":
@@ -763,7 +756,7 @@ def decontaminate(
         empty_bench = len(bench) == 0
 
     def scan(tb: pa.Table) -> pa.Table:
-        idx, h = _token_ngram_hashes(tb[text_col], n, seed)
+        idx, h = _token_ngram_hashes(tb[text_col], n, 17)
         bad = np.zeros(tb.num_rows, dtype=bool)
         if len(h) and not empty_bench:
             hit = probe(h, ray.get(bref))
@@ -835,10 +828,8 @@ def hashed_ngram_buckets(
 def dsir_bucket_counts(
     ds,
     text_col: str = "text",
-    sizes: tuple[int, ...] = (1, 2),
     n_buckets: int = 8192,
     token_hash: str = "fast",
-    seed: int = 17,
 ) -> np.ndarray:
     """(n_buckets,) int64 hashed-n-gram counts of a corpus: per-block
     ``np.bincount`` partials (one fixed 8·n_buckets-byte vector per block,
@@ -847,7 +838,7 @@ def dsir_bucket_counts(
     from .shuffle import select_if_needed
 
     def partial(tb: pa.Table) -> pa.Table:
-        _, b = hashed_ngram_buckets(tb[text_col], sizes, n_buckets, token_hash, seed)
+        _, b = hashed_ngram_buckets(tb[text_col], (1, 2), n_buckets, token_hash, 17)
         cnt = np.bincount(b, minlength=n_buckets).astype(np.int64)
         return pa.Table.from_pydict({"c": [cnt.tobytes()]})
 
@@ -883,30 +874,24 @@ class _DsirScorer:
     ONCE via ``ray.put``; each batch is one vectorized gram pass + one
     weighted bincount."""
 
-    def __init__(self, text_col, lr_ref, sizes, n_buckets, token_hash, seed, out_col):
+    def __init__(self, text_col, lr_ref, n_buckets, token_hash):
         import ray
 
-        self.text_col, self.out_col = text_col, out_col
-        self.sizes, self.n_buckets, self.token_hash, self.seed = sizes, n_buckets, token_hash, seed
+        self.text_col, self.n_buckets, self.token_hash = text_col, n_buckets, token_hash
         self.lr = ray.get(lr_ref)
 
     def __call__(self, tb: pa.Table) -> pa.Table:
-        i, b = hashed_ngram_buckets(tb[self.text_col], self.sizes, self.n_buckets, self.token_hash, self.seed)
+        i, b = hashed_ngram_buckets(tb[self.text_col], (1, 2), self.n_buckets, self.token_hash, 17)
         w = np.bincount(i, weights=self.lr[b], minlength=tb.num_rows)
-        return tb.append_column(self.out_col, pa.array(w, type=pa.float64()))
+        return tb.append_column("dsir_logratio", pa.array(w, type=pa.float64()))
 
 
 def dsir_weights(
     ds,
     text_col: str,
     target_ds,
-    target_text_col: str | None = None,
-    sizes: tuple[int, ...] = (1, 2),
     n_buckets: int = 8192,
-    alpha: float = 1.0,
     token_hash: str = "fast",
-    seed: int = 17,
-    out_col: str = "dsir_logratio",
 ):
     """DSIR importance log-weights (Xie et al. 2023, "Data Selection for
     Language Models via Importance Resampling"): score every document by
@@ -918,21 +903,19 @@ def dsir_weights(
     Plan: two fixed-size count passes (8·n_buckets B per block, driver
     n-ary sum — the model, not the data, crosses the wire), one
     ``ray.put`` of the (n_buckets,) log-ratio vector, then one streaming
-    actor-pool scoring pass appending ``out_col``. Nothing is ever
+    actor-pool scoring pass appending ``dsir_logratio``. Nothing is ever
     O(corpus) on the driver. ``token_hash="md5"`` makes every score
     DuckDB-reproducible (oracle-checked in ``doc_scalar_functions``)."""
     import ray
 
     from .shuffle import sized_actor_concurrency
 
-    raw = dsir_bucket_counts(ds, text_col, sizes, n_buckets, token_hash, seed)
-    tgt = dsir_bucket_counts(
-        target_ds, target_text_col or text_col, sizes, n_buckets, token_hash, seed
-    )
-    lr_ref = ray.put(dsir_logratio_vector(tgt, raw, alpha))
+    raw = dsir_bucket_counts(ds, text_col, n_buckets, token_hash)
+    tgt = dsir_bucket_counts(target_ds, text_col, n_buckets, token_hash)
+    lr_ref = ray.put(dsir_logratio_vector(tgt, raw, 1.0))
     return ds.map_batches(
         _DsirScorer,
-        fn_constructor_args=(text_col, lr_ref, sizes, n_buckets, token_hash, seed, out_col),
+        fn_constructor_args=(text_col, lr_ref, n_buckets, token_hash),
         batch_format="pyarrow",
         batch_size=None,
         zero_copy_batch=True,
@@ -988,7 +971,7 @@ _HTML_ENTITIES = [
 _CONTROL_RE = "[\x00-\x08\x0b\x0c\x0e-\x1f\x7f-\x9f]"
 
 
-def strip_markup_batch(batch: pa.Table, text_col: str = "text", out_col: str = "text") -> pa.Table:
+def strip_markup_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
     """Remove HTML/XML tags and decode the common named entities - the
     boilerplate-stripping pre-pass of web-corpus curation. Pure RE2 +
     literal-replace Arrow kernels; tags collapse to a single space so
@@ -997,19 +980,17 @@ def strip_markup_batch(batch: pa.Table, text_col: str = "text", out_col: str = "
     t = pc.replace_substring_regex(t, _HTML_TAG_RE, " ")
     for ent, rep in _HTML_ENTITIES:
         t = pc.replace_substring(t, ent, rep)
-    idx = batch.schema.get_field_index(out_col)
+    idx = batch.schema.get_field_index("text")
     if idx >= 0:
-        return batch.set_column(idx, out_col, t)
-    return batch.append_column(out_col, t)
+        return batch.set_column(idx, "text", t)
+    return batch.append_column("text", t)
 
 
 def normalize_text_batch(
     batch: pa.Table,
     text_col: str = "text",
-    out_col: str = "text",
     form: str = "NFC",
     fix_mojibake: bool = True,
-    collapse_whitespace: bool = True,
 ) -> pa.Table:
     """Canonical text normalization: repair the common UTF-8-as-cp1252
     mojibake artifacts (fixed literal-replace table), strip control
@@ -1028,12 +1009,11 @@ def normalize_text_batch(
     if isinstance(t, pa.ChunkedArray):
         t = t.combine_chunks()
     t = pl.Series(t).str.normalize(form).to_arrow().cast(pa.string())
-    if collapse_whitespace:
-        t = pc.utf8_trim_whitespace(pc.replace_substring_regex(t, "\\s+", " "))
-    idx = batch.schema.get_field_index(out_col)
+    t = pc.utf8_trim_whitespace(pc.replace_substring_regex(t, "\\s+", " "))
+    idx = batch.schema.get_field_index("text")
     if idx >= 0:
-        return batch.set_column(idx, out_col, t)
-    return batch.append_column(out_col, t)
+        return batch.set_column(idx, "text", t)
+    return batch.append_column("text", t)
 
 
 # ---------------------------------------------------------------------------
@@ -1044,8 +1024,6 @@ def normalize_text_batch(
 def grouped_lexical_diversity(
     docs_ds,
     group_col: str | None = "lang",
-    text_col: str = "text",
-    hll_p: int = 12,
     zipf_top_n: int | None = None,
 ):
     """Per-group lexical-diversity profile of a corpus: total token
@@ -1095,7 +1073,7 @@ def grouped_lexical_diversity(
     )
 
     def partial(tb: pa.Table) -> pa.Table:
-        col = tb[text_col]
+        col = tb["text"]
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
         n = len(col)
@@ -1134,7 +1112,7 @@ def grouped_lexical_diversity(
         )
         return out.to_arrow().cast(pair_schema)
 
-    need = [text_col] if group_col is None else [group_col, text_col]
+    need = ["text"] if group_col is None else [group_col, "text"]
     partials = (
         select_if_needed(docs_ds, need)
         .map_batches(partial, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
@@ -1148,7 +1126,7 @@ def grouped_lexical_diversity(
         d = pl.from_arrow(tb).filter(pl.col("kind") == "u")
         groups, blobs = [], []
         for key, sub in d.group_by([gname]):
-            sk = HyperLogLog(hll_p)
+            sk = HyperLogLog(12)
             sk.update_hashed(hash64_arrow(sub["term"].to_arrow()))
             groups.append(key[0])
             blobs.append(sk.to_bytes())

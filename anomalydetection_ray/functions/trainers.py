@@ -562,10 +562,7 @@ class LatentTransformStage:
         vec_col: str = "embedding",
         out_col: str = "latent",
         model_kind: str = "projection_head",
-        load_hook=None,
     ):
-        if load_hook is not None:
-            load_hook()
         if model_kind == "projection_head":
             self.model = NumpyProjectionHead.load_snapshot(snapshot_path)
             self._fn = self.model.transform
@@ -601,8 +598,6 @@ def project_latent(
     vec_col: str = "embedding",
     out_col: str = "latent",
     model_kind: str = "projection_head",
-    concurrency: int | None = None,
-    batch_size: int | None = None,
 ):
     """Corpus-wide latent projection as a sized actor pool (the
     distributed ``transform_data``); the default batch size absorbs
@@ -619,7 +614,7 @@ def project_latent(
             "model_kind": model_kind,
         },
         batch_format="pyarrow",
-        batch_size=ABSORB_EMPTY_BATCH_SIZE if batch_size is None else batch_size,
+        batch_size=ABSORB_EMPTY_BATCH_SIZE,
         zero_copy_batch=True,
-        concurrency=concurrency or sized_actor_concurrency(ds),
+        concurrency=sized_actor_concurrency(ds),
     )

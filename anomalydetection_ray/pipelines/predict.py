@@ -114,13 +114,13 @@ def _parse_stage(batch: pa.Table) -> pa.Table:
         parse_label_batch,
     )
 
-    parsed = parse_label_batch(batch, line_col="text")
-    enriched = enrich_structure_batch(parsed, log_col="log")
-    tpl = mask_template_batch(enriched, content_col="Content", out_col="template")
-    return extract_template_params(tpl, content_col="Content", out_col="params")
+    parsed = parse_label_batch(batch)
+    enriched = enrich_structure_batch(parsed)
+    tpl = mask_template_batch(enriched, content_col="Content")
+    return extract_template_params(tpl, content_col="Content")
 
 
-def _write_report(final_ds, report_dir: str, n_bins: int = 50) -> None:
+def _write_report(final_ds, report_dir: str) -> None:
     """S9 analog (``end_to_end_prediction.py:537-616``): the reference
     renders score histograms per class and top-10 frequent templates per
     predicted class as PNGs; the engine writes the same information as
@@ -140,6 +140,7 @@ def _write_report(final_ds, report_dir: str, n_bins: int = 50) -> None:
     from ..checks.uniqueness import key_counts
     from .queries import as_table
 
+    n_bins = 50
     os.makedirs(report_dir, exist_ok=True)
     mm = final_ds.aggregate(Min("anomaly_score"), Max("anomaly_score"))
     lo = float(mm["min(anomaly_score)"] or 0.0)
@@ -253,7 +254,6 @@ def end_to_end_predict(
                     batch.drop_columns(["template"]),
                     ray.get(partial_ref),
                     content_col="Content",
-                    out_col="template",
                 )
 
             ds = ds.map_batches(reassign, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
@@ -297,7 +297,6 @@ def end_to_end_predict(
             EmbeddingModelStage,
             **embedding_stage_kwargs(
                 factory,
-                text_col="template",
                 model_batch_size=cfg.model_batch_size,
                 batch_size=cfg.batch_size,
                 concurrency=cfg.concurrency,

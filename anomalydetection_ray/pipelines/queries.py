@@ -19,9 +19,9 @@ from ray.data.aggregate import Count, Max, Min, Sum
 from ..checks.referential import orphans_bloom, semi_join
 from ..checks.stats import categorical_profile, column_stats, mutual_information
 from ..checks.uniqueness import duplicate_keys, key_counts
-from ..functions.relational import broadcast_join, broadcast_value_filter, frequency_filter
+from ..functions.relational import broadcast_join, frequency_filter
 from ..functions.shuffle import driver_grouped_agg
-from ..functions.text import fingerprint_batch, quality_batch, token_count_batch
+from ..functions.text import quality_batch
 from ..functions.vector import l2_norm_batch
 from ..sources import read_table
 
@@ -715,8 +715,8 @@ def duplicate_key_violations(sf_dir: str):
             }
         )
 
-    a = as_table(duplicate_keys(li, ["l_orderkey", "l_linenumber"], min_count=2))
-    b = as_table(duplicate_keys(ev, ["user_id", "event_type"], min_count=2))
+    a = as_table(duplicate_keys(li, ["l_orderkey", "l_linenumber"]))
+    b = as_table(duplicate_keys(ev, ["user_id", "event_type"]))
     return pa.concat_tables(
         [fmt(a, "lineitem", ["l_orderkey", "l_linenumber"]), fmt(b, "events", ["user_id", "event_type"])]
     )
@@ -1213,7 +1213,7 @@ def neardup_pairs_docs(sf_dir: str):
     from ..dedup import neardup_pairs
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    return neardup_pairs(docs, "doc_id", "text", threshold=0.8, shingle="word")
+    return neardup_pairs(docs, "doc_id", "text", threshold=0.8)
 
 
 @register(
@@ -1254,7 +1254,7 @@ def dedup_simhash_md5_docs(sf_dir: str):
     from ..dedup import simhash_dedup
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    out = simhash_dedup(docs, "doc_id", "text", max_hamming=3, token_hash="md5")
+    out = simhash_dedup(docs, "doc_id", "text", token_hash="md5")
     return as_table(out.select_columns(["doc_id"])).sort_by([("doc_id", "ascending")])
 
 
@@ -1412,10 +1412,10 @@ def curation_pipeline_docs(sf_dir: str):
     # materialized boundaries at sf0.1; see BASELINE.md round 4).
     ex = exact_dedup(kept, "doc_id", "text", size_hint_bytes=est).materialize()
     mh = minhash_lsh_dedup_verified(
-        ex, "doc_id", "text", threshold=0.8, num_perm=256, bands=64, shingle="word",
+        ex, "doc_id", "text", threshold=0.8, shingle="word",
         size_hint_bytes=est,
     ).materialize()
-    final = simhash_dedup(mh, "doc_id", "text", max_hamming=3, token_hash="md5", size_hint_bytes=est)
+    final = simhash_dedup(mh, "doc_id", "text", token_hash="md5", size_hint_bytes=est)
     return as_table(final.select_columns(["doc_id", "lang", "n_tokens"])).sort_by([("doc_id", "ascending")])
 
 
@@ -1566,7 +1566,7 @@ def mlp_reconstruction_scores(sf_dir: str):
     with tempfile.TemporaryDirectory() as td:
         snap = f"{td}/autoencoder.npz"
         model.save_snapshot(snap)
-        scored = score_with_autoencoder(emb, snap, vec_col="embedding")
+        scored = score_with_autoencoder(emb, snap)
         out = as_table(scored.select_columns(["vec_id", "recon_error"]))
     df = out.to_pandas().sort_values(["recon_error", "vec_id"], ascending=[False, True]).head(20)
     df["recon_error"] = df["recon_error"].round(6)
@@ -2310,7 +2310,7 @@ def asof_last_order_value(sf_dir: str):
 
     joined = asof_join(
         events, orders, key="user_id", left_ts="ts", right_ts="o_orderdate",
-        right_values=["o_totalprice"], strategy="backward", right_key="o_custkey",
+        right_values=["o_totalprice"], right_key="o_custkey",
     )
     joined = range_join_agg(
         joined, orders, key="user_id", left_ts="ts", right_ts="o_orderdate",
@@ -2409,7 +2409,7 @@ def dedup_minhash_word_docs(sf_dir: str):
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     out = minhash_lsh_dedup_verified(
-        docs, "doc_id", "text", threshold=0.8, num_perm=256, bands=64, shingle="word"
+        docs, "doc_id", "text", threshold=0.8, shingle="word"
     )
     return as_table(out.select_columns(["doc_id"])).sort_by([("doc_id", "ascending")])
 
@@ -2663,8 +2663,8 @@ def bgl_parse_roundtrip(sf_dir: str):
     build_lines = _synth_bgl_lines
 
     def parse(batch: pa.Table) -> pa.Table:
-        parsed = parse_label_batch(batch, line_col="text")
-        enriched = enrich_structure_batch(parsed, log_col="log")
+        parsed = parse_label_batch(batch)
+        enriched = enrich_structure_batch(parsed)
         return pa.Table.from_pydict(
             {
                 "label": enriched["label"],

@@ -41,7 +41,6 @@ ONCE per suite run; every exchange moves kilobytes-per-block partials or
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -54,7 +53,7 @@ import pyarrow.parquet as pq
 
 import ray.data as rd
 
-from ..checks.drift import partition_drift, write_snapshot
+from ..checks.drift import load_snapshot, partition_drift, write_snapshot
 from ..sources.readers import read_parquet_clean
 from ..checks.stats import column_stats, merge_partials_to_stats
 from ..functions.text import sha256_hex_batch
@@ -177,19 +176,22 @@ def _parquet_files(d: str) -> list[str]:
     return [os.path.join(d, f) for f in sorted(os.listdir(d)) if f.endswith(".parquet")]
 
 
-def _part_labels(col: pa.Array | pa.ChunkedArray) -> pa.Array | pa.ChunkedArray:
-    """Partition labels of a verdict: the value as a string, ``<null>`` for
-    null — shared by the driver-held and the spilled violation counts so
-    both label a partition identically."""
-    return pc.fill_null(pc.cast(col, pa.string()), "<null>")
-
-
-def _per_part_counts(tbl: pa.Table, part_col: str) -> dict[str, int]:
-    if tbl.num_rows == 0:
-        return {}
-    col = _part_labels(tbl[part_col])
-    vals, counts = np.unique(np.asarray(col), return_counts=True)
-    return {str(v): int(c) for v, c in zip(vals, counts)}
+def _add_violation_counts(counts: dict[str, dict[str, int]], viol, part: str) -> dict[str, dict[str, int]]:
+    """Add the per-(kind, partition) row counts of a violation table or
+    record batch into ``counts``. Partitions are labelled by their value
+    as a string, ``<null>`` for null — the one labelling of the driver-held
+    and the spilled suite."""
+    t = pa.table(
+        {
+            "k": viol.column("violation_kind"),
+            "p": pc.fill_null(pc.cast(viol.column(part), pa.string()), "<null>"),
+        }
+    )
+    g = t.group_by(["k", "p"]).aggregate([([], "count_all")])
+    for k, p, c in zip(*(g[n].to_pylist() for n in ("k", "p", "count_all"))):
+        by_part = counts.setdefault(k, {})
+        by_part[p] = by_part.get(p, 0) + c
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -527,21 +529,11 @@ def _spill_violation_counts(files: list[str], part: str) -> dict[str, dict[str, 
     """Per-(kind, partition) violation counts of the sorted violation files
     — the only violation-derived state the driver holds in spill mode.
     Streams just the two columns batch by batch on the driver, so no
-    violation table materializes; partitions are labelled by
-    :func:`_part_labels`, as in :func:`_per_part_counts`."""
+    violation table materializes."""
     counts: dict[str, dict[str, int]] = {}
     for f in files:
         for b in pq.ParquetFile(f).iter_batches(columns=["violation_kind", part]):
-            t = pa.table(
-                {
-                    "k": b.column("violation_kind"),
-                    "p": _part_labels(b.column(part)),
-                }
-            )
-            g = t.group_by(["k", "p"]).aggregate([([], "count_all")])
-            for k, p, c in zip(*(g[n].to_pylist() for n in ("k", "p", "count_all"))):
-                by_part = counts.setdefault(k, {})
-                by_part[p] = by_part.get(p, 0) + c
+            _add_violation_counts(counts, b, part)
     return counts
 
 
@@ -696,9 +688,11 @@ def _finalize_suite(
     """stats table + violation rows → per-(check, partition) verdicts,
     drift scoring, lineage, and the verdicts.parquet artifact.
 
-    Spill mode (``violations_dir`` given): ``viol_all`` is schema-correct
-    but EMPTY — verdict counts are ``viol_counts``, the per-(kind,
-    partition) counts of the exact rows under ``violations_dir``."""
+    Verdict counts come from ``viol_counts``, the per-(kind, partition)
+    violation counts; a driver-held run (``viol_counts`` None) derives
+    them from ``viol_all``. Spill mode (``violations_dir`` given):
+    ``viol_all`` is schema-correct but EMPTY and ``viol_counts`` counts
+    the exact rows under ``violations_dir``."""
     from ..checks.schema import schema_verdicts, spec_from_stats
 
     part = cfg.partition_by
@@ -783,41 +777,34 @@ def _finalize_suite(
             }
         )
 
+    if viol_counts is None:
+        viol_counts = _add_violation_counts({}, viol_all, part)
+    # check -> (violation kinds, verdict detail)
+    row_checks = {
+        "rowrules": ([f"null_{part}", "empty_content"], "row-rule violations"),
+        "uniqueness": (["duplicate_key"], "duplicate-key rows"),
+    }
+    if cfg.repos_dim_path:
+        row_checks["referential"] = (["orphan_repo"], "orphan rows")
+    n_viol: dict[str, int] = {}
     kind_col = viol_all["violation_kind"]
-    is_rowrule = pc.is_in(kind_col, value_set=pa.array([f"null_{part}", "empty_content"]))
-    violations["rowrules"] = viol_all.filter(is_rowrule)
-    uq = viol_all.filter(pc.equal(kind_col, "duplicate_key"))
-    violations["uniqueness"] = uq
-
-    def _counts_for(kinds: list[str], table: pa.Table) -> dict[str, int]:
-        if viol_counts is None:
-            return _per_part_counts(table, part)
-        merged: dict[str, int] = {}
+    for check, (kinds, what) in row_checks.items():
+        violations[check] = viol_all.filter(pc.is_in(kind_col, value_set=pa.array(kinds)))
+        by_part: dict[str, int] = {}
         for k in kinds:
             for p, c in viol_counts.get(k, {}).items():
-                merged[p] = merged.get(p, 0) + c
-        return merged
-
-    for p, c in _counts_for([f"null_{part}", "empty_content"], violations["rowrules"]).items():
-        verdict_rows.append(
-            {"check": "rowrules", "partition": p, "column": "", "passed": False, "metric": float(c), "detail": f"{c} row-rule violations"}
-        )
-    for p, c in _counts_for(["duplicate_key"], uq).items():
-        verdict_rows.append(
-            {"check": "uniqueness", "partition": p, "column": "", "passed": False, "metric": float(c), "detail": f"{c} duplicate-key rows"}
-        )
-    if cfg.repos_dim_path:
-        rf = viol_all.filter(pc.equal(kind_col, "orphan_repo"))
-        violations["referential"] = rf
-        for p, c in _counts_for(["orphan_repo"], rf).items():
+                by_part[p] = by_part.get(p, 0) + c
+        n_viol[check] = sum(by_part.values())
+        for p, c in by_part.items():
             verdict_rows.append(
-                {"check": "referential", "partition": p, "column": "", "passed": False, "metric": float(c), "detail": f"{c} orphan rows"}
+                {"check": check, "partition": p, "column": "", "passed": False, "metric": float(c), "detail": f"{c} {what}"}
             )
 
     # functional dependencies: GLOBAL verdicts (a determinant's bindings
     # may span partitions, so per-partition pass/fail would be misleading)
     for unit, vt in (fd_results or {}).items():
         violations[unit] = vt
+        n_viol[unit] = vt.num_rows
         n_bad_det = (
             vt.group_by(vt.column_names[:-2]).aggregate([]).num_rows if vt.num_rows else 0
         )
@@ -838,7 +825,7 @@ def _finalize_suite(
     if baseline_snapshot and os.path.isdir(baseline_snapshot):
         baseline_snapshot = find_latest_snapshot(baseline_snapshot)
     if baseline_snapshot:
-        base_df = pq.read_table(baseline_snapshot).to_pandas()
+        base_df = load_snapshot(baseline_snapshot)
         # schema DRIFT vs the snapshot's recorded per-column dtypes: a
         # column that appeared, vanished or changed type since the
         # baseline is an anomaly signal even when every value-level stat
@@ -877,7 +864,7 @@ def _finalize_suite(
 
     # partitions with no violation rows get explicit passing verdicts
     flagged = {(v["check"], v["partition"]) for v in verdict_rows}
-    for check in ["rowrules", "uniqueness"] + (["referential"] if cfg.repos_dim_path else []):
+    for check in row_checks:
         for p in part_counts:
             if (check, p) not in flagged:
                 verdict_rows.append(
@@ -895,10 +882,6 @@ def _finalize_suite(
     # an empty corpus yields zero verdicts: vacuously passing (there is
     # nothing to violate), and the row-count signal lives in lineage
     passed = bool(verdicts["passed"].all())
-    if viol_counts is None:
-        n_viol = {k: v.num_rows for k, v in violations.items()}
-    else:
-        n_viol = {k: sum(parts.values()) for k, parts in viol_counts.items()}
     state.lineage_append(
         {
             "unit": "suite",
@@ -1133,7 +1116,7 @@ def find_latest_snapshot(root_dir: str) -> str | None:
     return os.path.join(root_dir, snaps[-1]) if snaps else None
 
 
-def write_baseline_versioned(corpus_path: str, root_dir: str, cfg: SuiteConfig | None = None) -> str:
+def write_baseline_versioned(corpus_path: str, root_dir: str) -> str:
     """Write the next ``baseline-NNNN.parquet`` under ``root_dir`` (the
     append-only snapshot convention :func:`find_latest_snapshot`
     discovers) and return its path. Existing snapshots are immutable —
@@ -1143,14 +1126,15 @@ def write_baseline_versioned(corpus_path: str, root_dir: str, cfg: SuiteConfig |
     latest = find_latest_snapshot(root_dir)
     nxt = 0 if latest is None else int(os.path.basename(latest)[len("baseline-"):-len(".parquet")]) + 1
     path = os.path.join(root_dir, f"baseline-{nxt:04d}.parquet")
-    write_baseline(corpus_path, path, cfg)
+    write_baseline(corpus_path, path)
     return path
 
 
-def write_baseline(corpus_path: str, snapshot_path: str, cfg: SuiteConfig | None = None) -> None:
+def write_baseline(corpus_path: str, snapshot_path: str) -> None:
     """Compute and persist the baseline snapshot (per-partition stats +
-    histogram/sketch bytes) — the artifact drift checks score against."""
-    cfg = cfg or SuiteConfig()
+    histogram/sketch bytes) under the default :class:`SuiteConfig` — the
+    artifact drift checks score against."""
+    cfg = SuiteConfig()
     all_cols = [f.name for f in _corpus_schema(corpus_path)]
     stats_df = column_stats(
         read_parquet_clean(corpus_path),

@@ -24,12 +24,6 @@ class FixedHistogram:
         self.counts = np.zeros(len(self.edges) - 1, dtype=np.int64)
         self.n_nan = 0
 
-    @classmethod
-    def from_range(cls, lo: float, hi: float, bins: int = 50) -> "FixedHistogram":
-        if hi <= lo:
-            hi = lo + 1.0
-        return cls(np.linspace(lo, hi, bins + 1))
-
     def update(self, values) -> "FixedHistogram":
         v = np.asarray(values, dtype=np.float64)
         nan = np.isnan(v)
@@ -54,13 +48,13 @@ class FixedHistogram:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def probs(self, eps: float = 1e-6) -> np.ndarray:
-        """Bin probabilities, floored at eps to keep PSI finite."""
+    def probs(self) -> np.ndarray:
+        """Bin probabilities, floored at 1e-6 to keep PSI finite."""
         t = self.total
         if t == 0:
             return np.full(len(self.counts), 1.0 / len(self.counts))
         p = self.counts / t
-        return np.clip(p, eps, None)
+        return np.clip(p, 1e-6, None)
 
     @classmethod
     def merge_many_bytes(cls, blobs) -> "FixedHistogram":

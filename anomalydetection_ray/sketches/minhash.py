@@ -139,8 +139,3 @@ def batch_band_keys(sigs: np.ndarray, bands: int) -> np.ndarray:
         key = _avalanche(key ^ view[:, :, r])
     return key
 
-
-def exact_jaccard(h1: np.ndarray, h2: np.ndarray) -> float:
-    inter = np.intersect1d(h1, h2, assume_unique=False).size
-    union = np.union1d(h1, h2).size
-    return inter / union if union else 1.0

@@ -20,7 +20,6 @@ Reference semantics reproduced exactly (vectorized, no Python row loop):
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -36,14 +35,14 @@ def read_log_lines(path: str, max_lines: int | None = None):
     return ds.limit(max_lines) if max_lines is not None else ds
 
 
-def parse_label_batch(batch: pa.Table, line_col: str = "text") -> pa.Table:
+def parse_label_batch(batch: pa.Table) -> pa.Table:
     """line -> (label:int32, log:string); drops payload-less lines.
 
     Lines are whitespace-stripped BEFORE the split (reference parity:
     ``models/drain.py:17`` does ``line.strip()`` then ``split(" ", 1)``) —
     without it a leading-space line yields an empty token 0 and gets
     mislabeled anomalous with the marker left inside the payload."""
-    stripped = pc.utf8_trim_whitespace(pc.coalesce(batch[line_col], ""))
+    stripped = pc.utf8_trim_whitespace(pc.coalesce(batch["text"], ""))
     parts = pc.split_pattern(stripped, " ", max_splits=1)
     if isinstance(parts, pa.ChunkedArray):
         parts = parts.combine_chunks()
@@ -55,7 +54,7 @@ def parse_label_batch(batch: pa.Table, line_col: str = "text") -> pa.Table:
     return pa.table({"label": label, "log": pc.list_element(kept_parts, 1)})
 
 
-def enrich_structure_batch(batch: pa.Table, log_col: str = "log") -> pa.Table:
+def enrich_structure_batch(batch: pa.Table) -> pa.Table:
     """log -> 9 positional fields + malformed flag.
 
     Fully vectorized (polars list kernels — no Python row loop in this
@@ -66,7 +65,7 @@ def enrich_structure_batch(batch: pa.Table, log_col: str = "log") -> pa.Table:
     """
     import polars as pl
 
-    col = batch[log_col]
+    col = batch["log"]
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     toks = pl.from_arrow(pa.table({"c": col}))["c"].fill_null("").str.extract_all(r"\S+")
@@ -94,15 +93,15 @@ def enrich_structure_batch(batch: pa.Table, log_col: str = "log") -> pa.Table:
     return pa.table(out)
 
 
-def mask_template_batch(batch: pa.Table, content_col: str = "Content", out_col: str = "template") -> pa.Table:
+def mask_template_batch(batch: pa.Table, content_col: str = "Content") -> pa.Table:
     """Digit-run masking template (deterministic Drain stand-in): every
     maximal digit run becomes ``<*>`` — order-independent, so counts merge
     at any parallelism (unlike the reference's streaming miner state)."""
     tpl = pc.replace_substring_regex(batch[content_col], r"[0-9]+", "<*>")
-    return batch.append_column(out_col, tpl)
+    return batch.append_column("template", tpl)
 
 
-def extract_template_params(batch: pa.Table, content_col: str = "Content", out_col: str = "params") -> pa.Table:
+def extract_template_params(batch: pa.Table, content_col: str = "Content") -> pa.Table:
     """Wildcard parameter extraction (M3 analog, ``models/drain.py:56-66``):
     collect the digit runs that ``mask_template_batch`` replaces with
     ``<*>`` into a list<string> column — vectorized via polars
@@ -113,4 +112,4 @@ def extract_template_params(batch: pa.Table, content_col: str = "Content", out_c
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     params = pl.from_arrow(col).str.extract_all(r"[0-9]+").to_arrow()
-    return batch.append_column(out_col, params.cast(pa.list_(pa.string())))
+    return batch.append_column("params", params.cast(pa.list_(pa.string())))

@@ -182,7 +182,7 @@ def mine_templates(ds, content_col: str = "text") -> pa.Table:
     return merge_partial_tables([mine_group_partials(ds, content_col)])
 
 
-def assign_template_batch(batch: pa.Table, mined: pa.Table, content_col: str = "text", out_col: str = "template") -> pa.Table:
+def assign_template_batch(batch: pa.Table, mined: pa.Table, content_col: str = "text") -> pa.Table:
     """Per-line template assignment against a mined template table
     (the reference's per-line ``template_mined`` output,
     ``models/drain.py:55-56``): each line looks up its
@@ -215,4 +215,4 @@ def assign_template_batch(batch: pa.Table, mined: pa.Table, content_col: str = "
     joined = keys.join(lut, on=["n_tok", "first"], how="left", maintain_order="left").with_columns(
         template=pl.col("template").fill_null("")
     )
-    return batch.append_column(out_col, joined["template"].to_arrow().cast(pa.string()))
+    return batch.append_column("template", joined["template"].to_arrow().cast(pa.string()))

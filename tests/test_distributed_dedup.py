@@ -61,10 +61,8 @@ def test_minhash_distributed_matches_driver(ray_session, stress_ds):
 def test_neardup_pairs_distributed_matches_driver(ray_session, stress_ds):
     from anomalydetection_ray.dedup import neardup_pairs
 
-    driver = neardup_pairs(stress_ds, "doc_id", "text", threshold=0.8, shingle="word",
-                           driver_max_pairs=10**9)
-    dist = neardup_pairs(stress_ds, "doc_id", "text", threshold=0.8, shingle="word",
-                         driver_max_pairs=0)
+    driver = neardup_pairs(stress_ds, "doc_id", "text", threshold=0.8, driver_max_pairs=10**9)
+    dist = neardup_pairs(stress_ds, "doc_id", "text", threshold=0.8, driver_max_pairs=0)
     assert driver.to_pydict() == dist.to_pydict()
     assert driver.num_rows == 200
 
@@ -72,13 +70,13 @@ def test_neardup_pairs_distributed_matches_driver(ray_session, stress_ds):
 def test_simhash_distributed_matches_driver(ray_session, stress_ds):
     from anomalydetection_ray.dedup import simhash_dedup
 
-    driver = _kept(simhash_dedup(stress_ds, "doc_id", "text", max_hamming=3, driver_max_edges=10**9))
-    dist = _kept(simhash_dedup(stress_ds, "doc_id", "text", max_hamming=3, driver_max_edges=0))
+    driver = _kept(simhash_dedup(stress_ds, "doc_id", "text", driver_max_edges=10**9))
+    dist = _kept(simhash_dedup(stress_ds, "doc_id", "text", driver_max_edges=0))
     assert driver == dist
     # third plan: the size-gated fingerprint-driver pass (stress_ds is
     # transformed → no metadata estimate, so the hint is what engages it)
     fp_driver = _kept(
-        simhash_dedup(stress_ds, "doc_id", "text", max_hamming=3, size_hint_bytes=1)
+        simhash_dedup(stress_ds, "doc_id", "text", size_hint_bytes=1)
     )
     assert fp_driver == dist
 

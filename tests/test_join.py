@@ -71,25 +71,6 @@ def test_shuffle_join_matches_polars(ray_session, how):
         assert got.num_rows >= left.num_rows
 
 
-def test_cost_based_join_switches_plans(ray_session):
-    from anomalydetection_ray.functions.relational import hash_join, shuffle_hash_join
-    from anomalydetection_ray.pipelines.queries import as_table
-
-    lds, rds, *_ = _mk_sides()
-    bc = as_table(hash_join(lds, "k", rds, "rk", how="inner", broadcast_max_bytes=1 << 30))
-    sh = as_table(hash_join(lds, "k", rds, "rk", how="inner", broadcast_max_bytes=-1))
-    direct = as_table(shuffle_hash_join(lds, "k", rds, "rk", how="inner"))
-    a, b, c = _canon(bc), _canon(sh), _canon(direct)
-    assert sorted(bc.column_names) == sorted(sh.column_names)
-    assert b.equals(c)
-    assert len(a) == len(b)
-    # value-equality between plans on the join payload columns
-    for col in ("k", "lv", "rv"):
-        assert np.array_equal(
-            a[col].to_numpy(), b[col].to_numpy()
-        ), col
-
-
 @pytest.mark.parametrize("how", ["inner", "left"])
 def test_composite_key_join_matches_polars(ray_session, how):
     import polars as pl
@@ -246,13 +227,11 @@ def test_right_full_outer_join_matches_duckdb(ray_session, how):
     (never match, ride through unmatched) and collision suffixing."""
     import duckdb
 
-    from anomalydetection_ray.functions.relational import hash_join, shuffle_hash_join
+    from anomalydetection_ray.functions.relational import shuffle_hash_join
     from anomalydetection_ray.pipelines.queries import as_table
 
     lds, rds, left, right = _mk_sides()
     got = as_table(shuffle_hash_join(lds, "k", rds, "rk", how=how))
-    # the cost-based wrapper must route right/full to the shuffle plan
-    via_wrapper = as_table(hash_join(lds, "k", rds, "rk", how=how, broadcast_max_bytes=1 << 30))
 
     con = duckdb.connect()
     con.register("l", left.to_pandas())
@@ -268,7 +247,6 @@ def test_right_full_outer_join_matches_duckdb(ray_session, how):
     a = _canon(got)
     b = _canon(want.cast(got.select(want.column_names).schema))
     assert a.equals(b), f"\n{a}\nvs\n{b}"
-    assert _canon(via_wrapper).equals(a)
 
 
 def test_skew_join_equivalent_to_shuffle_join(ray_session):
@@ -365,89 +343,3 @@ def test_skew_join_empty_lanes_keep_schema(ray_session):
         assert n == 1003, (thresh, n)
         for names in schemas:
             assert names == ["k", "lv", "rv"], (thresh, schemas)
-
-
-@pytest.mark.parametrize(
-    "prefilter,how",
-    [("left", "inner"), ("left", "semi"), ("right", "inner"),
-     ("right", "left"), ("right", "semi"), ("right", "anti")],
-)
-def test_bloom_prefiltered_join_equivalence(ray_session, prefilter, how):
-    """Every sound (prefilter side, how) combination is row-identical to
-    the plain shuffle join — the Bloom only drops provably-unmatchable
-    rows; false positives ride through to the exact join."""
-    import ray.data as rd
-
-    from anomalydetection_ray.functions.relational import (
-        bloom_prefiltered_join,
-        shuffle_hash_join,
-    )
-    from anomalydetection_ray.pipelines.queries import as_table
-
-    rng = np.random.default_rng(13)
-    n = 3000
-    # selective: only ~10% of left keys exist on the right; nulls on both
-    lk = rng.integers(0, 1000, n)
-    left = pa.table(
-        {
-            "k": pa.array([None if i % 97 == 0 else int(v) for i, v in enumerate(lk)], type=pa.int64()),
-            "k2": pa.array((lk % 7).astype("int64")),
-            "lv": pa.array(rng.normal(size=n)),
-        }
-    )
-    rk = rng.integers(0, 100, 400)
-    right = pa.table(
-        {
-            "rk": pa.array([None if i % 53 == 0 else int(v) for i, v in enumerate(rk)], type=pa.int64()),
-            "rk2": pa.array((rk % 7).astype("int64")),
-            "rv": pa.array(rng.normal(size=400)),
-        }
-    )
-    lds, rds = rd.from_arrow(left).repartition(5), rd.from_arrow(right).repartition(3)
-    got = as_table(
-        bloom_prefiltered_join(
-            lds, ["k", "k2"], rds, ["rk", "rk2"], how=how, prefilter=prefilter, capacity=4096
-        )
-    )
-    want = as_table(shuffle_hash_join(lds, ["k", "k2"], rds, ["rk", "rk2"], how=how))
-    a, b = _canon(got), _canon(want)
-    assert a.equals(b), f"{prefilter}/{how}:\n{a.head()}\nvs\n{b.head()}"
-
-
-def test_bloom_prefilter_unsound_modes_raise(ray_session):
-    from anomalydetection_ray.functions.relational import bloom_prefiltered_join
-
-    lds, rds, *_ = _mk_sides()
-    for prefilter, how in [("left", "left"), ("left", "anti"), ("left", "full"), ("right", "right"), ("right", "full")]:
-        with pytest.raises(ValueError):
-            bloom_prefiltered_join(lds, "k", rds, "rk", how=how, prefilter=prefilter)
-
-
-def test_hash_join_plan_invariant_suffix_on_collision(ray_session):
-    """Round-5 review: a right non-key column colliding with a left name
-    used to RAISE under the broadcast plan but silently suffix under the
-    shuffle plan — success was a function of data size. Both plans must
-    now emit the identical suffixed schema and rows."""
-    import ray.data as rd
-
-    import pandas as pd
-
-    from anomalydetection_ray.functions.relational import hash_join
-    from anomalydetection_ray.pipelines.queries import as_table
-
-    left = pa.table({"k": [1, 2, 3], "x": ["l1", "l2", "l3"]})
-    right = pa.table({"k": [1, 2], "x": ["r1", "r2"]})
-
-    def run(**kw):
-        out = as_table(
-            hash_join(rd.from_arrow(left), "k", rd.from_arrow(right), "k", **kw)
-        ).to_pandas().sort_values("k").reset_index(drop=True)
-        return out
-
-    # broadcast plan (metadata estimate small) vs forced shuffle plan
-    a = run(how="left")
-    b = run(how="left", broadcast_max_bytes=0)
-    assert list(a.columns) == list(b.columns) == ["k", "x", "x_r"]
-    assert a.equals(b)
-    assert a.loc[a["k"] == 1, "x_r"].iloc[0] == "r1"
-    assert pd.isna(a.loc[a["k"] == 3, "x_r"].iloc[0])

@@ -1,6 +1,6 @@
-"""lag_lead (functions/temporal.py) and explode_list_column
-(functions/vector.py): SQL-window / unnest parity via DuckDB on the same
-in-memory table, null/empty-list edges, and block-layout invariance."""
+"""lag_lead and window_rank (functions/temporal.py) and with_global_rank
+(functions/shuffle.py): SQL-window parity via DuckDB on the same
+in-memory table, null edges, and block-layout invariance."""
 
 from __future__ import annotations
 
@@ -142,77 +142,6 @@ def test_lag_lead_collision_guard(ray_session):
         lag_lead(rd.from_arrow(tb), "k", "t", ["v"], lags=(1,), carry=["v_lag1"])
 
 
-@pytest.mark.parametrize("nblocks", [1, 5])
-def test_explode_duckdb_parity(ray_session, nblocks):
-    import ray.data as rd
-
-    from anomalydetection_ray.functions.vector import explode_list_column
-    from anomalydetection_ray.pipelines.queries import as_table
-
-    tb = pa.table(
-        {
-            "id": pa.array([1, 2, 3, 4, 5], type=pa.int64()),
-            "tag": ["a", "b", "c", "d", "e"],
-            # empty and null lists must contribute zero rows (SQL unnest)
-            "xs": pa.array([[10, 11], [], None, [12], [13, 14, 15]], type=pa.list_(pa.int64())),
-        }
-    )
-    ds = rd.from_arrow(tb).repartition(nblocks)
-    got = as_table(explode_list_column(ds, "xs", value_col="x", index_col="idx"))
-
-    con = duckdb.connect()
-    con.register("e", tb)
-    want = con.execute(
-        """
-        SELECT id, tag, CAST(unnest(range(0, len(xs))) AS BIGINT) AS idx,
-               unnest(xs) AS x
-        FROM e
-        """
-    ).arrow()
-    import pandas.testing as pdt
-
-    pdt.assert_frame_equal(_sorted_pd(got), _sorted_pd(want), check_dtype=False)
-    # row count: only non-null, non-empty lists contribute
-    assert got.num_rows == 6
-
-
-def test_explode_carry_prunes_columns(ray_session):
-    import ray.data as rd
-
-    from anomalydetection_ray.functions.vector import explode_list_column
-    from anomalydetection_ray.pipelines.queries import as_table
-
-    tb = pa.table(
-        {
-            "id": pa.array([1, 2], type=pa.int64()),
-            "unused": ["p", "q"],
-            "xs": pa.array([[1.5], [2.5, 3.5]], type=pa.list_(pa.float64())),
-        }
-    )
-    out = as_table(
-        explode_list_column(rd.from_arrow(tb), "xs", value_col="x", index_col=None, carry=["id"])
-    )
-    assert out.column_names == ["id", "x"]
-    assert out.num_rows == 3
-
-
-def test_explode_fixed_size_list(ray_session):
-    import ray.data as rd
-
-    from anomalydetection_ray.functions.vector import explode_list_column
-    from anomalydetection_ray.pipelines.queries import as_table
-
-    tb = pa.table(
-        {
-            "id": pa.array([1, 2], type=pa.int64()),
-            "xs": pa.array([[1.0, 2.0], [3.0, 4.0]], type=pa.list_(pa.float64(), 2)),
-        }
-    )
-    out = as_table(explode_list_column(rd.from_arrow(tb), "xs", value_col="x", index_col="idx"))
-    got = sorted(zip(out["id"].to_pylist(), out["idx"].to_pylist(), out["x"].to_pylist()))
-    assert got == [(1, 0, 1.0), (1, 1, 2.0), (2, 0, 3.0), (2, 1, 4.0)]
-
-
 @pytest.mark.parametrize("k", [1, 3, 7])
 def test_window_rank_distribution_kinds_and_ntile(ray_session, k):
     import ray.data as rd
@@ -256,75 +185,6 @@ def test_window_rank_distribution_kinds_and_ntile(ray_session, k):
 
     with pytest.raises(ValueError, match="ntile"):
         window_rank(rd.from_arrow(tb), "k", ["v"], ntile=0)
-
-
-def test_unpivot_duckdb_parity(ray_session):
-    import ray.data as rd
-
-    from anomalydetection_ray.functions.vector import unpivot_long
-    from anomalydetection_ray.pipelines.queries import as_table
-
-    tb = pa.table(
-        {
-            "id": pa.array([1, 2, 3], type=pa.int64()),
-            "a": pa.array([10, None, 30], type=pa.int64()),
-            "b": pa.array([1.5, 2.5, None], type=pa.float64()),
-        }
-    )
-    got = as_table(unpivot_long(rd.from_arrow(tb).repartition(2), ["id"], ["a", "b"]))
-    con = duckdb.connect()
-    con.register("e", tb)
-    want = con.execute(
-        "SELECT * FROM e UNPIVOT INCLUDE NULLS (value FOR name IN (a, b))"
-    ).arrow()
-    import pandas.testing as pdt
-
-    pdt.assert_frame_equal(_sorted_pd(got), _sorted_pd(want), check_dtype=False)
-
-    with pytest.raises(ValueError, match="incompatible"):
-        unpivot_long(rd.from_arrow(pa.table({"id": [1], "a": [1], "s": ["x"]})), ["id"], ["a", "s"])
-    with pytest.raises(ValueError, match="collide"):
-        unpivot_long(rd.from_arrow(tb), ["id"], ["a"], var_col="id")
-
-
-@pytest.mark.parametrize("nblocks", [1, 6])
-def test_distributed_pca_matches_numpy(ray_session, nblocks):
-    import ray.data as rd
-
-    from anomalydetection_ray.functions.vector import distributed_pca
-    from anomalydetection_ray.pipelines.queries import as_table
-
-    rng = np.random.default_rng(31)
-    n, d, k = 400, 8, 3
-    # anisotropic data so the top components are well-separated
-    x = rng.normal(size=(n, d)) * np.array([10, 8, 6, 1, 1, 1, 0.5, 0.2])
-    tb = pa.table(
-        {
-            "vec_id": pa.array(range(n), type=pa.int64()),
-            "embedding": pa.array(x.tolist(), type=pa.list_(pa.float64())),
-        }
-    )
-    ds = rd.from_arrow(tb).repartition(nblocks)
-    proj, mean, w = distributed_pca(ds, "embedding", k, carry=["vec_id"])
-
-    np.testing.assert_allclose(mean, x.mean(axis=0), rtol=0, atol=1e-12)
-    # reference PCA on the gathered matrix
-    xc = x - x.mean(axis=0)
-    evals, evecs = np.linalg.eigh(xc.T @ xc / n)
-    wref = evecs[:, ::-1][:, :k]
-    flip = np.sign(wref[np.abs(wref).argmax(axis=0), np.arange(k)])
-    wref = wref * flip
-    np.testing.assert_allclose(w, wref, rtol=0, atol=1e-9)
-
-    got = as_table(proj).to_pandas().sort_values("vec_id").reset_index(drop=True)
-    pmat = np.array(got["embedding_pca"].tolist())
-    np.testing.assert_allclose(pmat, xc @ wref, rtol=0, atol=1e-9)
-    # variance concentrates in the leading component
-    v = pmat.var(axis=0)
-    assert v[0] > v[1] > v[2]
-
-    with pytest.raises(ValueError, match="k must be"):
-        distributed_pca(ds, "embedding", d + 1)
 
 
 def test_with_global_rank_duckdb_parity_and_plans(ray_session):
@@ -375,48 +235,3 @@ def test_with_global_rank_duckdb_parity_and_plans(ray_session):
     # empty input
     out = with_global_rank(rd.from_pandas(df.iloc[:0]), "v", kinds=("rank",))
     assert sum(t.num_rows for t in out.iter_batches(batch_format="pyarrow", batch_size=None)) == 0
-
-
-def test_explode_single_column_and_empty_carry(ray_session):
-    """Round-5 review: exploding a list column with no carried columns
-    crashed on a zero-column take (Arrow length mismatch)."""
-    import pyarrow as pa
-    import ray.data as rd
-
-    from anomalydetection_ray.functions.vector import explode_list_column
-    from anomalydetection_ray.pipelines.queries import as_table
-
-    t = pa.table({"xs": [[1, 2, 3], [], None, [4]]})
-    out = as_table(
-        explode_list_column(rd.from_arrow(t), "xs", value_col="x", index_col="i")
-    ).to_pandas().sort_values(["x"]).reset_index(drop=True)
-    assert out["x"].tolist() == [1, 2, 3, 4]
-    assert out["i"].tolist() == [0, 1, 2, 0]
-    # carry=[] takes the same path explicitly
-    t2 = pa.table({"id": [7, 8], "xs": [[5], [6]]})
-    out2 = as_table(
-        explode_list_column(rd.from_arrow(t2), "xs", value_col="x", index_col=None, carry=[])
-    ).to_pandas().sort_values("x")
-    assert out2.columns.tolist() == ["x"] and out2["x"].tolist() == [5, 6]
-
-
-def test_unpivot_int_mix_stays_integral(ray_session):
-    """Round-5 review: int32+int64 value columns used to widen to
-    float64, corrupting values above 2^53."""
-    import pyarrow as pa
-    import ray.data as rd
-
-    from anomalydetection_ray.functions.vector import unpivot_long
-    from anomalydetection_ray.pipelines.queries import as_table
-
-    big = (1 << 60) + 1  # not representable in float64
-    t = pa.table({
-        "k": pa.array(["a"], pa.string()),
-        "v32": pa.array([7], pa.int32()),
-        "v64": pa.array([big], pa.int64()),
-    })
-    out = as_table(
-        unpivot_long(rd.from_arrow(t), ["k"], ["v32", "v64"])
-    ).to_pandas().sort_values("name")
-    assert out["value"].dtype == "int64"
-    assert out["value"].tolist() == [7, big]

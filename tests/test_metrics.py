@@ -103,7 +103,7 @@ def test_auc_drops_null_scores_and_labels(ray_session):
     keep = np.array([yo[i].as_py() is not None and so[i].as_py() is not None for i in range(400)])
     want = _exact_auc(y[keep], s[keep])
     assert abs(auc_exact(ds, "label", "score") - want) < 1e-12
-    approx = auc_streaming(ds, "label", "score", lo=-4.0, hi=5.0, n_bins=4096)
+    approx = auc_streaming(ds, "label", "score", lo=-4.0, hi=5.0)
     assert abs(approx - want) < 0.02
 
 

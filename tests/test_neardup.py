@@ -10,6 +10,13 @@ import pyarrow as pa
 import pytest
 
 
+def exact_jaccard(h1: np.ndarray, h2: np.ndarray) -> float:
+    """Reference Jaccard similarity of two hash sets."""
+    inter = np.intersect1d(h1, h2, assume_unique=False).size
+    union = np.union1d(h1, h2).size
+    return inter / union if union else 1.0
+
+
 def _docs_table():
     """12 docs: (0,1) word-near-dups, (2,3) exact dups, (4,5) char-level
     near-dups, rest distinct. 10/11 empty/None."""
@@ -55,9 +62,8 @@ def test_minhash_lsh_dedup_finds_planted(ray_session, docs_ds):
 def test_neardup_pairs_matches_bruteforce(ray_session, docs_ds):
     from anomalydetection_ray.dedup import neardup_pairs
     from anomalydetection_ray.dedup.neardup import _real_hashes
-    from anomalydetection_ray.sketches.minhash import exact_jaccard
 
-    got = neardup_pairs(docs_ds, "doc_id", "text", threshold=0.8, shingle="word")
+    got = neardup_pairs(docs_ds, "doc_id", "text", threshold=0.8)
     got_pairs = sorted(zip(got["a"].to_pylist(), got["b"].to_pylist()))
 
     tbl = _docs_table()
@@ -77,7 +83,7 @@ def test_simhash_dedup_finds_planted(ray_session, docs_ds):
     from anomalydetection_ray.dedup import simhash_dedup
     from anomalydetection_ray.pipelines.queries import as_table
 
-    out = as_table(simhash_dedup(docs_ds, "doc_id", "text", max_hamming=3))
+    out = as_table(simhash_dedup(docs_ds, "doc_id", "text"))
     kept = sorted(out["doc_id"].to_pylist())
     # exact dups (2,3) must collapse; near-dups (0,1) likely within 3 bits
     assert 2 in kept and 3 not in kept
@@ -322,7 +328,6 @@ def test_ivf_recall_gate_on_testdata(ray_session):
 
 def test_batch_jaccard_keep_matches_exact():
     from anomalydetection_ray.dedup.neardup import _batch_jaccard_keep
-    from anomalydetection_ray.sketches.minhash import exact_jaccard
 
     rng = np.random.default_rng(1)
     sets = [
@@ -431,7 +436,7 @@ def test_driver_verify_byte_cap_aborts_to_distributed(ray_session, docs_ds, monk
     from anomalydetection_ray.dedup import minhash_lsh_dedup_verified, neardup_pairs
     from anomalydetection_ray.pipelines.queries import as_table
 
-    want_pairs = neardup_pairs(docs_ds, "doc_id", "text", threshold=0.8, shingle="word")
+    want_pairs = neardup_pairs(docs_ds, "doc_id", "text", threshold=0.8)
     want_kept = sorted(
         as_table(minhash_lsh_dedup_verified(docs_ds, "doc_id", "text", threshold=0.8, shingle="word"))[
             "doc_id"
@@ -441,7 +446,7 @@ def test_driver_verify_byte_cap_aborts_to_distributed(ray_session, docs_ds, monk
     # driver plan AND the broadcast-store plan both abort; the shuffle
     # pair_payload_join tail must produce byte-identical results
     monkeypatch.setattr(neardup, "BROADCAST_VERIFY_MAX_BYTES", 64)
-    got_pairs = neardup_pairs(docs_ds, "doc_id", "text", threshold=0.8, shingle="word")
+    got_pairs = neardup_pairs(docs_ds, "doc_id", "text", threshold=0.8)
     assert sorted(zip(got_pairs["a"].to_pylist(), got_pairs["b"].to_pylist())) == sorted(
         zip(want_pairs["a"].to_pylist(), want_pairs["b"].to_pylist())
     )
@@ -502,7 +507,7 @@ def test_local_plans_reject_duplicate_ids(ray_session):
     with pytest.raises(ValueError, match="duplicate"):
         minhash_lsh_dedup_verified(ds, "doc_id", "text", threshold=0.8, shingle="word")
     with pytest.raises(ValueError, match="duplicate"):
-        neardup_pairs(ds, "doc_id", "text", threshold=0.8, shingle="word")
+        neardup_pairs(ds, "doc_id", "text", threshold=0.8)
 
 
 def test_rounds_path_above_matrix_cap_matches_distributed(ray_session):

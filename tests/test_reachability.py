@@ -1,11 +1,11 @@
-"""Static reachability guard: no module and no public definition of the
-package may sit where no surface reaches it.
+"""Static reachability guard: no module, no definition and no defaulted
+parameter of the package may sit where no surface reaches it.
 
 The surfaces are the CLI (``__main__``), the suite and the other pipelines
 (``pipelines/{validate,queries,curate,predict}.py``), ``bench.py``, the
 driver contract (``__ray_entry__.py``), the suite benchmark
-(``suitebench/*.py``) and the package ``__init__``. The check reads source
-with ``ast`` only: it imports nothing and starts no Ray. Re-exports in a
+(``suitebench/*.py``) and the package ``__init__``. The checks read source
+with ``ast`` only: they import nothing and start no Ray. Re-exports in a
 subpackage ``__init__.py`` do not count as reach, so a module kept alive
 only by its package's ``__all__`` fails here.
 """
@@ -13,11 +13,11 @@ only by its package's ``__all__`` fails here.
 from __future__ import annotations
 
 import ast
+import textwrap
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PKG = ROOT / "anomalydetection_ray"
-NAME = PKG.name
 
 SURFACE_FILES = [
     PKG / "__init__.py",
@@ -28,17 +28,59 @@ SURFACE_FILES = [
     *sorted((ROOT / "suitebench").glob("*.py")),
 ]
 
-# Unreached code that stays, with its tests, for one more change: deleting
-# every unreached definition at once retires about a hundred tests, so the
-# deletion is split in two. ROADMAP #3 names these as the next to go. An
-# entry that a surface starts to reach must leave the list.
-KEPT_MODULES = {f"{NAME}.pipelines.sweep", f"{NAME}.sources.ingest"}
-KEPT_DEFINITIONS = {
-    "bloom_prefiltered_join", "hash_join",  # functions/relational.py
-    "ewma", "cusum_flags", "cohort_retention",  # functions/temporal.py
-    "explode_list_column", "unpivot_long", "distributed_pca",  # functions/vector.py
-    "run_sweep",  # pipelines/sweep.py
-    "read_csv_table", "read_jsonl_table",  # sources/ingest.py
+# Defaulted parameters that only tests pass, as "callee.param". Most are
+# budget knobs a plan-equivalence test turns down to force the large
+# (shuffle) rung on a small input; the rest pin a documented option whose
+# non-default branch only a test selects. An entry leaves the list once a
+# surface passes it or the parameter is gone.
+TEST_ONLY_PARAMETERS: dict[str, str] = {
+    # budget knobs that force the large rung on a small input
+    "exact_dedup.driver_merge_max_bytes": "plan equivalence, driver vs shuffle tail",
+    "dedup_against_snapshot.snapshot_size_hint_bytes": "forces the distributed snapshot rung",
+    "fd_violations.broadcast_max_candidates": "forces the semi-join recovery plan",
+    "fd_violations.driver_merge_max_bytes": "forces the shuffled candidate pass",
+    "frequency_filter.driver_max_keys": "forces the shuffle membership plan",
+    "line_dedup.driver_max_drops": "forces the distributed apply plan",
+    "minhash_lsh_dedup.driver_max_edges": "plan equivalence, driver vs distributed clustering",
+    "minhash_lsh_dedup_verified.driver_max_edges": "forces the distributed components rung",
+    "minhash_lsh_dedup_verified.driver_merge_max_bytes": "forces the stage-graph plan",
+    "neardup_pairs.driver_max_pairs": "plan equivalence, driver vs distributed verify",
+    "simhash_dedup.driver_max_edges": "plan equivalence, driver vs distributed clustering",
+    "dup_span_stats.driver_max_hashes": "forces the distributed span join",
+    "strip_dup_spans.driver_max_hashes": "forces the distributed span join",
+    "skew_join.max_hot_right_rows": "forces the dimension-skew fallback",
+    "with_global_rank.driver_max_bytes": "forces the shuffle-join rank plan",
+    "knn_outlier_scores.max_bytes": "forces the over-budget error",
+    "decontaminate.max_bench_ngrams": "forces the corpus-sized bench error",
+    "write_partitioned.max_rows_per_file": "forces file rollover on a small table",
+    "run_suite_sharded.n_shards": "shard-count invariance of the sharded suite",
+    # options whose non-default branch only a test selects
+    "main.argv": "tests drive the CLI in process",
+    "AutoencoderScoreStage.load_hook": "counts snapshot loads per actor",
+    "bm25_score_batch.k1": "BM25 parameters against the reference formula",
+    "bm25_score_batch.b": "BM25 parameters against the reference formula",
+    "char_trigram_lm.min_count": "vocabulary pruning",
+    "decontaminate.flag_col": "flag mode instead of drop",
+    "decontaminate.fp_rate": "Bloom-mode false-positive target",
+    "dedup_against_snapshot.snapshot_text_col": "snapshot with a differently named text column",
+    "dsir_weights.n_buckets": "reference weights at a small bucket count",
+    "dup_span_stats.min_docs": "document-frequency threshold",
+    "fixed_count_sample.unit_fn": "md5 unit hash ties",
+    "funnel_counts.within": "conversion window",
+    "isolation_forest_scores.seed": "seeded forest",
+    "ivf_topk_cosine.train_sample": "sample smaller than a cluster",
+    "lag_lead.leads": "LEAD columns",
+    "largest_remainder_allocation.redistribute": "allocation without water-filling",
+    "line_dedup.normalize": "line normalization modes",
+    "mahalanobis_scores.ridge": "exact parity with numpy at zero ridge",
+    "minhash_lsh_dedup_verified.collapse_exact": "plan with exact duplicates kept",
+    "normalize_text_batch.fix_mojibake": "normalization without the mojibake table",
+    "normalize_text_batch.form": "NFD normalization",
+    "robust_outlier_flags.stats": "precomputed statistics",
+    "robust_outlier_flags.z_col": "output-name collision guard",
+    "stratified_split.seed": "seeded split",
+    "weighted_fixed_count_sample.seed": "seed sensitivity",
+    "window_rank.ntile": "NTILE buckets",
 }
 
 
@@ -139,18 +181,18 @@ def _reached_modules() -> set[str]:
 
 def test_every_module_is_reached_from_a_surface():
     unreached = set(MODULES) - _reached_modules()
-    assert unreached == KEPT_MODULES, (
-        f"modules no surface imports: {sorted(unreached - KEPT_MODULES)}; "
-        f"kept modules now reached: {sorted(KEPT_MODULES - unreached)}"
-    )
+    assert not unreached, f"modules no surface imports: {sorted(unreached)}"
 
 
-def _references(path: Path) -> list[tuple[str, str | None]]:
+# --------------------------------------------------------------- definitions
+
+
+def _references(tree: ast.Module) -> list[tuple[str, str | None]]:
     """(referenced name, enclosing top-level definition or None) for every
     Name, Attribute, imported name and identifier-like string constant
-    (``getattr`` dispatch) in a file."""
+    (``getattr`` dispatch) in a module."""
     out: list[tuple[str, str | None]] = []
-    for top in _tree(path).body:
+    for top in tree.body:
         owner = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
         for node in ast.walk(top):
             if isinstance(node, ast.Name):
@@ -164,35 +206,278 @@ def _references(path: Path) -> list[tuple[str, str | None]]:
     return out
 
 
+def _callee(node: ast.AST | None) -> str | None:
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
 def _is_registered(node: ast.AST) -> bool:
     """``@register(...)`` queries are reached through the registry."""
     for dec in getattr(node, "decorator_list", []):
-        target = dec.func if isinstance(dec, ast.Call) else dec
-        if getattr(target, "id", getattr(target, "attr", None)) == "register":
+        if _callee(dec.func if isinstance(dec, ast.Call) else dec) == "register":
             return True
     return False
 
 
-def test_every_public_definition_is_referenced():
-    sources = [p for p in PACKAGE_FILES if not _is_subpackage_init(p)]
-    sources += [f for f in SURFACE_FILES if f.exists() and not f.is_relative_to(PKG)]
-    refs: dict[str, set[tuple[Path, str | None]]] = {}
-    for path in sources:
-        for name, owner in _references(path):
-            refs.setdefault(name, set()).add((path, owner))
-    orphans, kept = [], set()
-    for path in PACKAGE_FILES:
-        for top in _tree(path).body:
-            if not isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            if top.name.startswith("_") or _is_registered(top):
-                continue
-            users = refs.get(top.name, set()) - {(path, top.name)}
-            if users:
-                continue
-            if top.name in KEPT_DEFINITIONS:
-                kept.add(top.name)
+def unreached_definitions(package: dict[str, ast.Module], surfaces: dict[str, ast.Module]) -> list[str]:
+    """Top-level functions and classes of ``package`` (public and private)
+    that no surface reaches, as ``"file:line name"``.
+
+    Reach is a fixpoint over names: it starts from every reference in a
+    ``surfaces`` module, from the module-level code of the package (it
+    runs on import) and from ``@register`` queries, and a reached name
+    adds the references inside each definition of that name. A name only
+    dead code refers to therefore stays unreached."""
+    defs: dict[str, list[tuple[str, ast.AST]]] = {}
+    owned: dict[str, set[str]] = {}
+    todo: list[str] = []
+    for mod, tree in package.items():
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.setdefault(top.name, []).append((mod, top))
+                if _is_registered(top):
+                    todo.append(top.name)
+        for name, owner in _references(tree):
+            if owner is None:
+                todo.append(name)
             else:
-                orphans.append(f"{path.relative_to(ROOT)}:{top.lineno} {top.name}")
-    assert not orphans, "public definitions nothing references:\n" + "\n".join(orphans)
-    assert kept == KEPT_DEFINITIONS, f"kept definitions now referenced: {sorted(KEPT_DEFINITIONS - kept)}"
+                owned.setdefault(owner, set()).add(name)
+    for tree in surfaces.values():
+        todo += [name for name, _ in _references(tree)]
+    reached: set[str] = set()
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += owned.get(name, ())
+    unreached = sorted(
+        (mod, node.lineno, name)
+        for name, sites in defs.items()
+        if name not in reached and not name.startswith("__")
+        for mod, node in sites
+    )
+    return [f"{mod}:{line} {name}" for mod, line, name in unreached]
+
+
+def _rel(path: Path) -> str:
+    return str(path.relative_to(ROOT))
+
+
+def _package_trees() -> dict[str, ast.Module]:
+    return {_rel(p): _tree(p) for p in PACKAGE_FILES if not _is_subpackage_init(p)}
+
+
+def _surface_trees() -> dict[str, ast.Module]:
+    return {_rel(f): _tree(f) for f in SURFACE_FILES if f.exists() and not f.is_relative_to(PKG)}
+
+
+def test_every_definition_is_reached_from_a_surface():
+    orphans = unreached_definitions(_package_trees(), _surface_trees())
+    assert not orphans, "definitions no surface reaches:\n" + "\n".join(orphans)
+
+
+def test_definition_reach_is_transitive():
+    package = _parse({
+        "m.py": """
+            def used():
+                return helper()
+
+            def helper():
+                return 1
+
+            def dead():
+                return dead_helper()
+
+            def dead_helper():
+                return 2
+        """,
+    })
+    surfaces = _parse({"s.py": "from m import used\nused()\n"})
+    assert unreached_definitions(package, surfaces) == ["m.py:8 dead", "m.py:11 dead_helper"]
+
+
+# ---------------------------------------------------------------- parameters
+
+
+def _defaulted(args: ast.arguments, skip_self: bool) -> list[tuple[str, int | None]]:
+    """(name, position or None for keyword-only) of the parameters that
+    have a default."""
+    pos = (args.posonlyargs + args.args)[1 if skip_self else 0:]
+    first = len(pos) - len(args.defaults)
+    out = [(a.arg, i) for i, a in enumerate(pos) if i >= first]
+    out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def _signatures(package: dict[str, ast.Module]):
+    """(file, line, callee, defaulted params) for every public function
+    and every public class ``__init__``."""
+    for mod, tree in package.items():
+        for top in tree.body:
+            if getattr(top, "name", "_").startswith("_"):
+                continue
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield mod, top.lineno, top.name, _defaulted(top.args, False)
+            elif isinstance(top, ast.ClassDef):
+                for node in top.body:
+                    if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+                        yield mod, node.lineno, top.name, _defaulted(node.args, True)
+
+
+# Ray Data methods that call the function they apply with the row or
+# batch alone (plus ``fn_args``/``fn_kwargs``/``fn_constructor_*``)
+_RAY_MAPS = {"map_batches", "map", "flat_map", "filter"}
+
+
+class _Passes:
+    """What the calls in a set of modules pass, per callee name."""
+
+    def __init__(self, trees: dict[str, ast.Module]):
+        self.keywords: dict[str, set[str]] = {}
+        self.positions: dict[str, int] = {}
+        self.everything: set[str] = set()
+        for tree in trees.values():
+            classes = [t.name for t in tree.body if isinstance(t, ast.ClassDef)]
+            for top in tree.body:
+                for node in ast.walk(top):
+                    if isinstance(node, ast.Call):
+                        self._call(node, top)
+                    elif isinstance(node, ast.Dict):
+                        # a kwargs dict built for a later ``map_batches(Cls,
+                        # **kw)``: its constructor keys go to the module's classes
+                        for key, value in zip(node.keys, node.values):
+                            if _const(key) == "fn_constructor_kwargs" and _literal_keys(value) is not None:
+                                for cls in classes:
+                                    self._credit(cls, 0, _literal_keys(value))
+
+    def _credit(self, callee: str | None, n_positional: int, keywords) -> None:
+        if callee is not None:
+            self.positions[callee] = max(self.positions.get(callee, 0), n_positional)
+            self.keywords.setdefault(callee, set()).update(keywords)
+
+    def _call(self, node: ast.Call, top: ast.AST) -> None:
+        callee, args = _callee(node.func), node.args
+        if callee == "partial" and args:
+            callee, args = _callee(args[0]), args[1:]
+        elif callee == "cls" and isinstance(top, ast.ClassDef):
+            callee = top.name
+        keywords = {k.arg for k in node.keywords if k.arg}
+        if any(isinstance(a, ast.Starred) for a in args) or any(k.arg is None for k in node.keywords):
+            self.everything.add(callee)
+        self._credit(callee, len(args), keywords)
+        target = args[0] if args else next((k.value for k in node.keywords if k.arg == "fn"), None)
+        # a callable handed over as a value (``unit_fn=md5_unit_hash``, the
+        # stage class of a ``**kwargs`` forwarder) is called by code that
+        # cannot be matched by name, so it counts as passed everything;
+        # a Ray Data map's own function gets only the batch
+        for value in args + [k.value for k in node.keywords]:
+            if isinstance(value, (ast.Name, ast.Attribute)) and not (callee in _RAY_MAPS and value is target):
+                self.everything.add(_callee(value))
+        for k in node.keywords:
+            if k.arg in ("fn_kwargs", "fn_constructor_kwargs"):
+                keys = _literal_keys(k.value)
+                if keys is None:
+                    self.everything.add(_callee(target))
+                else:
+                    self._credit(_callee(target), 0, keys)
+            elif k.arg in ("fn_args", "fn_constructor_args"):
+                if isinstance(k.value, ast.Tuple) and not any(isinstance(e, ast.Starred) for e in k.value.elts):
+                    self._credit(_callee(target), len(k.value.elts), ())
+                else:
+                    self.everything.add(_callee(target))
+
+    def passes(self, callee: str, param: str, position: int | None) -> bool:
+        return (
+            callee in self.everything
+            or param in self.keywords.get(callee, ())
+            or (position is not None and position < self.positions.get(callee, 0))
+        )
+
+
+def _const(node: ast.AST | None):
+    return node.value if isinstance(node, ast.Constant) else None
+
+
+def _literal_keys(node: ast.AST) -> set[str] | None:
+    if isinstance(node, ast.Dict) and all(isinstance(_const(k), str) for k in node.keys):
+        return {k.value for k in node.keys}
+    return None
+
+
+def unpassed_parameters(package: dict[str, ast.Module], callers: dict[str, ast.Module]) -> dict[str, str]:
+    """``"callee.param" -> "file:line"`` for each defaulted parameter of a
+    public function or class ``__init__`` in ``package`` that no call in
+    ``callers`` passes. A call passes a parameter when it names it as a
+    keyword, reaches its position, splats ``*args``/``**kwargs``, names it
+    as a key of a ``fn_kwargs=``/``fn_constructor_kwargs=`` dict literal
+    (a non-literal one passes every parameter of the callee), fills it
+    through ``fn_args=``/``fn_constructor_args=`` or ``functools.partial``,
+    or hands the callee over as a value to anything but a Ray Data map.
+    Callees match by name."""
+    passes = _Passes(callers)
+    return {
+        f"{name}.{param}": f"{mod}:{line}"
+        for mod, line, name, params in _signatures(package)
+        for param, position in params
+        if not passes.passes(name, param, position)
+    }
+
+
+def test_every_defaulted_parameter_is_passed():
+    package = _package_trees()
+    live = unpassed_parameters(package, {**package, **_surface_trees()})
+    tests = {_rel(p): _tree(p) for p in sorted((ROOT / "tests").glob("*.py"))}
+    untested = unpassed_parameters(package, {**package, **_surface_trees(), **tests})
+    unlisted = sorted(f"{live[k]} {k}" for k in set(live) - set(TEST_ONLY_PARAMETERS))
+    assert not unlisted, "defaulted parameters no surface passes:\n" + "\n".join(unlisted)
+    stale = sorted(set(TEST_ONLY_PARAMETERS) - set(live))
+    assert not stale, f"listed parameters a surface now passes, or gone: {stale}"
+    no_test = sorted(set(TEST_ONLY_PARAMETERS) & set(untested))
+    assert not no_test, f"listed parameters no test passes: {no_test}"
+
+
+def _parse(sources: dict[str, str]) -> dict[str, ast.Module]:
+    return {name: ast.parse(textwrap.dedent(src)) for name, src in sources.items()}
+
+
+def test_parameter_check_flags_an_unpassed_parameter():
+    package = _parse({"m.py": "def f(x, knob=3):\n    return x * knob\n"})
+    assert unpassed_parameters(package, _parse({"s.py": "f(1)\n"})) == {"f.knob": "m.py:1"}
+    assert unpassed_parameters(package, _parse({"s.py": "f(1, knob=2)\n"})) == {}
+
+
+def test_parameter_check_counts_indirect_passes():
+    package = _parse({
+        "m.py": """
+            class Stage:
+                def __init__(self, col, out_col="out", emit=False):
+                    self.col = col
+
+            def g(a, b=1, c=2):
+                return a + b + c
+
+            def h(ds, fn, size=1, **kwargs):
+                return ds.map_batches(fn, fn_constructor_kwargs=kwargs)
+
+            class Model:
+                def __init__(self, k=8):
+                    self.k = k
+
+                @classmethod
+                def load(cls, k):
+                    return cls(k)
+        """,
+    })
+    callers = _parse({
+        "s.py": """
+            from functools import partial
+            ds.map_batches(Stage, fn_constructor_kwargs={"col": "x", "out_col": "y"})
+            ds.map_batches(Stage, fn_constructor_args=("x", "y", True))
+            g(1, 2)
+            partial(g, c=3)
+            h(ds, Stage, size=2)
+        """,
+    })
+    assert unpassed_parameters(package, {**package, **callers}) == {}
+    # a non-literal kwargs dict passes everything; so does a splat
+    callers = _parse({"s.py": "ds.map_batches(Stage, fn_constructor_kwargs=kw)\ng(*xs)\nh(ds, f, **kw)\n"})
+    assert unpassed_parameters(package, {**package, **callers}) == {}

@@ -18,7 +18,6 @@ from anomalydetection_ray.sketches.minhash import (
     MinHasher,
     batch_band_keys,
     concat_hash_sets,
-    exact_jaccard,
     shingle_hashes,
     word_hashes,
 )
@@ -28,6 +27,13 @@ from anomalydetection_ray.sketches.simhash import (
     hamming_distance,
     popcount64,
 )
+
+
+def exact_jaccard(h1: np.ndarray, h2: np.ndarray) -> float:
+    """Reference Jaccard similarity of two hash sets."""
+    inter = np.intersect1d(h1, h2, assume_unique=False).size
+    union = np.union1d(h1, h2).size
+    return inter / union if union else 1.0
 
 
 def _band_keys_ref(sig: np.ndarray, bands: int) -> np.ndarray:

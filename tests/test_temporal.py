@@ -358,54 +358,6 @@ def test_range_join_agg_edges(ray_session):
         )
 
 
-def test_ewma_pandas_parity_and_layout_invariance(ray_session):
-    """Per-key EWMA matches pandas ewm(alpha, adjust=False) on non-null
-    rows (nulls emit null, state carries), and is bit-identical at any
-    block layout."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data as rd
-
-    from anomalydetection_ray.functions.temporal import ewma
-
-    rng = np.random.default_rng(23)
-    n = 2500
-    t = pa.table(
-        {
-            "u": pa.array(rng.integers(0, 40, n), type=pa.int64()),
-            "ts": pa.array(rng.permutation(n), type=pa.int64()),
-            "v": pa.array(
-                [None if i % 31 == 0 else float(x) for i, x in enumerate(rng.normal(10, 3, n))],
-                type=pa.float64(),
-            ),
-        }
-    )
-    outs = []
-    for parts in (1, 4, 11):
-        ds = ewma(rd.from_arrow(t).repartition(parts), "u", "ts", "v", alpha=0.2, out_col="e")
-        df = (
-            pa.concat_tables(
-                [b for b in ds.iter_batches(batch_format="pyarrow", batch_size=None) if b.num_rows]
-            )
-            .to_pandas()
-            .sort_values(["u", "ts"])
-            .reset_index(drop=True)
-        )
-        outs.append(df)
-    for df in outs[1:]:
-        pd.testing.assert_frame_equal(outs[0], df)
-
-    got = outs[0]
-    ref = t.to_pandas().sort_values(["u", "ts"]).reset_index(drop=True)
-    ref["e"] = ref.groupby("u")["v"].transform(
-        lambda s: s.ewm(alpha=0.2, adjust=False, ignore_na=False).mean()
-    )
-    nn = ref["v"].notna()
-    np.testing.assert_allclose(got.loc[nn, "e"].to_numpy(), ref.loc[nn, "e"].to_numpy(), rtol=1e-12)
-    assert got.loc[~nn, "e"].isna().all()  # null in -> null out
-
-
 def test_funnel_counts_attrition_strict_order_and_layout(ray_session):
     """funnel_counts: real attrition, strict > (same-timestamp step does
     NOT count), out-of-order events don't count, null keys/ts dropped,
@@ -494,101 +446,6 @@ def test_funnel_counts_conversion_window(ray_session):
         """
     ).df()
     assert (int(want["a"][0]), int(want["b"][0]), int(want["c"][0])) == (4, 3, 1)
-
-
-def _ref_cusum(vals, mu, sigma, k, h):
-    """Python-loop CUSUM reference (the definitionally-correct recursion)."""
-    import numpy as np
-
-    sp = sn = 0.0
-    out = []
-    for x in vals:
-        z = 0.0 if (sigma is None or sigma <= 0 or x is None or np.isnan(x)) else (x - mu) / sigma
-        sp = max(0.0, sp + z - k)
-        sn = max(0.0, sn - z - k)
-        out.append((sp, sn, int(sp > h or sn > h)))
-    return out
-
-
-def test_cusum_matches_loop_reference_and_detects_shift(ray_session):
-    import numpy as np
-    import pandas as pd
-    import ray.data as rd
-
-    from anomalydetection_ray.functions.temporal import cusum_flags
-
-    rng = np.random.default_rng(4)
-    n_pre, n_post = 120, 40
-    vals = np.concatenate([rng.normal(10.0, 2.0, n_pre), rng.normal(10.0 + 2.0 * 2.0, 2.0, n_post)])
-    df = pd.DataFrame({"k": "a", "t": np.arange(n_pre + n_post, dtype=np.int64), "v": vals})
-    baseline = pd.DataFrame({"k": ["a"], "mu": [10.0], "sigma": [2.0]})
-    out = (
-        cusum_flags(rd.from_arrow(pa.Table.from_pandas(df)).repartition(5), "k", "t", "v", baseline=baseline)
-        .to_pandas()
-        .sort_values("t")
-        .reset_index(drop=True)
-    )
-    ref = _ref_cusum(vals, 10.0, 2.0, 0.5, 5.0)
-    assert np.allclose(out["cusum_pos"], [r[0] for r in ref])
-    assert np.allclose(out["cusum_neg"], [r[1] for r in ref])
-    assert (out["cusum_alarm"].to_numpy() == [r[2] for r in ref]).all()
-    # the 2sigma shift alarms, and only after it starts
-    alarm_at = np.flatnonzero(out["cusum_alarm"].to_numpy())
-    assert len(alarm_at) > 0 and alarm_at.min() >= n_pre
-
-
-def test_cusum_self_baseline_nulls_and_layout_invariance(ray_session):
-    import numpy as np
-    import pandas as pd
-    import ray.data as rd
-
-    from anomalydetection_ray.functions.temporal import cusum_flags
-
-    rng = np.random.default_rng(7)
-    rows = []
-    for key in ("a", "b", "c"):
-        v = rng.normal(5.0, 1.0, 80)
-        rows.append(pd.DataFrame({"k": key, "t": np.arange(80, dtype=np.int64), "v": v}))
-    df = pd.concat(rows, ignore_index=True)
-    df.loc[5, "v"] = np.nan  # null carries: z=0, statistic decays by k
-    outs = []
-    for parts in (1, 6):
-        out = (
-            cusum_flags(rd.from_arrow(pa.Table.from_pandas(df)).repartition(parts), "k", "t", "v")
-            .to_pandas()
-            .sort_values(["k", "t"])
-            .reset_index(drop=True)
-        )
-        outs.append(out)
-    pd.testing.assert_frame_equal(outs[0], outs[1])
-    # self-baseline equals an explicit baseline built from each key's stats
-    bl = df.groupby("k")["v"].agg(mu="mean", sigma="std").reset_index()
-    want = (
-        cusum_flags(rd.from_arrow(pa.Table.from_pandas(df)), "k", "t", "v", baseline=bl)
-        .to_pandas()
-        .sort_values(["k", "t"])
-        .reset_index(drop=True)
-    )
-    assert np.allclose(outs[0]["cusum_pos"], want["cusum_pos"])
-    assert np.allclose(outs[0]["cusum_neg"], want["cusum_neg"])
-    # per-key loop reference, self-baseline
-    for key, g in df.groupby("k"):
-        mu, sigma = g["v"].mean(), g["v"].std(ddof=1)
-        ref = _ref_cusum(g.sort_values("t")["v"].to_numpy(), mu, sigma, 0.5, 5.0)
-        got = outs[0][outs[0]["k"] == key]
-        assert np.allclose(got["cusum_pos"], [r[0] for r in ref])
-    # baseline missing a key -> z=0 everywhere for it (stat = 0, no alarm)
-    bl2 = bl[bl["k"] != "c"]
-    out2 = cusum_flags(rd.from_arrow(pa.Table.from_pandas(df)), "k", "t", "v", baseline=bl2).to_pandas()
-    c = out2[out2["k"] == "c"]
-    assert (c["cusum_pos"] == 0).all() and (c["cusum_alarm"] == 0).all()
-
-    import pytest as _pytest
-
-    with _pytest.raises(ValueError):
-        cusum_flags(rd.from_arrow(pa.Table.from_pandas(df)), "k", "t", "v", h=0.0)
-    with _pytest.raises(ValueError):
-        cusum_flags(rd.from_arrow(pa.Table.from_pandas(df)), "k", "t", "v", baseline=pd.DataFrame({"k": []}))
 
 
 # ------------------------------------------------ round-5 review regressions
@@ -777,122 +634,6 @@ def test_sessionize_null_ts_matches_sql_oracle(ray_session):
     # s2 = the 12:00 event + the first null row; bounds ignore the null
     assert str(out.loc[1, "session_start"]) == "2024-01-01 12:00:00"
     assert str(out.loc[1, "session_end"]) == "2024-01-01 12:00:00"
-
-
-def test_cohort_retention_duckdb_parity(ray_session, sf_smoke):
-    """Retention triangle vs the full SQL semantics (distinct activity
-    periods -> per-user first period -> COUNT per (cohort, offset)) on
-    the real events table, daily periods."""
-    import duckdb
-    import pandas as pd
-
-    from anomalydetection_ray.functions.temporal import cohort_retention
-    from anomalydetection_ray.sources import read_table
-
-    got = cohort_retention(read_table(sf_smoke, "events"), "user_id", "ts", period="day")
-    want = duckdb.sql(
-        f"""
-        WITH fe AS (
-          SELECT DISTINCT user_id, date_trunc('day', ts) AS p
-          FROM read_parquet('{sf_smoke}/events.parquet')
-          WHERE user_id IS NOT NULL AND ts IS NOT NULL
-        ),
-        fu AS (SELECT user_id, MIN(p) AS cohort FROM fe GROUP BY user_id),
-        act AS (
-          SELECT f.cohort, date_diff('day', f.cohort, e.p) AS period_offset,
-                 CAST(COUNT(*) AS BIGINT) AS n_active
-          FROM fe e JOIN fu f USING (user_id) GROUP BY 1, 2
-        ),
-        cs AS (SELECT cohort, n_active AS cohort_size FROM act WHERE period_offset = 0)
-        SELECT a.cohort, a.period_offset, a.n_active, c.cohort_size,
-               ROUND(CAST(a.n_active AS DOUBLE) / c.cohort_size, 6) AS retention_rate
-        FROM act a JOIN cs c USING (cohort) ORDER BY 1, 2
-        """
-    ).df()
-    want["cohort"] = want["cohort"].astype("datetime64[us]")
-    for c in ("period_offset", "n_active", "cohort_size"):
-        want[c] = want[c].astype("int64")
-    assert len(got) > 1  # the fixture spans multiple days
-    pd.testing.assert_frame_equal(got.reset_index(drop=True), want.reset_index(drop=True))
-
-
-def test_cohort_retention_weekly_and_nulls(ray_session):
-    """Week periods truncate to Monday (DuckDB date_trunc('week')
-    semantics); null keys and null timestamps are excluded entirely."""
-    import pyarrow as pa
-    import ray.data as rd
-
-    from anomalydetection_ray.functions.temporal import cohort_retention
-
-    ts = pa.array(
-        [
-            np.datetime64("2024-01-03T10:00:00", "us"),  # Wed, week of Mon 1/1
-            np.datetime64("2024-01-10T09:00:00", "us"),  # week of 1/8 (offset 1)
-            np.datetime64("2024-01-16T09:00:00", "us"),  # week of 1/15 (offset 2)
-            np.datetime64("2024-01-09T12:00:00", "us"),  # u2 cohort week 1/8
-            None,  # null ts dropped
-            np.datetime64("2024-01-08T00:00:00", "us"),  # null user dropped
-        ],
-        type=pa.timestamp("us"),
-    )
-    t = pa.table(
-        {
-            "user_id": pa.array([1, 1, 1, 2, 2, None], type=pa.int64()),
-            "ts": ts,
-        }
-    )
-    out = cohort_retention(rd.from_arrow(t).repartition(3), "user_id", "ts", period="week")
-    # DuckDB on the same VALUES: cohorts Mon 1/1 (u1) and Mon 1/8 (u2)
-    assert [str(c) for c in out["cohort"]] == [
-        "2024-01-01 00:00:00",
-        "2024-01-01 00:00:00",
-        "2024-01-01 00:00:00",
-        "2024-01-08 00:00:00",
-    ]
-    assert out["period_offset"].tolist() == [0, 1, 2, 0]
-    assert out["n_active"].tolist() == [1, 1, 1, 1]
-    assert out["cohort_size"].tolist() == [1, 1, 1, 1]
-    assert out["retention_rate"].tolist() == [1.0, 1.0, 1.0, 1.0]
-
-
-def test_cohort_retention_empty_and_bad_period(ray_session):
-    import pyarrow as pa
-    import ray.data as rd
-
-    from anomalydetection_ray.functions.temporal import cohort_retention
-
-    t = pa.table(
-        {
-            "user_id": pa.array([], type=pa.int64()),
-            "ts": pa.array([], type=pa.timestamp("us")),
-        }
-    )
-    out = cohort_retention(rd.from_arrow(t), "user_id", "ts")
-    assert len(out) == 0
-    assert list(out.columns) == [
-        "cohort", "period_offset", "n_active", "cohort_size", "retention_rate",
-    ]
-    with pytest.raises(ValueError, match="period"):
-        cohort_retention(rd.from_arrow(t), "user_id", "ts", period="month")
-
-
-def test_cohort_retention_tz_aware_raises(ray_session):
-    """Round-5 review: local days/weeks vary in length across DST, so the
-    fixed-divisor offset would silently merge adjacent cells — tz-aware
-    timestamps must raise, not mis-bin."""
-    import pyarrow as pa
-    import ray.data as rd
-
-    from anomalydetection_ray.functions.temporal import cohort_retention
-
-    t = pa.table(
-        {
-            "user_id": pa.array([1], pa.int64()),
-            "ts": pa.array([0], pa.int64()).cast(pa.timestamp("us", tz="America/New_York")),
-        }
-    )
-    with pytest.raises(Exception, match="naive timestamps"):
-        cohort_retention(rd.from_arrow(t), "user_id", "ts")
 
 
 def test_asof_join_kind_mismatch_raises(ray_session):

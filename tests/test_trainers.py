@@ -267,55 +267,6 @@ def test_latent_transform_stage_both_kinds(ray_session, tmp_path):
         LatentTransformStage(hsnap, model_kind="nope")
 
 
-# --------------------------------------------- architecture search
-
-
-def test_sweep_recovers_best_vae_architecture(tmp_path):
-    """The reference's find_best_vae_architecture workflow
-    (models/VAE_utils.py:148-175 — Optuna objective training a VAE per
-    trial, best-by-final-loss) recast on the engine's deterministic
-    sweep runner: grid over (hidden, latent, lr), per-trial lineage,
-    best trial selected by final loss, and a rerun resumes instead of
-    retraining."""
-    from anomalydetection_ray.functions.trainers import NumpyVAE
-    from anomalydetection_ray.pipelines.sweep import run_sweep
-
-    x, ids = _blob(150, dim=6, seed=9)
-    calls = []
-
-    def trial(params):
-        calls.append(params)
-        _, hist = NumpyVAE.train(
-            x,
-            ids,
-            hidden=params["hidden"],
-            latent=params["latent"],
-            epochs=40,
-            lr=params["lr"],
-            beta=0.05,
-        )
-        return {"final_loss": hist[-1]["loss"]}
-
-    space = {"hidden": [2, 8], "latent": [1, 3], "lr": [0.1]}
-    state_dir = str(tmp_path / "sweep")
-    res = run_sweep(
-        trial, space, metric="final_loss", direction="min", state_dir=state_dir
-    )
-    assert len(res.trials) == 4
-    # the data lives on a 3-dim subspace: the wide net with latent 3
-    # must beat the hidden=2/latent=1 bottleneck
-    assert res.best_params["hidden"] == 8
-    assert res.best_params["latent"] == 3
-    n_first = len(calls)
-
-    res2 = run_sweep(
-        trial, space, metric="final_loss", direction="min", state_dir=state_dir
-    )
-    assert len(calls) == n_first  # resume: no trial re-trained
-    assert all(t.resumed for t in res2.trials)
-    assert res2.best_params == res.best_params
-
-
 def test_cli_train_and_transform_roundtrip(ray_session, tmp_path, capsys):
     """The reference's script-driver workflow (models/SimCLR.py /
     models/VAE.py: train -> snapshot -> transform) through the CLI:

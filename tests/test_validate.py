@@ -153,6 +153,29 @@ def test_suite_violation_spill_matches_driver_plan(ray_session, dirty_corpus, tm
         pdt.assert_frame_equal(again.verdicts, base.verdicts)
 
 
+def test_suite_lineage_counts_same_held_and_spilled(ray_session, dirty_corpus, tmp_path):
+    """The suite's lineage record keys ``n_violations`` by check (FD units
+    included) whether the violations stay on the driver or spill."""
+    from anomalydetection_ray.pipelines.validate import SuiteConfig, run_suite
+    from anomalydetection_ray.state.checkpoint import RunState
+
+    d, _ = dirty_corpus
+    n_viol = {}
+    for name, budget in (("held", 10**9), ("spill", 4)):
+        cfg = SuiteConfig(
+            repos_dim_path=f"{d}/repos.parquet",
+            max_driver_violation_rows=budget,
+            fd_checks=((("repo",), "lang"),),
+        )
+        res = run_suite(f"{d}/corpus", str(tmp_path / name), cfg)
+        assert (res.violations_dir is not None) == (name == "spill")
+        suite = [r for r in RunState(str(tmp_path / name)).lineage() if r["unit"] == "suite"]
+        n_viol[name] = suite[-1]["metrics"]["n_violations"]
+    assert n_viol["held"] == n_viol["spill"]
+    assert {"rowrules", "uniqueness", "referential"} < set(n_viol["held"])
+    assert n_viol["held"]["uniqueness"] > 0
+
+
 def test_violation_sha_invariant(ray_session, dirty_corpus, tmp_path):
     from anomalydetection_ray.pipelines.validate import (
         SuiteConfig,

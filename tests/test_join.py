@@ -2,8 +2,8 @@
 
 The shuffle plan must be semantically identical to the broadcast plan
 (same output columns, same rows) on inner and left joins, including
-null-key rows and column-name collisions, so the cost-based wrapper can
-switch freely on size alone.
+null-key rows, so a caller can pick either plan on the dim side's size
+alone.
 """
 
 from __future__ import annotations
@@ -69,6 +69,29 @@ def test_shuffle_join_matches_polars(ray_session, how):
     if how == "left":
         # null-key left rows must survive with null right columns
         assert got.num_rows >= left.num_rows
+
+
+def test_cost_based_join_switches_plans(ray_session):
+    """The two plans a caller chooses between by the dim side's size —
+    broadcast for a small dim, shuffle for a large one — return the
+    same columns and rows."""
+    import ray.data as rd
+
+    from anomalydetection_ray.functions.relational import broadcast_join, shuffle_hash_join
+    from anomalydetection_ray.pipelines.queries import as_table
+
+    lds, _, _, right = _mk_sides()
+    dim = right.drop_columns(["shared"])  # broadcast_join does not suffix
+    bc = as_table(broadcast_join(lds, "k", dim, "rk", how="inner"))
+    sh = as_table(shuffle_hash_join(lds, "k", rd.from_arrow(dim).repartition(2), "rk", how="inner"))
+    a, b = _canon(bc), _canon(sh)
+    assert sorted(bc.column_names) == sorted(sh.column_names)
+    assert len(a) == len(b)
+    # value-equality between plans on the join payload columns
+    for col in ("k", "lv", "rv"):
+        assert np.array_equal(
+            a[col].to_numpy(), b[col].to_numpy()
+        ), col
 
 
 @pytest.mark.parametrize("how", ["inner", "left"])
@@ -343,3 +366,28 @@ def test_skew_join_empty_lanes_keep_schema(ray_session):
         assert n == 1003, (thresh, n)
         for names in schemas:
             assert names == ["k", "lv", "rv"], (thresh, schemas)
+
+
+def test_hash_join_plan_invariant_suffix_on_collision(ray_session):
+    """A right non-key column colliding with a left name must behave the
+    same whatever the data size: the shuffle plan suffixes it with
+    ``_r``, and the broadcast plan raises at call time, before any task
+    runs, instead of failing mid-stream."""
+    import ray.data as rd
+
+    import pandas as pd
+
+    from anomalydetection_ray.functions.relational import broadcast_join, shuffle_hash_join
+    from anomalydetection_ray.pipelines.queries import as_table
+
+    left = pa.table({"k": [1, 2, 3], "x": ["l1", "l2", "l3"]})
+    right = pa.table({"k": [1, 2], "x": ["r1", "r2"]})
+
+    a = as_table(
+        shuffle_hash_join(rd.from_arrow(left), "k", rd.from_arrow(right), "k", how="left")
+    ).to_pandas().sort_values("k").reset_index(drop=True)
+    assert list(a.columns) == ["k", "x", "x_r"]
+    assert a.loc[a["k"] == 1, "x_r"].iloc[0] == "r1"
+    assert pd.isna(a.loc[a["k"] == 3, "x_r"].iloc[0])
+    with pytest.raises(ValueError, match="collide"):
+        broadcast_join(rd.from_arrow(left), "k", right, "k", how="left")

@@ -1,6 +1,7 @@
 """lag_lead and window_rank (functions/temporal.py) and with_global_rank
 (functions/shuffle.py): SQL-window parity via DuckDB on the same
-in-memory table, null edges, and block-layout invariance."""
+in-memory table, null edges, and block-layout invariance; and a PCA fitted
+from streaming_moments (functions/vector.py) against numpy."""
 
 from __future__ import annotations
 
@@ -235,3 +236,39 @@ def test_with_global_rank_duckdb_parity_and_plans(ray_session):
     # empty input
     out = with_global_rank(rd.from_pandas(df.iloc[:0]), "v", kinds=("rank",))
     assert sum(t.num_rows for t in out.iter_batches(batch_format="pyarrow", batch_size=None)) == 0
+
+
+@pytest.mark.parametrize("nblocks", [1, 6])
+def test_distributed_pca_matches_numpy(ray_session, nblocks):
+    """PCA fitted from the streaming ``(n, Σx, X'X)`` partials matches
+    numpy's PCA on the gathered matrix at any block layout."""
+    import ray.data as rd
+
+    from anomalydetection_ray.functions.vector import streaming_moments
+
+    rng = np.random.default_rng(31)
+    n, d, k = 400, 8, 3
+    # anisotropic data so the top components are well-separated
+    x = rng.normal(size=(n, d)) * np.array([10, 8, 6, 1, 1, 1, 0.5, 0.2])
+    tb = pa.table(
+        {
+            "vec_id": pa.array(range(n), type=pa.int64()),
+            "embedding": pa.array(x.tolist(), type=pa.list_(pa.float64())),
+        }
+    )
+    ds = rd.from_arrow(tb).repartition(nblocks)
+    cnt, s, xx = streaming_moments(ds, "embedding")
+    assert cnt == n
+    mean = s / cnt
+    _, evecs = np.linalg.eigh(xx / cnt - np.outer(mean, mean))
+    w = evecs[:, ::-1][:, :k]
+    w = w * np.sign(w[np.abs(w).argmax(axis=0), np.arange(k)])
+
+    np.testing.assert_allclose(mean, x.mean(axis=0), rtol=0, atol=1e-12)
+    # reference PCA on the gathered matrix
+    xc = x - x.mean(axis=0)
+    evals, evecs = np.linalg.eigh(xc.T @ xc / n)
+    wref = evecs[:, ::-1][:, :k]
+    flip = np.sign(wref[np.abs(wref).argmax(axis=0), np.arange(k)])
+    wref = wref * flip
+    np.testing.assert_allclose(w, wref, rtol=0, atol=1e-9)

@@ -270,7 +270,9 @@ def _surface_trees() -> dict[str, ast.Module]:
     return {_rel(f): _tree(f) for f in SURFACE_FILES if f.exists() and not f.is_relative_to(PKG)}
 
 
-def test_every_definition_is_reached_from_a_surface():
+def test_every_public_definition_is_referenced():
+    """Every definition, public or a module-level private helper, is
+    reached transitively from a surface."""
     orphans = unreached_definitions(_package_trees(), _surface_trees())
     assert not orphans, "definitions no surface reaches:\n" + "\n".join(orphans)
 

@@ -267,6 +267,24 @@ def test_latent_transform_stage_both_kinds(ray_session, tmp_path):
         LatentTransformStage(hsnap, model_kind="nope")
 
 
+def test_sweep_recovers_best_vae_architecture():
+    """The reference's find_best_vae_architecture workflow
+    (models/VAE_utils.py:148-175 — train a VAE per architecture, keep
+    the best by final loss) as a plain grid loop: on data that lives on
+    a 3-dim subspace, the wide net with latent 3 must win."""
+    from itertools import product
+
+    from anomalydetection_ray.functions.trainers import NumpyVAE
+
+    x, ids = _blob(150, dim=6, seed=9)
+    losses = {}
+    for hidden, latent in product([2, 8], [1, 3]):
+        _, hist = NumpyVAE.train(x, ids, hidden=hidden, latent=latent, epochs=40, lr=0.1, beta=0.05)
+        losses[(hidden, latent)] = hist[-1]["loss"]
+    assert len(losses) == 4
+    assert min(losses, key=losses.get) == (8, 3)
+
+
 def test_cli_train_and_transform_roundtrip(ray_session, tmp_path, capsys):
     """The reference's script-driver workflow (models/SimCLR.py /
     models/VAE.py: train -> snapshot -> transform) through the CLI:

@@ -236,14 +236,19 @@ def main(argv: list[str] | None = None) -> int:
                 check_column_order=args.check_column_order,
                 fd_checks=tuple(fds),
             )
-            runner = run_suite_sharded if args.sharded else run_suite
-            kwargs = {"n_shards": args.n_shards} if args.sharded else {}
-            res = runner(
-                args.corpus, args.out, cfg,
-                baseline_snapshot=args.baseline,
-                resume=not args.no_resume,
-                **kwargs,
-            )
+            if args.sharded:
+                res = run_suite_sharded(
+                    args.corpus, args.out, cfg,
+                    baseline_snapshot=args.baseline,
+                    resume=not args.no_resume,
+                    n_shards=args.n_shards,
+                )
+            else:
+                res = run_suite(
+                    args.corpus, args.out, cfg,
+                    baseline_snapshot=args.baseline,
+                    resume=not args.no_resume,
+                )
             n_viol = {k: v.num_rows for k, v in res.violations.items()}
             print(json.dumps({"passed": res.passed, "verdicts": len(res.verdicts), "violations": n_viol}))
             return 0 if res.passed else 1

@@ -29,8 +29,9 @@ column is never shuffled, SURVEY.md M6/§7.4):
                                 null-lang / empty-content rules, dup-key
                                 row recovery (broadcast dup-hash probe,
                                 exact post-verify), Bloom referential
-                                probe; violating rows leave the scan as
-                                (key, partition, sha256, kind)
+                                probe; violating rows stream out of the
+                                scan to the driver as (key, partition,
+                                sha256, kind) — scan tasks write no file
   drift        (stats output)   PSI/KS vs baseline snapshot, driver-side on
                                 the small merged table
 
@@ -103,8 +104,8 @@ class SuiteConfig:
     batch_size: int | None = None  # None = whole blocks, no rebatching copies
     # cost gate for driver-held violation rows (round-3 verdict item 3):
     # adversarial inputs (e.g. 50% duplicate keys) concentrate O(rows)
-    # violation rows; above this bound they spill to worker-written
-    # parquet shards and the suite finalizes from the files, with only
+    # violation rows; above this bound the driver flushes them to parquet
+    # shards and the suite finalizes from the files, with only
     # per-(kind, partition) counts on the driver
     max_driver_violation_rows: int = 2_000_000
     # user-composable constraints (checks/base.py Tolerance): each bounds a
@@ -306,14 +307,7 @@ def make_row_violations_fn(cfg: SuiteConfig, refs: _RowpassRefs):
     return row_violations
 
 
-def _fused_scan(
-    ds,
-    cfg: SuiteConfig,
-    refs: _RowpassRefs,
-    schema: pa.Schema,
-    spill_dir: str,
-    force_spill: bool = False,
-):
+def _fused_scan(ds, cfg: SuiteConfig, refs: _RowpassRefs, schema: pa.Schema, spill_dir: str):
     """ONE content scan computing BOTH the stats partials and the row
     violations — the corpus's dominant cost is reading/decompressing the
     wide ``content`` column, so the per-check version's two content scans
@@ -332,25 +326,18 @@ def _fused_scan(
     every unit's via ``merge_partials_to_stats``.
 
     Violation-volume guard (round-3 verdict item 3): on a sane corpus
-    violations are rare and streaming them to the driver is free, but an
-    adversarial input (50% duplicate keys) makes them O(rows):
-
-    - ``force_spill`` (pre-gated: the dup-hash set alone predicts a
-      blowup): each map task writes its violation rows straight to parquet
-      under ``spill_dir`` — rows never reach the driver at all;
-    - otherwise violations stream to the driver but accumulate at most
-      ``cfg.max_driver_violation_rows``; past the cap the accumulation
-      flushes to ``spill_dir`` shards and keeps flushing (bounded driver
-      memory for violation sources no pre-gate can predict, e.g. an
-      all-rows row-rule failure).
+    violations are rare, but an adversarial input (50% duplicate keys)
+    makes them O(rows). Every violation row streams to the driver through
+    Ray's output stream — scan tasks stay side-effect free, so a
+    lineage-retried task cannot leave or double-count a file. The driver
+    holds at most ``cfg.max_driver_violation_rows`` plus one block's rows:
+    past the cap it flushes what it holds to a ``viol-driver-*`` shard
+    under ``spill_dir`` and keeps flushing.
 
     When anything spilled, ``violations`` is ``spill_dir`` (the shards
-    live there); otherwise it is the driver-held table. Worker-side shard
-    names carry (task id, within-task ordinal, content digest), so a
-    lineage-retried scan task overwrites its own shards while
-    byte-identical blocks from DIFFERENT tasks keep distinct files; the
-    caller wipes ``spill_dir`` before any fresh (non-resumed) scan, so
-    stale shards from a crashed attempt never double-count.
+    live there); otherwise it is the driver-held table. The caller wipes
+    ``spill_dir`` before any fresh (non-resumed) scan, so stale shards
+    from a crashed attempt never double-count.
     """
     from ..checks.stats import PARTIAL_SCHEMA, make_stats_partial_fn
 
@@ -374,57 +361,8 @@ def _fused_scan(
             data[c] = pa.concat_arrays([pa.nulls(n_s, t), col])
         return pa.table(data)
 
-    if force_spill:
-        os.makedirs(spill_dir, exist_ok=True)
-
-    # per-(task id) shard ordinal, worker-process-local: see naming note
-    _shard_seq: dict = {}
-
     def fused(batch: pa.Table) -> pa.Table:
-        st = stats_fn(batch)
-        vt = row_fn(batch)
-        if force_spill and vt.num_rows:
-            # shard name = task id + within-task ordinal + content digest
-            # of (violations, block-stats partial). The task id keeps two
-            # DIFFERENT tasks holding byte-identical blocks (duplicated
-            # input files — exactly what a dup-detection suite scans) from
-            # collapsing onto one filename and silently losing a block's
-            # rows; the ordinal separates identical blocks WITHIN a task;
-            # and a lineage retry (fresh worker, same task id, ordinals
-            # restart at 0) recomputes the same names and OVERWRITES its
-            # shards instead of duplicating them (ADVICE round 3).
-            import hashlib
-
-            import ray as _ray
-
-            h = hashlib.sha256()
-            for part_tb in (vt, st):
-                sink = pa.BufferOutputStream()
-                with pa.ipc.new_stream(sink, part_tb.schema) as w:
-                    w.write_table(part_tb)
-                h.update(sink.getvalue())
-            tid = _ray.get_runtime_context().get_task_id() or "driver"
-            # ordinals must restart at 0 on task RETRY even when the
-            # re-execution lands in the same surviving worker process
-            # (ADVICE round 4: process-lifetime state would continue the
-            # count and the prior attempt's spill shards double-count),
-            # so the counter is keyed by (task id, attempt). Ray has no
-            # public attempt API (2.49); the private probe degrades to
-            # attempt 0 — the fresh-process behavior — if it moves.
-            try:
-                attempt = _ray._private.worker.global_worker.core_worker.get_current_task_attempt_number()
-            except Exception:
-                attempt = 0
-            seq = _shard_seq.get((tid, attempt), 0)
-            _shard_seq[(tid, attempt)] = seq + 1
-            pq.write_table(
-                vt,
-                os.path.join(
-                    spill_dir, f"viol-{tid[:16]}-{seq:04d}-{h.hexdigest()[:16]}.parquet"
-                ),
-            )
-            vt = vt.slice(0, 0)
-        return to_union(st, vt.rename_columns(pref_names))
+        return to_union(stats_fn(batch), row_fn(batch).rename_columns(pref_names))
 
     fused_ds = ds.map_batches(
         fused, batch_format="pyarrow", batch_size=cfg.batch_size, zero_copy_batch=True
@@ -461,8 +399,7 @@ def _fused_scan(
     if n_flushed:
         flush_to_spill()
     stats_partials = pa.concat_tables(stats_parts) if stats_parts else PARTIAL_SCHEMA.empty_table()
-    # force mode with zero actual violations spills nothing
-    if (force_spill or n_flushed) and _parquet_files(spill_dir):
+    if n_flushed:
         return stats_partials, spill_dir
     # zero violations: the empty table keeps the REAL column types — an
     # inferred null-typed empty breaks later concats with typed tables
@@ -479,50 +416,34 @@ def _uniq_ckpt_fmt() -> str:
     return f"uniq-hashes/v2/polars-{pl.__version__}"
 
 
-def _verify_dup_candidates(viol_all: pa.Table, key: list[str]) -> pa.Table:
+def _verify_dup_candidates(tb: pa.Table, key: list[str]) -> pa.Table:
     """Exact dup verification: candidate rows carry their REAL keys, so a
-    per-key recount here drops 64-bit hash-collision artifacts — the
-    reported duplicate set is exact at any scale."""
-    if viol_all.num_rows == 0:
-        return viol_all
-    kinds = viol_all["violation_kind"]
-    dup_mask = pc.equal(kinds, "duplicate_key")
-    dup_rows = viol_all.filter(dup_mask)
-    if dup_rows.num_rows == 0:
-        return viol_all
-    keydf = dup_rows.select(list(key)).to_pandas()
-    # dropna=False: a duplicate whose key tuple contains a null must still
-    # form a group and be recounted — the default dropna=True gives those
-    # rows size=NaN and silently drops genuine violations.
-    sizes = keydf.groupby(list(key), dropna=False)[key[0]].transform("size")
-    keep = pa.array((sizes >= 2).to_numpy())
-    verified = dup_rows.filter(keep)
-    return pa.concat_tables([viol_all.filter(pc.invert(dup_mask)), verified])
+    per-key recount over every candidate of a key drops 64-bit
+    hash-collision artifacts — the reported duplicate set is exact at any
+    scale. Other violation kinds pass through unchanged. The one recount
+    kernel: the driver rung runs it on the whole table, the distributed
+    rung on each key co-located block."""
+    import polars as pl
+
+    if tb.num_rows == 0:
+        return tb
+    df = pl.from_arrow(tb)
+    is_dup = pl.col("violation_kind") == "duplicate_key"
+    # polars groups null key values together, so a duplicate whose key
+    # holds a null still forms a group and is recounted
+    dup = df.filter(is_dup).filter(pl.len().over(key) >= 2)
+    return pl.concat([df.filter(~is_dup), dup]).to_arrow().cast(tb.schema)
 
 
 def _verify_dup_candidates_ds(viol_ds, key: list[str]):
-    """Distributed analog of :func:`_verify_dup_candidates` for the spill
-    path: hash-partition the violation stream by key so all candidate
-    rows of one key co-locate, then recount per block. Non-duplicate
-    violation kinds ride through the same shuffle unchanged."""
-    import polars as pl
+    """:func:`_verify_dup_candidates` on the distributed rung: co-partition
+    the violation stream by key so all candidate rows of one key share a
+    block, then recount per block."""
+    from functools import partial
 
     from ..functions.shuffle import local_group_map
 
-    def block(tb: pa.Table) -> pa.Table:
-        if tb.num_rows == 0:
-            return tb
-        df = pl.from_arrow(tb)
-        is_dup = pl.col("violation_kind") == "duplicate_key"
-        dup = df.filter(is_dup)
-        if dup.height:
-            # polars groups null key values together (matching the pandas
-            # dropna=False recount): collision artifacts with count 1 drop
-            dup = dup.filter(pl.len().over(key) >= 2)
-        out = pl.concat([df.filter(~is_dup), dup])
-        return out.to_arrow().cast(tb.schema)
-
-    return local_group_map(viol_ds, key, block)
+    return local_group_map(viol_ds, key, partial(_verify_dup_candidates, key=key))
 
 
 def _spill_violation_counts(files: list[str], part: str) -> dict[str, dict[str, int]]:
@@ -556,25 +477,26 @@ def _sort_violations(viol_all: pa.Table, out_cols: list[str]) -> pa.Table:
 def _finish_violations(
     state: RunState,
     unit_names: list[str],
-    held: list[tuple[str, int]],
-    spilled: list[str],
+    files: list[str],
+    n_rows: int,
     max_driver_rows: int,
     viol_schema: pa.Schema,
     key: list[str],
     part: str,
-) -> tuple[pa.Table, str | None, dict[str, dict[str, int]] | None]:
+) -> tuple[pa.Table, str | None, dict[str, dict[str, int]]]:
     """The ONE violation finalize of the suite, over every scan unit's
     rows: exact dup recount, deterministic sort and write, checkpointed as
     unit ``rowpass``.
 
-    ``held`` are (violations.parquet, rows) per unit, ``spilled`` the
-    units' spill shard files. Held tables totalling at most
-    ``max_driver_rows`` are recounted, sorted and written to
-    ``rowpass/violations.parquet``. Otherwise every file takes the
-    distributed path — key co-partitioned recount, global multi-column
-    sort, partitioned parquet under ``rowpass/violations_sorted`` — so
-    violations never materialize on the driver — and the driver streams
-    the per-(kind, partition) counts out of the sorted files.
+    ``files`` are the units' violation files (held tables and spill
+    shards), ``n_rows`` their total row count. At most
+    ``max_driver_rows`` rows are recounted, sorted and written to
+    ``rowpass/violations.parquet`` on the driver. Otherwise every file
+    takes the distributed path — key co-partitioned recount, global
+    multi-column sort, partitioned parquet under
+    ``rowpass/violations_sorted`` — so violations never materialize on
+    the driver — and the driver streams the per-(kind, partition) counts
+    out of the sorted files.
 
     The marker records the units it covers, the path taken and, on the
     distributed path, the counts. A resume whose units were all reused
@@ -584,12 +506,12 @@ def _finish_violations(
 
     Returns ``(violations, violations_dir, counts)`` as
     :func:`_finalize_suite` takes them: the sorted table, ``None`` and
-    ``None``, or a schema-correct EMPTY table, the sorted directory and
+    its counts, or a schema-correct EMPTY table, the sorted directory and
     its counts."""
     out_dir = state.unit_dir("rowpass")
     sorted_dir = os.path.join(out_dir, "violations_sorted")
     held_path = os.path.join(out_dir, "violations.parquet")
-    distributed = bool(spilled) or sum(n for _, n in held) > max_driver_rows
+    distributed = n_rows > max_driver_rows
     inputs = {"units": unit_names, "distributed": distributed}
     meta = (state.done_metrics("rowpass") or {}).get("metrics", {})
     done_file = "violations_sorted" if meta.get("sorted") else "violations.parquet"
@@ -600,7 +522,8 @@ def _finish_violations(
     ):
         if meta.get("sorted"):
             return viol_schema.empty_table(), sorted_dir, meta["counts"]
-        return pq.read_table(held_path), None, None
+        viol = pq.read_table(held_path)
+        return viol, None, _add_violation_counts({}, viol, part)
     state.invalidate("rowpass")
     out_cols = viol_schema.names[:-2]
     viol = viol_schema.empty_table()
@@ -610,7 +533,6 @@ def _finish_violations(
         if os.path.isdir(sorted_dir):
             shutil.rmtree(sorted_dir)
         os.makedirs(sorted_dir)
-        files = [p for p, n in held if n] + spilled
         verified = _verify_dup_candidates_ds(rd.read_parquet(files), key)
         verified.sort(["violation_kind"] + out_cols + ["content_sha256"]).write_parquet(sorted_dir)
         sorted_files = _parquet_files(sorted_dir)
@@ -622,14 +544,12 @@ def _finish_violations(
         # key-collision artifacts) and write_parquet produced a shard-less
         # directory — finalize through the empty driver table instead of
         # read_parquet-ing an empty dir
-    else:
-        tabs = [pq.read_table(p) for p, n in held if n]
-        if tabs:
-            viol = pa.concat_tables(tabs)
+    elif files:
+        viol = pa.concat_tables([pq.read_table(p) for p in files])
     viol = _sort_violations(_verify_dup_candidates(viol, key), out_cols)
     pq.write_table(viol, held_path)
     state.mark_done("rowpass", {**inputs, "sorted": False})
-    return viol, None, None
+    return viol, None, _add_violation_counts({}, viol, part)
 
 
 # ---------------------------------------------------------------------------
@@ -680,19 +600,18 @@ def _finalize_suite(
     stats_df: pd.DataFrame,
     viol_all: pa.Table,
     baseline_snapshot: str | None,
-    violations_dir: str | None = None,
-    viol_counts: dict[str, dict[str, int]] | None = None,
-    corpus_schema: pa.Schema | None = None,
-    fd_results: dict[str, pa.Table] | None = None,
+    violations_dir: str | None,
+    viol_counts: dict[str, dict[str, int]],
+    corpus_schema: pa.Schema,
+    fd_results: dict[str, pa.Table],
 ) -> SuiteResult:
     """stats table + violation rows → per-(check, partition) verdicts,
     drift scoring, lineage, and the verdicts.parquet artifact.
 
     Verdict counts come from ``viol_counts``, the per-(kind, partition)
-    violation counts; a driver-held run (``viol_counts`` None) derives
-    them from ``viol_all``. Spill mode (``violations_dir`` given):
-    ``viol_all`` is schema-correct but EMPTY and ``viol_counts`` counts
-    the exact rows under ``violations_dir``."""
+    violation counts. Spill mode (``violations_dir`` given): ``viol_all``
+    is schema-correct but EMPTY and ``viol_counts`` counts the exact rows
+    under ``violations_dir``."""
     from ..checks.schema import schema_verdicts, spec_from_stats
 
     part = cfg.partition_by
@@ -702,7 +621,7 @@ def _finalize_suite(
     # schema check (metadata-only, no scan): live schema vs the declared
     # expectation — missing / added / type-changed / moved columns each
     # become a verdict row (checks/schema.py)
-    if corpus_schema is not None and cfg.expected_schema is not None:
+    if cfg.expected_schema is not None:
         sv = schema_verdicts(
             corpus_schema,
             cfg.expected_schema,
@@ -777,8 +696,6 @@ def _finalize_suite(
             }
         )
 
-    if viol_counts is None:
-        viol_counts = _add_violation_counts({}, viol_all, part)
     # check -> (violation kinds, verdict detail)
     row_checks = {
         "rowrules": ([f"null_{part}", "empty_content"], "row-rule violations"),
@@ -802,7 +719,7 @@ def _finalize_suite(
 
     # functional dependencies: GLOBAL verdicts (a determinant's bindings
     # may span partitions, so per-partition pass/fail would be misleading)
-    for unit, vt in (fd_results or {}).items():
+    for unit, vt in fd_results.items():
         violations[unit] = vt
         n_viol[unit] = vt.num_rows
         n_bad_det = (
@@ -830,7 +747,7 @@ def _finalize_suite(
         # column that appeared, vanished or changed type since the
         # baseline is an anomaly signal even when every value-level stat
         # passes (the structural sibling of the PSI/KS check below)
-        if corpus_schema is not None and "dtype" in base_df.columns:
+        if "dtype" in base_df.columns:
             # (snapshots written before the dtype column existed simply
             # skip the structural diff; value-level drift still runs)
             sdv = schema_verdicts(
@@ -979,10 +896,7 @@ def _run_units(
 
     # ---------------- pass 2: ONE fused content scan per unit ----------
     # content is read and decompressed ONCE per suite run (it dominates
-    # corpus bytes). Pre-gate: the dup-hash set alone predicts ≥ 2·len(dup)
-    # candidate rows — above the bound, scan tasks write violation shards
-    # themselves and the driver never sees a violation row.
-    pre_gate = 2 * len(dup_hashes) > cfg.max_driver_violation_rows
+    # corpus bytes)
     refs = None  # built once, and only if some unit must be computed
     # a unit's violations include the duplicate-key rows its scan found
     # with the global dup-hash probe; shard units of the earlier two-phase
@@ -992,10 +906,9 @@ def _run_units(
     stats_parts: list[pa.Table] = []
     # violations stay ON DISK until the total is known (round-5 review:
     # reading every unit's table into a driver list defeated
-    # max_driver_violation_rows): held tables as (path, rows), spilled
-    # units as their shard files
-    held: list[tuple[str, int]] = []
-    spilled: list[str] = []
+    # max_driver_violation_rows): each unit's held table or spill shards
+    viol_files: list[str] = []
+    n_viol_total = 0
     for unit, dataset in units:
         udir = state.unit_dir(unit)
         sp = os.path.join(udir, "stats_partials.parquet")
@@ -1014,7 +927,7 @@ def _run_units(
                 shutil.rmtree(spill_dir)
             if refs is None:
                 refs = _prepare_rowpass_refs(cfg, dup_hashes)
-            st, viol = _fused_scan(dataset(), cfg, refs, corpus_schema, spill_dir, force_spill=pre_gate)
+            st, viol = _fused_scan(dataset(), cfg, refs, corpus_schema, spill_dir)
             was_spilled = not isinstance(viol, pa.Table)
             if was_spilled:
                 n_viol = sum(pq.read_metadata(f).num_rows for f in _parquet_files(spill_dir))
@@ -1030,25 +943,25 @@ def _run_units(
                 fmt=unit_fmt,
             )
         stats_parts.append(st)
+        n_viol_total += n_viol
         if was_spilled:
             # files, not the directory: rd.read_parquet raises on a path
             # list that holds a directory
-            spilled.extend(_parquet_files(spill_dir))
-        else:
-            held.append((vp, n_viol))
+            viol_files.extend(_parquet_files(spill_dir))
+        elif n_viol:
+            viol_files.append(vp)
 
     stats_df = merge_partials_to_stats(stats_parts)
     stats_path = os.path.join(state.unit_dir("stats"), "stats.parquet")
     pq.write_table(pa.Table.from_pandas(stats_df, preserve_index=False), stats_path)
     viol_all, violations_dir, viol_counts = _finish_violations(
-        state, [u for u, _ in units], held, spilled, cfg.max_driver_violation_rows, viol_schema,
-        key, cfg.partition_by,
+        state, [u for u, _ in units], viol_files, n_viol_total, cfg.max_driver_violation_rows,
+        viol_schema, key, cfg.partition_by,
     )
-    fd_results = _run_fd_checks(state, cfg, corpus_path, resume) if cfg.fd_checks else None
+    fd_results = _run_fd_checks(state, cfg, corpus_path, resume) if cfg.fd_checks else {}
     return _finalize_suite(
         state, out_dir, cfg, stats_df, viol_all, baseline_snapshot,
-        violations_dir=violations_dir, viol_counts=viol_counts, corpus_schema=corpus_schema,
-        fd_results=fd_results,
+        violations_dir, viol_counts, corpus_schema, fd_results,
     )
 
 

@@ -53,7 +53,6 @@ TEST_ONLY_PARAMETERS: dict[str, str] = {
     "knn_outlier_scores.max_bytes": "forces the over-budget error",
     "decontaminate.max_bench_ngrams": "forces the corpus-sized bench error",
     "write_partitioned.max_rows_per_file": "forces file rollover on a small table",
-    "run_suite_sharded.n_shards": "shard-count invariance of the sharded suite",
     # options whose non-default branch only a test selects
     "main.argv": "tests drive the CLI in process",
     "AutoencoderScoreStage.load_hook": "counts snapshot loads per actor",

@@ -109,11 +109,11 @@ def test_suite_violation_spill_matches_driver_plan(ray_session, dirty_corpus, tm
     """round-3 verdict item 3: above max_driver_violation_rows the suite
     spills violation rows to parquet and finalizes from the files —
     identical verdicts and identical violation rows, with the driver-held
-    tables empty. Both spill paths: a budget below the pre-gate's
-    prediction (2 rows per duplicate hash) makes scan tasks write the
-    shards; a budget between that prediction and the real violation count
-    passes the pre-gate, and the driver flushes what it holds past the
-    budget (``viol-driver-*`` shards)."""
+    tables empty. Two budgets: one far below the violation count, and
+    one between the duplicate-hash set's prediction (2 rows per duplicate
+    hash) and the real violation count. Both stream every violation row
+    to the driver, which flushes what it holds past the budget
+    (``viol-driver-*`` shards); no scan task writes a file."""
     import glob
 
     import pandas.testing as pdt
@@ -145,7 +145,9 @@ def test_suite_violation_spill_matches_driver_plan(ray_session, dirty_corpus, tm
         driver_shards = glob.glob(
             os.path.join(str(tmp_path / name), "scan", "violations_spill", "viol-driver-*.parquet")
         )
-        assert bool(driver_shards) == (name == "flush")
+        assert driver_shards
+        spill_files = os.listdir(os.path.join(str(tmp_path / name), "scan", "violations_spill"))
+        assert len(driver_shards) == len(spill_files)
 
         # resume reuses the spilled scan checkpoint
         again = run_suite(f"{d}/corpus", str(tmp_path / name), cfg)
@@ -469,12 +471,11 @@ def test_resume_recomputes_on_missing_or_stale_checkpoint(ray_session, clean_cor
 def test_spill_counts_identical_duplicate_blocks(ray_session, dirty_corpus, tmp_path):
     """Two byte-identical corpus FILES (duplicated inputs — exactly what a
     dup-detection suite scans) yield byte-identical blocks with
-    byte-identical violation tables. Spill shard names carry the writing
-    task's identity + a within-task ordinal, so both blocks' rows survive;
-    a pure content-digest name collapsed them onto one file and silently
-    halved the duplicate-key violation count. (Retry overwrite still
-    holds: a lineage retry reuses the task id and restarts the ordinals.)
-    Ground truth = the driver-held plan on the same duplicated corpus."""
+    byte-identical violation tables. Both blocks' rows must survive the
+    spill: shards written under a content-digest name once collapsed them
+    onto one file and silently halved the duplicate-key violation count.
+    The driver names its flush shards by a running ordinal. Ground truth
+    = the driver-held plan on the same duplicated corpus."""
     from anomalydetection_ray.pipelines.validate import SuiteConfig, run_suite
 
     d, _ = dirty_corpus
@@ -500,6 +501,43 @@ def test_spill_counts_identical_duplicate_blocks(ray_session, dirty_corpus, tmp_
     )
     assert got.num_rows == want.num_rows
     assert got.select(want.column_names).cast(want.schema).equals(want)
+
+
+def test_retried_scan_task_matches_uninterrupted_run(ray_session, dirty_corpus, tmp_path, monkeypatch):
+    """A scan task whose worker dies is re-run by Ray Data. Scan tasks
+    write no file, so the retry can neither leave nor double-count a
+    spilled violation row: a spilled run whose first scan task kills its
+    worker process equals an uninterrupted run."""
+    import anomalydetection_ray.pipelines.validate as V
+
+    d, _ = dirty_corpus
+    cfg = V.SuiteConfig(repos_dim_path=f"{d}/repos.parquet", max_driver_violation_rows=4)
+    want = V.run_suite(f"{d}/corpus", str(tmp_path / "ref"), cfg)
+    marker = str(tmp_path / "worker-died")
+    real = V.make_row_violations_fn
+
+    def dies_once(cfg, refs):
+        row_fn = real(cfg, refs)
+
+        def row_violations(batch):
+            try:
+                fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            except FileExistsError:
+                return row_fn(batch)
+            os.close(fd)
+            os._exit(1)
+
+        return row_violations
+
+    monkeypatch.setattr(V, "make_row_violations_fn", dies_once)
+    got = V.run_suite(f"{d}/corpus", str(tmp_path / "retried"), cfg)
+    assert os.path.exists(marker)  # a worker did die mid-task
+    assert got.violations_dir is not None and want.violations_dir is not None
+    assert got.verdicts.equals(want.verdicts)
+    sort_cols = [(c, "ascending") for c in ("violation_kind", "repo", "path", "commit", "content_sha256")]
+    assert pq.read_table(got.violations_dir).sort_by(sort_cols).equals(
+        pq.read_table(want.violations_dir).sort_by(sort_cols)
+    )
 
 
 def _finalize_with_every_candidate_dropped(run, d, out, monkeypatch):
@@ -786,14 +824,15 @@ def test_sharded_suite_spills_above_violation_budget(ray_session, dirty_corpus, 
         bv[["check", "partition", "metric", "passed"]],
         sv[["check", "partition", "metric", "passed"]],
     )
-    # the pre-gate fired, so scan tasks wrote violation shards inside the
-    # shard units' scans; the finalized rows equal the driver-held plan's
+    # the driver flushed each shard unit's violation rows past the budget
+    # into that unit's spill directory; the finalized rows equal the
+    # driver-held plan's
     import glob
 
     import pyarrow as pa
 
     assert glob.glob(
-        os.path.join(str(tmp_path / "spill"), "shard-*-partials", "violations_spill", "viol-*.parquet")
+        os.path.join(str(tmp_path / "spill"), "shard-*-partials", "violations_spill", "viol-driver-*.parquet")
     )
     sort_cols = [(c, "ascending") for c in ("violation_kind", "repo", "path", "commit", "content_sha256")]
     want = pa.concat_tables(

@@ -39,10 +39,9 @@ other value.
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 
-from .uniqueness import hash_key_rows, sorted_isin
+from .uniqueness import hash_key_rows
 
 _PAIR_SCHEMA = pa.schema([("hx", pa.int64()), ("h1", pa.int64()), ("h2", pa.int64())])
 
@@ -68,12 +67,12 @@ def _pair_combine_fn(determinant: list[str], dependent: str):
     return combine
 
 
-def fd_candidate_hashes(
-    ds,
-    determinant: list[str],
-    dependent: str,
-    driver_merge_max_bytes: int = 8 << 30,
-):
+# input bytes (metadata estimate) up to which the candidate pass merges
+# its (hx, h1, h2) pairs on the driver instead of co-partitioning them
+_DRIVER_MERGE_MAX_BYTES = 8 << 30
+
+
+def fd_candidate_hashes(ds, determinant: list[str], dependent: str):
     """Dataset of int64 ``hx`` determinant hashes bound to ≥2 distinct
     dependent values (hash-level; exact verification happens on the
     recovered rows). Cost-gated like ``duplicate_key_hashes``: small
@@ -97,7 +96,7 @@ def fd_candidate_hashes(
 
     est = metadata_size_estimate(ds)
     cand_schema = pa.schema([("hx", pa.int64())])
-    if est is not None and est <= driver_merge_max_bytes:
+    if est is not None and est <= _DRIVER_MERGE_MAX_BYTES:
         tabs = [
             t
             for t in pairs.iter_batches(batch_format="pyarrow", batch_size=None)
@@ -130,28 +129,19 @@ def fd_candidate_hashes(
     return local_group_map(pairs, ["hx"], block_distinct, keys_non_null=True)
 
 
-def fd_violations(
-    ds,
-    determinant: list[str],
-    dependent: str,
-    driver_merge_max_bytes: int = 8 << 30,
-    broadcast_max_candidates: int = 2_000_000,
-):
+def fd_violations(ds, determinant: list[str], dependent: str):
     """Exact FD violations as a Dataset of distinct
     ``determinant... , dependent, n_rows`` bindings — every determinant
     tuple present maps to ≥2 distinct dependent values (nulls distinct).
 
-    ``broadcast_max_candidates`` gates the recovery plan: a candidate
-    hash set under it gathers + broadcasts (sorted searchsorted probe,
-    the suite's duplicate-key probe pattern); above it the candidate set
-    stays distributed and recovery is a co-partitioned semi-join
-    (``shuffle_membership_filter``). ``<=0`` forces the shuffle plan
-    (plan-equivalence tests)."""
+    Candidate rows are recovered by :func:`~anomalydetection_ray.functions.
+    relational.membership_filter` on the determinant hash: a small
+    candidate hash set is broadcast, a large one stays distributed and
+    recovery is a co-partitioned semi-join."""
     import polars as pl
-    import ray
     import ray.data as rd
 
-    from ..functions.relational import shuffle_membership_filter
+    from ..functions.relational import membership_filter
     from ..functions.shuffle import arrow_schema, local_group_map, select_if_needed
 
     if dependent in determinant:
@@ -163,11 +153,8 @@ def fd_violations(
         [(c, base.field(c).type) for c in cols] + [("n_rows", pa.int64())]
     )
 
-    cand_ds = fd_candidate_hashes(
-        ds, determinant, dependent, driver_merge_max_bytes=driver_merge_max_bytes
-    ).materialize()
-    n_cand = cand_ds.count()  # metadata read on the materialized set
-    if n_cand == 0:
+    cand_ds = fd_candidate_hashes(ds, determinant, dependent).materialize()
+    if cand_ds.count() == 0:  # metadata read on the materialized set
         return rd.from_arrow(out_schema.empty_table())
 
     hx_col = "__fd_hx"
@@ -176,27 +163,12 @@ def fd_violations(
         return tb.append_column(hx_col, pa.array(hash_key_rows(tb, determinant, seed=0)))
 
     rows = work.map_batches(add_hx, batch_format="pyarrow", batch_size=65536, zero_copy_batch=True)
-    if broadcast_max_candidates > 0 and n_cand <= broadcast_max_candidates:
-        cand = np.sort(
-            np.concatenate(
-                [np.asarray(t["hx"]) for t in cand_ds.iter_batches(batch_format="pyarrow", batch_size=None) if t.num_rows]
-            )
-        )
-        ref = ray.put(cand)
-
-        def probe(tb: pa.Table) -> pa.Table:
-            ch = ray.get(ref)
-            h = np.asarray(tb[hx_col].combine_chunks())
-            return tb.filter(pa.array(sorted_isin(ch, h))).drop_columns([hx_col])
-
-        candidates = rows.map_batches(probe, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
-    else:
-        candidates = shuffle_membership_filter(rows, hx_col, cand_ds, "hx", keep=True).map_batches(
-            lambda tb: tb.drop_columns([hx_col]),
-            batch_format="pyarrow",
-            batch_size=None,
-            zero_copy_batch=True,
-        )
+    candidates = membership_filter(rows, hx_col, cand_ds, "hx", keep=True).map_batches(
+        lambda tb: tb.drop_columns([hx_col]),
+        batch_format="pyarrow",
+        batch_size=None,
+        zero_copy_batch=True,
+    )
 
     def verify_block(tb: pa.Table) -> pa.Table:
         if tb.num_rows == 0:

@@ -1,5 +1,5 @@
 """Distributed primitives for the near-dup family: partitioned pair
-verification, min-label-propagation clustering, and a shuffle anti-join.
+verification and min-label-propagation clustering.
 
 These remove the one scale-killer the driver-side near-dup path has
 (VERDICT round 1): at adversarial duplicate rates the candidate edge set
@@ -17,14 +17,11 @@ the driver. Here nothing is ever gathered:
   label sum is a monotone convergence witness — one cheap aggregate per
   round instead of a changed-row join). Equivalent to union-find's
   "survivor = cluster min" semantics at any scale.
-- :func:`shuffle_anti_join` drops a distributed id set from a dataset by
-  co-partitioning both sides — the distributed analog of
-  ``broadcast_value_filter(..., keep=False)``.
 
 The driver paths in ``dedup/neardup.py`` remain the fast plan for the
 normal regime (dup rate ≪ 100%: a broadcast id filter + one driver
 union-find beats three shuffles); callers switch on a cost threshold
-(``driver_max_edges``), the same plan-choice pattern as
+(``functions.shuffle.DRIVER_MAX_ROWS``), the same plan-choice pattern as
 ``checks/uniqueness.duplicate_key_hashes``.
 """
 
@@ -267,11 +264,6 @@ def _block_forest(tb: pa.Table) -> pa.Table:
     )
 
 
-# contracted edge count up to which one driver union-find finishes the
-# components instead of distributed label propagation
-_DRIVER_MAX_EDGES = 2_000_000
-
-
 def cluster_drop_ids(edges_ds):
     """Verified edges → Dataset of ids to DROP (every non-min member of
     each connected component) — the distributed replacement for the
@@ -287,10 +279,12 @@ def cluster_drop_ids(edges_ds):
     import ray
     import pyarrow.compute as pc
 
+    from ..functions.shuffle import DRIVER_MAX_ROWS
+
     contracted = edges_ds.map_batches(
         _block_forest, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
     ).materialize()
-    if contracted.count() <= _DRIVER_MAX_EDGES:
+    if contracted.count() <= DRIVER_MAX_ROWS:
         parent: dict = {}
 
         def find(x):
@@ -319,18 +313,3 @@ def cluster_drop_ids(edges_ds):
         return pa.Table.from_pydict({"id": tb.filter(keep)["id"]}, schema=pa.schema([("id", pa.int64())]))
 
     return labels.map_batches(non_min, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
-
-
-def shuffle_anti_join(ds, id_col: str, drop_ids_ds):
-    """Rows of ``ds`` whose ``id_col`` is NOT in the (distributed) drop-id
-    set — a thin alias over the generic co-partitioned
-    :func:`~anomalydetection_ray.functions.relational.
-    shuffle_membership_filter` (this used to be a second copy of the
-    same tagged-union plan, diverging on null handling). Ids are
-    non-null by the dedup family's contract, so the duplicated
-    null-coalesced sort keys stay off the wire."""
-    from ..functions.relational import shuffle_membership_filter
-
-    return shuffle_membership_filter(
-        ds, id_col, drop_ids_ds, "id", keep=False, keys_non_null=True
-    )

@@ -28,15 +28,16 @@ Scale shape (nothing O(corpus) ever touches the driver):
    ``(id, idx)`` for its fully-co-located line groups with one vectorized
    polars pass.
 2. The drop pairs apply back to the corpus. Cost-gated like every
-   sibling: a drop set under ``driver_max_drops`` gathers once and ships
-   via ``ray.put`` — each batch then re-splits its own text and filters
+   sibling: a drop set under ``shuffle.DRIVER_MAX_ROWS`` gathers once and
+   ships via ``ray.put`` — each batch then re-splits its own text and filters
    locally with one exact polars hash join, so the corpus NEVER shuffles.
    Above the budget the corpus and the drop pairs co-partition by ``id``
    (tagged-union sort exchange — one payload move) and each block applies
    its local drops with the same vectorized kernel.
 
-Lines that are empty after normalization (blank lines, separator runs)
-are structural: never counted, never dropped. Rows with a null id or
+Lines compare with surrounding whitespace stripped. Lines that are
+empty after stripping (blank lines, separator runs) are structural:
+never counted, never dropped. Rows with a null id or
 null text pass through unchanged. Output keeps every input column, with
 ``text`` rewritten in place plus ``n_lines``/``n_lines_kept`` counters
 (null for pass-through rows) so downstream gates can drop gutted
@@ -51,18 +52,6 @@ import pyarrow.compute as pc
 from ..functions.shuffle import arrow_schema, local_group_map
 
 _MODES = ("drop_common", "keep_first")
-_NORMS = ("none", "strip", "strip_lower")
-
-
-def _norm_expr(norm: str):
-    import polars as pl
-
-    e = pl.col("line")
-    if norm in ("strip", "strip_lower"):
-        e = e.str.strip_chars()
-    if norm == "strip_lower":
-        e = e.str.to_lowercase()
-    return e.alias("__key")
 
 
 def _triple_schema(id_type: pa.DataType) -> pa.Schema:
@@ -71,8 +60,9 @@ def _triple_schema(id_type: pa.DataType) -> pa.Schema:
     )
 
 
-def _explode_lines(id_col: str, text_col: str, sep: str, norm: str):
-    """Per-batch narrow explode: (h1, h2, id, idx) per non-empty-key line.
+def _explode_lines(id_col: str, text_col: str, sep: str):
+    """Per-batch narrow explode: (h1, h2, id, idx) per non-empty-key line;
+    a line's key is the line with surrounding whitespace stripped.
 
     idx is the line's 0-based position within its document. Only rows
     with a valid id AND text contribute (pass-through rows can never be
@@ -93,7 +83,7 @@ def _explode_lines(id_col: str, text_col: str, sep: str, norm: str):
             .with_columns(pl.int_ranges(pl.col("__lines").list.len()).alias("__idxs"))
             .explode(["__lines", "__idxs"])
             .rename({"__lines": "line", "__idxs": "idx"})
-            .with_columns(_norm_expr(norm))
+            .with_columns(pl.col("line").str.strip_chars().alias("__key"))
             .filter(pl.col("__key").str.len_bytes() > 0)
             .with_columns(
                 pl.col("__key").hash(seed=0x51ED).reinterpret(signed=True).alias("h1"),
@@ -146,21 +136,18 @@ def line_drop_pairs(
     sep: str = "\n",
     mode: str = "drop_common",
     min_docs: int = 2,
-    normalize: str = "strip",
 ):
     """The (id, idx) occurrences :func:`line_dedup` would remove, as a
     lazy Dataset — the narrow pass alone, exposed for inspection/audit."""
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    if normalize not in _NORMS:
-        raise ValueError(f"normalize must be one of {_NORMS}, got {normalize!r}")
     if mode == "drop_common" and min_docs < 1:
         raise ValueError("min_docs must be >= 1")
     id_type = arrow_schema(ds).field(id_col).type
     if mode == "keep_first" and not pa.types.is_integer(id_type):
         raise ValueError("keep_first mode requires an integer id column")
     triples = ds.map_batches(
-        _explode_lines(id_col, text_col, sep, normalize),
+        _explode_lines(id_col, text_col, sep),
         batch_format="pyarrow",
         batch_size=None,
         zero_copy_batch=True,
@@ -245,21 +232,16 @@ def line_dedup(
     sep: str = "\n",
     mode: str = "drop_common",
     min_docs: int = 2,
-    normalize: str = "strip",
-    driver_max_drops: int = 2_000_000,
 ):
     """Rewrite every document with its duplicated lines removed (see
-    module docstring for policies and the two cost-gated apply plans).
-
-    ``driver_max_drops <= 0`` forces the distributed apply plan
-    (plan-equivalence tests)."""
+    module docstring for policies and the two cost-gated apply plans)."""
     import ray
 
-    drops = line_drop_pairs(
-        ds, id_col, text_col, sep, mode, min_docs, normalize
-    ).materialize()
+    from ..functions.shuffle import DRIVER_MAX_ROWS
+
+    drops = line_drop_pairs(ds, id_col, text_col, sep, mode, min_docs).materialize()
     apply = _apply_drops(id_col, text_col, sep)
-    if driver_max_drops > 0 and drops.count() <= driver_max_drops:
+    if drops.count() <= DRIVER_MAX_ROWS:
         tabs = [
             t for t in drops.iter_batches(batch_format="pyarrow", batch_size=None) if t.num_rows
         ]

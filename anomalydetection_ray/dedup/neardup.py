@@ -15,13 +15,13 @@ Scale shape (100 TB):
   small edge sets (the normal regime, dup rate ≪ 100%) take the driver
   plan — collect int64 edges, broadcast-gather only candidate payloads
   for exact verification, union-find, broadcast drop filter. Above
-  ``driver_max_edges`` the fully-distributed plan engages
+  ``shuffle.DRIVER_MAX_ROWS`` edges the fully-distributed plan engages
   (dedup/distributed.py): partitioned pair verification (payloads
   SHUFFLE to their pairs, never gather), min-label-propagation
   clustering, shuffle anti-join — nothing corpus-sized ever touches the
   driver, so adversarial (e.g. 50%-duplicate) corpora stream through.
   Both plans produce identical results (tests/test_neardup.py asserts
-  equality with the threshold forced to 0).
+  equality with the budget constants forced to -1).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 import polars as pl
 import pyarrow as pa
 
-from ..functions.relational import broadcast_value_filter
+from ..functions.relational import broadcast_value_filter, membership_filter
 from ..functions.shuffle import local_group_map, sized_actor_concurrency
 from ..functions.shuffle import select_if_needed as _sel
 from ..functions.vector import list_column_to_matrix
@@ -249,6 +249,11 @@ def _batch_jaccard_keep_flat(flat: np.ndarray, offs: np.ndarray, idx_a: np.ndarr
 # every candidate doc, shipped once via ray.put and read by every verify
 # task (never per batch)
 BROADCAST_VERIFY_MAX_BYTES = 256 << 20
+
+# input size estimate up to which the verified dedup and the pair listing
+# gather (id, text) once and run in-process (the gather itself is capped
+# at 4x this); larger inputs take the distributed stage graph
+LOCAL_PLAN_MAX_BYTES = 256 << 20
 
 
 class _BroadcastJaccardVerify:
@@ -555,10 +560,6 @@ def _cosine_verify_block(threshold: float):
     return verify
 
 
-# above this many candidate edges the driver gather/union-find plan is
-# abandoned for the fully-distributed shuffle plan (dedup/distributed.py)
-DRIVER_MAX_EDGES = 2_000_000
-
 _FP_SEED1 = np.uint64(0x9E3779B97F4A7C15)
 _FP_SEED2 = np.uint64(0xC2B2AE3D27D4EB4F)
 
@@ -636,24 +637,6 @@ def _token_set_drop_ids(ds, id_col: str, text_col: str, shingle: str, k: int, co
     return local_group_map(fp, ["h1", "h2"], drops, keys_non_null=True)
 
 
-def _apply_drop_ds(ds, id_col: str, drops_ds, driver_max: int = DRIVER_MAX_EDGES):
-    """Remove a distributed drop-id set from ``ds``, cost-based: small
-    drop sets collect once and broadcast (one cheap filter pass), large
-    ones co-partition (``shuffle_anti_join``)."""
-    drops_ds = drops_ds.materialize()
-    n = drops_ds.count()
-    if n == 0:
-        return ds
-    if n <= driver_max:
-        arr = np.concatenate(
-            [b["id"].to_numpy(zero_copy_only=False) for b in drops_ds.iter_batches(batch_format="pyarrow", batch_size=None) if b.num_rows]
-        )
-        return broadcast_value_filter(ds, id_col, arr, keep=False)
-    from .distributed import shuffle_anti_join
-
-    return shuffle_anti_join(ds, id_col, drops_ds)
-
-
 def _edges_to_pairs(edges_ds):
     """(id, rep) edge stream → (a, b) pairs with a = rep < b = id."""
 
@@ -671,7 +654,6 @@ def _dedup_via_edges(
     payload_col: str,
     edges_ds,
     verify_block,
-    driver_max_edges: int,
     driver_verify,
 ):
     """Shared dedup tail with cost-based plan choice.
@@ -679,13 +661,15 @@ def _dedup_via_edges(
     Small candidate graphs (the normal regime — dup rate ≪ 100%) take the
     driver plan: collect int64 edges, broadcast-gather ONLY candidate
     payloads for exact verification, union-find, broadcast drop filter.
-    Above ``driver_max_edges`` the distributed plan engages: partitioned
-    pair verification (payload shuffles, never gathers), min-label
-    propagation, shuffle anti-join — nothing corpus-sized ever touches
-    the driver (the round-1 scale-killer at adversarial dup rates)."""
+    Above ``shuffle.DRIVER_MAX_ROWS`` edges the distributed plan engages:
+    partitioned pair verification (payload shuffles, never gathers),
+    min-label propagation, shuffle anti-join — nothing corpus-sized ever
+    touches the driver (the round-1 scale-killer at adversarial dup rates)."""
+    from ..functions.shuffle import DRIVER_MAX_ROWS
+
     edges_ds = edges_ds.materialize()
     n_edges = edges_ds.count()
-    if n_edges > driver_max_edges:
+    if n_edges > DRIVER_MAX_ROWS:
         # the same (id, rep) edge is emitted once per shared band bucket;
         # a lean int64-pair distinct both shrinks every downstream stage
         # and keeps the plan choice keyed to the TRUE candidate set size
@@ -693,7 +677,7 @@ def _dedup_via_edges(
         n_edges = edges_ds.count()
     if n_edges == 0:
         return ds
-    if n_edges <= driver_max_edges:
+    if n_edges <= DRIVER_MAX_ROWS:
         edges = _collect_edges(edges_ds)
         if driver_verify is not None:
             edges = driver_verify(edges)
@@ -709,7 +693,7 @@ def _dedup_via_edges(
     pairs = _edges_to_pairs(edges_ds)
     if verify_block is not None:
         pairs = pair_payload_join(ds, pairs, id_col, payload_col, verify_block)
-    return _apply_drop_ds(ds, id_col, cluster_drop_ids(pairs), driver_max_edges)
+    return membership_filter(ds, id_col, cluster_drop_ids(pairs), "id", keep=False, keys_non_null=True)
 
 
 def minhash_lsh_dedup(
@@ -718,15 +702,14 @@ def minhash_lsh_dedup(
     text_col: str,
     shingle: str = "char",
     verify_threshold: float | None = None,
-    driver_max_edges: int = DRIVER_MAX_EDGES,
 ):
     """Near-dup dedup: keep the min-id representative of each LSH cluster
     (MinHash over ``shingle`` 5-grams).
 
     ``verify_threshold`` switches on exact n-gram-Jaccard edge verification
     (the "n-gram Jaccard dedup" operator): only candidate pairs whose TRUE
-    Jaccard ≥ threshold merge. Above ``driver_max_edges`` candidate edges
-    the fully-distributed verify/cluster plan replaces the driver path
+    Jaccard ≥ threshold merge. Above ``shuffle.DRIVER_MAX_ROWS`` candidate
+    edges the fully-distributed verify/cluster plan replaces the driver path
     (see :func:`_dedup_via_edges`).
     """
     k = 5
@@ -739,7 +722,7 @@ def minhash_lsh_dedup(
         if verify_threshold is not None
         else None
     )
-    return _dedup_via_edges(ds, id_col, text_col, edges_ds, verify_block, driver_max_edges, driver_verify)
+    return _dedup_via_edges(ds, id_col, text_col, edges_ds, verify_block, driver_verify)
 
 
 _PAIR_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64())])
@@ -1144,7 +1127,6 @@ def _verified_drop_ids_local(
     shingle: str,
     k: int,
     seed: int,
-    collapse_exact: bool,
 ) -> np.ndarray:
     """Drop ids for the verified-MinHash dedup, computed in-process over a
     gathered (id, text) table with the SAME kernels the distributed plan
@@ -1156,14 +1138,13 @@ def _verified_drop_ids_local(
     :func:`_verified_components_rounds` — bucket all-pairs semantics
     without the quadratic expansion."""
     drops: set = set()
-    if collapse_exact:
-        fp = _TokenSetFingerprintStage(id_col, text_col, shingle, k)(t)
-        u = pl.from_arrow(fp)
-        j1 = u.filter(pl.col("id") != pl.col("id").min().over(["h1", "h2"]))["id"].to_numpy()
-        if j1.size:
-            drops.update(int(i) for i in j1)
-            keep_mask = ~np.isin(t[id_col].to_numpy(zero_copy_only=False), j1)
-            t = t.filter(pa.array(keep_mask))
+    fp = _TokenSetFingerprintStage(id_col, text_col, shingle, k)(t)
+    u = pl.from_arrow(fp)
+    j1 = u.filter(pl.col("id") != pl.col("id").min().over(["h1", "h2"]))["id"].to_numpy()
+    if j1.size:
+        drops.update(int(i) for i in j1)
+        keep_mask = ~np.isin(t[id_col].to_numpy(zero_copy_only=False), j1)
+        t = t.filter(pa.array(keep_mask))
     ids_arr = t[id_col].to_numpy(zero_copy_only=False)
     order = np.argsort(ids_arr, kind="stable")
     uids = np.ascontiguousarray(ids_arr[order])
@@ -1197,10 +1178,7 @@ def minhash_lsh_dedup_verified(
     text_col: str,
     threshold: float,
     shingle: str = "word",
-    driver_max_edges: int = DRIVER_MAX_EDGES,
-    collapse_exact: bool = True,
     size_hint_bytes: int | None = None,
-    driver_merge_max_bytes: int | None = None,
 ):
     """Near-dup dedup with EXACT connectivity semantics: clusters are the
     connected components of the true Jaccard ≥ threshold pair graph
@@ -1214,9 +1192,9 @@ def minhash_lsh_dedup_verified(
     representative resembles neither member; its clusters are a refinement
     of this function's. Same cost-based driver/distributed tail.
 
-    ``collapse_exact`` (default on) first collapses identical-token-set
-    (J=1) groups to their min-id member and runs LSH + verification on
-    the representatives only — semantics-preserving (a J=1 group's rep IS
+    Identical-token-set (J=1) groups first collapse to their min-id
+    member, and LSH + verification run on the representatives only —
+    semantics-preserving (a J=1 group's rep IS
     its min, and component minima over reps equal component minima over
     all members) and the production-standard composition for web corpora,
     where exact-duplicate clusters dominate the quadratic in-bucket pair
@@ -1225,27 +1203,24 @@ def minhash_lsh_dedup_verified(
     entirely."""
     import ray
 
-    from ..functions.shuffle import metadata_size_estimate
+    from ..functions.shuffle import DRIVER_MAX_ROWS, metadata_size_estimate
 
     num_perm, bands, k, seed = 256, 64, 5, 42
 
     # Cost-based small-input plan (same gate every sibling has): when the
     # input's metadata size estimate — or the caller's upper bound for a
-    # transformed input — fits the driver budget, gather (id, text) ONCE
-    # (byte-capped; overflow falls through to the distributed stages) and
-    # run the identical kernels in-process, skipping the actor-pool spawn
-    # + two shuffles + sort whose fixed cost dwarfs small corpora.
-    # driver_max_edges <= 0 forces the distributed plan (equivalence tests).
-    if driver_merge_max_bytes is None:
-        driver_merge_max_bytes = BROADCAST_VERIFY_MAX_BYTES
+    # transformed input — fits LOCAL_PLAN_MAX_BYTES, gather (id, text)
+    # ONCE (byte-capped; overflow falls through to the distributed stages)
+    # and run the identical kernels in-process, skipping the actor-pool
+    # spawn + two shuffles + sort whose fixed cost dwarfs small corpora.
     est = size_hint_bytes if size_hint_bytes is not None else metadata_size_estimate(ds)
-    if driver_max_edges > 0 and est is not None and est <= driver_merge_max_bytes:
-        t = _gather_capped(_sel(ds, [id_col, text_col]), 4 * driver_merge_max_bytes)
+    if est is not None and est <= LOCAL_PLAN_MAX_BYTES:
+        t = _gather_capped(_sel(ds, [id_col, text_col]), 4 * LOCAL_PLAN_MAX_BYTES)
         if t is not None:
             if t.num_rows == 0:
                 return ds
             drop = _verified_drop_ids_local(
-                t, id_col, text_col, threshold, num_perm, bands, shingle, k, seed, collapse_exact
+                t, id_col, text_col, threshold, num_perm, bands, shingle, k, seed
             )
             if drop.size == 0:
                 return ds
@@ -1253,18 +1228,17 @@ def minhash_lsh_dedup_verified(
 
     work = _sel(ds, [id_col, text_col])
     drop_sets = []
-    if collapse_exact:
-        # size the fingerprint actor pool from the RAW input (a projected
-        # plan has no metadata estimate and would fall back to the cap)
-        conc = sized_actor_concurrency(ds)
-        j1_drops = _token_set_drop_ids(work, id_col, text_col, shingle, k, concurrency=conc).materialize()
-        if j1_drops.count() > 0:
-            drop_sets.append(j1_drops)
-            work = _apply_drop_ds(work, id_col, j1_drops, driver_max_edges).materialize()
+    # size the fingerprint actor pool from the RAW input (a projected
+    # plan has no metadata estimate and would fall back to the cap)
+    conc = sized_actor_concurrency(ds)
+    j1_drops = _token_set_drop_ids(work, id_col, text_col, shingle, k, concurrency=conc).materialize()
+    if j1_drops.count() > 0:
+        drop_sets.append(j1_drops)
+        work = membership_filter(work, id_col, j1_drops, "id", keep=False, keys_non_null=True).materialize()
     pairs_ds = _lsh_all_pairs(work, id_col, text_col, num_perm, bands, shingle, k, seed, threshold=threshold)
     n_pairs = pairs_ds.count()
     kept = None
-    if n_pairs > 0 and n_pairs <= driver_max_edges:
+    if n_pairs > 0 and n_pairs <= DRIVER_MAX_ROWS:
         from ..pipelines.queries import as_table
 
         t = as_table(pairs_ds)
@@ -1280,7 +1254,7 @@ def minhash_lsh_dedup_verified(
                 drop_sets.append(
                     ray.data.from_arrow(pa.Table.from_pydict({"id": pa.array(sorted(drop), type=pa.int64())}))
                 )
-    if n_pairs > 0 and (n_pairs > driver_max_edges or kept is None):
+    if n_pairs > 0 and (n_pairs > DRIVER_MAX_ROWS or kept is None):
         from .distributed import cluster_drop_ids, pair_payload_join
 
         # middle plan: pairs exceed the driver budget but candidate hash
@@ -1299,7 +1273,7 @@ def minhash_lsh_dedup_verified(
     drops = drop_sets[0]
     for extra in drop_sets[1:]:
         drops = drops.union(extra)
-    return _apply_drop_ds(ds, id_col, drops, driver_max_edges)
+    return membership_filter(ds, id_col, drops, "id", keep=False, keys_non_null=True)
 
 
 def neardup_pairs(
@@ -1307,7 +1281,6 @@ def neardup_pairs(
     id_col: str,
     text_col: str,
     threshold: float,
-    driver_max_pairs: int = DRIVER_MAX_EDGES,
 ):
     """All (id_a < id_b) pairs with exact Jaccard ≥ threshold, found via
     LSH candidates (256 permutations in 64 bands over word 5-grams) +
@@ -1318,7 +1291,7 @@ def neardup_pairs(
     Within-bucket pairing is all-pairs per bucket (not just to the min) so
     no pair is lost to the representative chain.
     """
-    from ..functions.shuffle import metadata_size_estimate
+    from ..functions.shuffle import DRIVER_MAX_ROWS, metadata_size_estimate
 
     num_perm, bands, shingle, k, seed = 256, 64, "word", 5, 42
     # Cost-gated in-process plan (same gate as the dedup siblings), with
@@ -1329,8 +1302,8 @@ def neardup_pairs(
     # ~1 s candidate scan is repeated at the boundary.
     est = metadata_size_estimate(ds)
     pairs_ds = None
-    if driver_max_pairs > 0 and est is not None and est <= BROADCAST_VERIFY_MAX_BYTES:
-        t = _gather_capped(_sel(ds, [id_col, text_col]), 4 * BROADCAST_VERIFY_MAX_BYTES)
+    if est is not None and est <= LOCAL_PLAN_MAX_BYTES:
+        t = _gather_capped(_sel(ds, [id_col, text_col]), 4 * LOCAL_PLAN_MAX_BYTES)
         if t is not None and t.num_rows <= _PAIR_MATRIX_MAX_DOCS:
             if t.num_rows == 0:
                 return pa.Table.from_pydict({"a": [], "b": []}, schema=_PAIR_SCHEMA)
@@ -1350,7 +1323,7 @@ def neardup_pairs(
             plo, phi = np.nonzero(cand)
             up = plo < phi
             plo, phi = plo[up], phi[up]
-            if plo.size <= driver_max_pairs:
+            if plo.size <= DRIVER_MAX_ROWS:
                 cache = _HashSetCache(shingle, k)
                 set_idx = np.fromiter((cache.idx(x) for x in texts), dtype=np.int64, count=n)
                 lens = np.fromiter((len(s) for s in cache.sets), dtype=np.int64, count=len(cache.sets))
@@ -1389,7 +1362,7 @@ def neardup_pairs(
     if n_pairs == 0:
         return pa.Table.from_pydict({"a": [], "b": []}, schema=_PAIR_SCHEMA)
     kept = None
-    if n_pairs <= driver_max_pairs:
+    if n_pairs <= DRIVER_MAX_ROWS:
         t = as_table(pairs_ds)
         cand = list(
             {(int(a), int(b)) for a, b in zip(t["a"].to_numpy(zero_copy_only=False), t["b"].to_numpy(zero_copy_only=False))}
@@ -1473,7 +1446,6 @@ def simhash_dedup(
     ds,
     id_col: str,
     text_col: str,
-    driver_max_edges: int = DRIVER_MAX_EDGES,
     token_hash: str = "fnv",
     size_hint_bytes: int | None = None,
 ):
@@ -1496,9 +1468,7 @@ def simhash_dedup(
     from ..functions.shuffle import metadata_size_estimate
 
     est = size_hint_bytes if size_hint_bytes is not None else metadata_size_estimate(ds)
-    # driver_max_edges <= 0 means "nothing driver-side" (the distributed-
-    # plan equivalence tests force it); honor that here too
-    if driver_max_edges > 0 and est is not None and est <= _SIMHASH_MERGE_MAX_BYTES:
+    if est is not None and est <= _SIMHASH_MERGE_MAX_BYTES:
         tabs = [
             t
             for t in fps.iter_batches(batch_format="pyarrow", batch_size=None)
@@ -1560,7 +1530,7 @@ def simhash_dedup(
     )
     # edges are already exact-Hamming-verified inside the buckets, so the
     # tail needs only clustering + drop (no payload re-verification)
-    return _dedup_via_edges(ds, id_col, text_col, edges_ds, None, driver_max_edges, None)
+    return _dedup_via_edges(ds, id_col, text_col, edges_ds, None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -1607,7 +1577,7 @@ def embedding_neardup_pairs(ds, id_col: str, vec_col: str, dim: int, threshold: 
     candidates (all-pairs per bucket) + exact verification over the
     gathered candidate vectors. Matches a brute-force pairwise oracle up
     to LSH recall (>99.98% at cos=0.95 with 16 bands × 8 bits; 128 planes,
-    seed 42). Above ``DRIVER_MAX_EDGES`` candidate pairs the vectors
+    seed 42). Above ``shuffle.DRIVER_MAX_ROWS`` candidate pairs the vectors
     shuffle to their pairs instead of gathering on the driver."""
     pair_schema = pa.schema([("a", pa.int64()), ("b", pa.int64())])
 
@@ -1635,7 +1605,9 @@ def embedding_neardup_pairs(ds, id_col: str, vec_col: str, dim: int, threshold: 
 
     rt = None
     cand_pairs: list[tuple] = []
-    if pairs_tbl.count() <= DRIVER_MAX_EDGES:
+    from ..functions.shuffle import DRIVER_MAX_ROWS
+
+    if pairs_tbl.count() <= DRIVER_MAX_ROWS:
         t = as_table(pairs_tbl)
         cand_pairs = list(
             {(int(a), int(b)) for a, b in zip(t["a"].to_numpy(zero_copy_only=False), t["b"].to_numpy(zero_copy_only=False))}

@@ -6,7 +6,7 @@ Whole-document dedup (dedup/exact.py) and near-dup clustering
 (dedup/neardup.py) leave SPANS untouched: a license header, a template
 banner, or a quoted article pasted into otherwise-distinct documents
 survives both. This module finds every byte range whose k-gram content
-also appears in at least ``min_docs`` distinct documents and either
+also appears in at least two distinct documents and either
 reports the merged spans per document (:func:`dup_span_stats`) or cuts
 them out of the text (:func:`strip_dup_spans`) — every occurrence is
 cut, Lee et al.'s release semantics.
@@ -23,9 +23,9 @@ Algorithm (suffix arrays don't distribute; stride-1 fingerprints do):
    per hash IS the distinct-document count — no doc ids on the wire,
    8 bytes/gram;
 2. exact per-hash counts (map-side combiner + 16 B/row exchange,
-   checks/uniqueness.key_counts) → hashes with count >= ``min_docs``;
+   checks/uniqueness.key_counts) → hashes with count >= 2;
 3. cost-gated apply, the same two-rung ladder every sibling dedup op
-   uses: a qualifying set under ``driver_max_hashes`` is gathered once,
+   uses: a qualifying set under ``shuffle.DRIVER_MAX_ROWS`` is gathered once,
    sorted, ``ray.put`` once, and a second streaming pass marks positions
    by batched searchsorted; above the budget the corpus explodes to
    (id, pos, hash) triples, a co-partitioned semi-join
@@ -85,28 +85,18 @@ def _distinct_gram_batch(text_col: str, k: int):
     return fn
 
 
-def duplicated_gram_hashes(
-    ds,
-    text_col: str = "text",
-    k: int = 40,
-    min_docs: int = 2,
-    driver_max_hashes: int = 2_000_000,
-):
-    """The qualifying-hash set: k-gram hashes occurring in >= ``min_docs``
-    distinct documents. Returns ``("broadcast", sorted uint64 ndarray)``
-    when the set fits ``driver_max_hashes`` (typical: duplication is the
+def duplicated_gram_hashes(ds, text_col: str = "text", k: int = 40):
+    """The qualifying-hash set: k-gram hashes occurring in >= 2 distinct
+    documents. Returns ``("broadcast", sorted uint64 ndarray)`` when the
+    set fits ``shuffle.DRIVER_MAX_ROWS`` (typical: duplication is the
     exception, so the set is tiny next to the corpus), else
     ``("distributed", one-column Dataset["gh"])`` — the count comes from
-    the materialized dataset's metadata, so the decision never gathers.
-    ``driver_max_hashes <= 0`` forces the distributed rung
-    (plan-equivalence tests)."""
+    the materialized dataset's metadata, so the decision never gathers."""
     from ..checks.uniqueness import key_counts
 
     if k < 1:
         raise ValueError("k must be >= 1 (gram size in UTF-8 bytes)")
-    if min_docs < 2:
-        raise ValueError("min_docs must be >= 2 (a gram is duplicated across docs)")
-    from ..functions.shuffle import select_if_needed
+    from ..functions.shuffle import DRIVER_MAX_ROWS, select_if_needed
 
     grams = select_if_needed(ds, [text_col]).map_batches(
         _distinct_gram_batch(text_col, k),
@@ -114,12 +104,12 @@ def duplicated_gram_hashes(
     )
 
     def qualifying(tb: pa.Table) -> pa.Table:
-        return tb.filter(pc.greater_equal(tb["cnt"], min_docs)).select(["gh"])
+        return tb.filter(pc.greater_equal(tb["cnt"], 2)).select(["gh"])
 
     qual = key_counts(grams, ["gh"]).map_batches(
         qualifying, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
     ).materialize()
-    if driver_max_hashes > 0 and qual.count() <= driver_max_hashes:
+    if qual.count() <= DRIVER_MAX_ROWS:
         tabs = [t["gh"].to_numpy(zero_copy_only=False)
                 for t in qual.iter_batches(batch_format="pyarrow", batch_size=None)]
         flat = np.concatenate(tabs) if tabs else np.empty(0, dtype=np.uint64)
@@ -297,13 +287,13 @@ def _apply_marked(ds, id_col: str, text_col: str, k: int, plan: str, dup,
                               zero_copy_batch=True)
 
 
-def dup_span_stats(ds, k: int = 40, min_docs: int = 2, driver_max_hashes: int = 2_000_000):
+def dup_span_stats(ds, k: int = 40):
     """Per-document duplicated-substring statistics of the ``text``
     column over ALL rows (zeros for clean docs), keyed by ``doc_id``:
     ``dup_gram_count`` marked stride-1 positions, ``dup_span_count``
     merged spans, ``dup_span_bytes`` their total coverage. Input columns
     pass through."""
-    plan, dup = duplicated_gram_hashes(ds, "text", k, min_docs, driver_max_hashes)
+    plan, dup = duplicated_gram_hashes(ds, "text", k)
     return _apply_marked(ds, "doc_id", "text", k, plan, dup, emit_spans=False)
 
 
@@ -312,7 +302,6 @@ def strip_dup_spans(
     id_col: str = "doc_id",
     text_col: str = "text",
     k: int = 40,
-    driver_max_hashes: int = 2_000_000,
     min_remaining_bytes: int = 0,
 ):
     """Cut every duplicated span out of ``text_col`` (ExactSubstr removal:
@@ -320,7 +309,7 @@ def strip_dup_spans(
     substring-unique at >= k grams). Rows whose remaining text falls
     under ``min_remaining_bytes`` are dropped. STAT_COLS describe what
     was cut; the original text is replaced."""
-    plan, dup = duplicated_gram_hashes(ds, text_col, k, 2, driver_max_hashes)
+    plan, dup = duplicated_gram_hashes(ds, text_col, k)
     marked = _apply_marked(ds, id_col, text_col, k, plan, dup, emit_spans=True)
 
     def cut(tb: pa.Table) -> pa.Table:

@@ -43,8 +43,8 @@ def shuffle_membership_filter(ds, col: str, values_ds, values_col: str, keep: bo
     """Distributed membership filter: rows of ``ds`` whose ``col`` is
     (``keep=True``) / is not (``keep=False``) present in a DISTRIBUTED
     value set — the scale plan when the value set is too large to gather
-    and broadcast. Both sides co-partition by the value hash (the
-    ``dedup/distributed.shuffle_anti_join`` tagged-union pattern); each
+    and broadcast (:func:`membership_filter`'s large rung). Both sides
+    co-partition by the value hash in a tagged union; each
     block filters locally with one vectorized ``is_in``. The payload
     crosses the wire once; the driver never sees either side. NULL values
     never match (SQL semantics), so on ``keep=False`` null rows survive."""
@@ -97,20 +97,41 @@ def shuffle_membership_filter(ds, col: str, values_ds, values_col: str, keep: bo
     return local_group_map(tagged, [col], probe, keys_non_null=keys_non_null)
 
 
-def frequency_filter(ds, col: str, min_count: int, driver_max_keys: int = 2_000_000):
+def membership_filter(ds, col: str, values_ds, values_col: str, keep: bool,
+                      keys_non_null: bool = False):
+    """Rows of ``ds`` whose ``col`` is (``keep=True``) / is not
+    (``keep=False``) in the value set ``values_ds[values_col]`` — the one
+    place the gather-or-shuffle choice for a computed value set is made.
+
+    The value set is MATERIALIZED (object store, not driver) and its exact
+    row count read from metadata. A set up to
+    :data:`~anomalydetection_ray.functions.shuffle.DRIVER_MAX_ROWS` rows is
+    gathered once and broadcast (:func:`broadcast_value_filter`); a larger
+    one finishes as a co-partitioned semi/anti-join
+    (:func:`shuffle_membership_filter`), so the driver never holds it.
+    ``keys_non_null`` promises non-null ``col`` values (dedup ids) to the
+    shuffle rung. NULL values never match on either rung."""
+    from .shuffle import DRIVER_MAX_ROWS
+
+    values_ds = values_ds.materialize()
+    n = values_ds.count()
+    if n == 0 and not keep:
+        return ds
+    if n <= DRIVER_MAX_ROWS:
+        values = np.asarray(as_table_column(values_ds, values_col))
+        return broadcast_value_filter(ds, col, values, keep=keep)
+    return shuffle_membership_filter(ds, col, values_ds, values_col, keep=keep, keys_non_null=keys_non_null)
+
+
+def frequency_filter(ds, col: str, min_count: int):
     """Keep rows whose `col` value occurs more than `min_count` times
     (strict >, matching ``models/preprocessing.py:7-10``).
 
-    Cost-based plan (round-3 verdict: the unconditional driver gather was
-    the engine's last O(distinct-keys) driver hot spot): the qualifying
-    key set is computed distributed and MATERIALIZED (object store, not
-    driver), its exact count read from metadata, and only a set under
-    ``driver_max_keys`` is gathered + broadcast; above the budget the
-    filter finishes as a co-partitioned semi-join
-    (:func:`shuffle_membership_filter`) with no driver materialization —
-    on a 100 TB corpus with a high-cardinality column the keep set never
-    converges on one machine. ``driver_max_keys<=0`` forces the shuffle
-    plan (plan-equivalence tests)."""
+    The qualifying key set is computed distributed (exact counts with a
+    map-side combiner) and applied by :func:`membership_filter`: gathered
+    and broadcast when small, a co-partitioned semi-join otherwise — on a
+    100 TB corpus with a high-cardinality column the keep set never
+    converges on one machine."""
     thresh = min_count
 
     def qualifying(t: pa.Table) -> pa.Table:
@@ -121,11 +142,8 @@ def frequency_filter(ds, col: str, min_count: int, driver_max_keys: int = 2_000_
 
     keep_ds = key_counts(ds, [col]).map_batches(
         qualifying, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
-    ).materialize()
-    if driver_max_keys > 0 and keep_ds.count() <= driver_max_keys:
-        keep = np.asarray(as_table_column(keep_ds, col))
-        return broadcast_value_filter(ds, col, keep, keep=True)
-    return shuffle_membership_filter(ds, col, keep_ds, col, keep=True)
+    )
+    return membership_filter(ds, col, keep_ds, col, keep=True)
 
 
 def as_table_column(ds, col: str) -> pa.ChunkedArray:
@@ -333,7 +351,6 @@ def skew_join(
     *,
     hot_threshold: int | None = None,
     k: int = 256,
-    max_hot_right_rows: int = 2_000_000,
 ):
     """Skew-aware hybrid join — the north rule's "explicit skew-aware
     repartitioning" applied to the join surface.
@@ -357,7 +374,7 @@ def skew_join(
     The union of both lanes is row-identical to the one-plan join
     (equivalence-tested with planted Zipf skew). Falls back to the plain
     shuffle join when: no key qualifies as hot, the gathered hot right
-    rows exceed ``max_hot_right_rows`` (dim-side skew — a broadcast would
+    rows exceed ``shuffle.DRIVER_MAX_ROWS`` (dim-side skew — a broadcast would
     not fit), ``how`` ∈ {"right", "full"} (unmatched-right tracking needs
     global match state), or the key is composite (MG detection is
     single-column). ``hot_threshold<=1`` forces every key hot and
@@ -371,7 +388,7 @@ def skew_join(
 
     import polars as pl
 
-    from .shuffle import arrow_schema, dataset_heavy_hitters, default_num_blocks
+    from .shuffle import DRIVER_MAX_ROWS, arrow_schema, dataset_heavy_hitters, default_num_blocks
 
     mg = dataset_heavy_hitters(left_ds, left_key, k=k)
     if hot_threshold is None:
@@ -394,7 +411,7 @@ def skew_join(
         .iter_batches(batch_format="pyarrow", batch_size=None)
     ):
         n_hot_right += tb.num_rows
-        if n_hot_right > max_hot_right_rows:
+        if n_hot_right > DRIVER_MAX_ROWS:
             # dim-side skew: the hot rows themselves don't fit a broadcast
             return shuffle_hash_join(left_ds, left_key, right_ds, right_key, how=how)
         hot_parts.append(tb)

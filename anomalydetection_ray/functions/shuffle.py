@@ -23,7 +23,6 @@ data, so the shuffle is kilobytes either way.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import polars as pl
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -99,6 +98,13 @@ def blocks_for_bytes(nbytes: int) -> int:
     setup cost (polars explode, model dispatch) then pays that cost
     dozens of times for kilobytes of work each."""
     return max(1, min(default_num_blocks(), -(-nbytes // (32 << 20))))
+
+
+# row budget of every "small enough to gather on the driver" rung: a
+# materialized value, drop or edge set up to this many rows is collected
+# and broadcast; a larger one stays distributed. Read at call time, so a
+# test sets it to -1 to force the distributed rung on a small input.
+DRIVER_MAX_ROWS = 2_000_000
 
 
 def metadata_size_estimate(ds) -> int | None:
@@ -619,13 +625,7 @@ def grouped_kll_quantiles(
     return local_group_map(parts, keys, final)
 
 
-def robust_outlier_flags(
-    ds,
-    keys: list[str],
-    value_col: str,
-    z_col: str = "robust_z",
-    stats: pd.DataFrame | None = None,
-):
+def robust_outlier_flags(ds, keys: list[str], value_col: str):
     """Per-row ROBUST outlier flag from the group median/MAD z-score —
     the heavy-tail-safe anomaly rule (Iglewicz–Hoaglin modified z-score;
     reference analog: the mean±σ threshold of
@@ -637,14 +637,12 @@ def robust_outlier_flags(
     1. STATS — per-group median + MAD via :func:`grouped_exact_quantiles`
        (only (keys, value) — ~16 B/row — enters the exchange; both medians
        compute in one co-located pass). Groups ≪ rows, so the stats table
-       is driver-small; pass ``stats`` (pandas: keys + ``med`` + ``mad``)
-       to reuse a precomputed table and skip the pass.
+       is driver-small.
     2. FLAG — the stats ship ONCE through the object store
        (:func:`~anomalydetection_ray.functions.relational.broadcast_join`,
        how='left') and every batch appends, in pure Arrow kernels:
 
-       - ``z_col`` = (x − med) / (c · mad), NULL when mad == 0
-         (or the group is absent from ``stats``);
+       - ``robust_z`` = (x − med) / (c · mad), NULL when mad == 0;
        - ``is_outlier`` (int32 0/1) = |x − med| > t · c · mad —
          division-free, so degenerate mad=0 groups still flag every
          value off the median, matching
@@ -653,26 +651,18 @@ def robust_outlier_flags(
     c=1.4826 makes MAD estimate σ under normality; t=3.5 is the standard
     modified-z cut. Rows with null values get null z/flag
     (SQL comparison semantics); an all-null group never enters the stats
-    table, so its rows are exactly that null-value case, and rows whose
-    group is absent from a user-supplied ``stats`` get null z/flag too —
-    count non-flagged rows with ``flag IS DISTINCT FROM 1``, not
-    ``flag = 0``."""
+    table, so its rows are exactly that null-value case — count
+    non-flagged rows with ``flag IS DISTINCT FROM 1``, not ``flag = 0``."""
     from .relational import broadcast_join
 
-    for c in (z_col, "is_outlier", "med", "mad"):
+    for c in ("robust_z", "is_outlier", "med", "mad"):
         if c in keys or c == value_col:
             raise ValueError(f"output/stat column {c!r} collides with an input column")
-    if stats is None:
-        st = (
-            grouped_exact_quantiles(ds, keys, value_col, [0.5], mad_col="mad")
-            .to_pandas()
-            .rename(columns={"q50": "med"})
-        )
-    else:
-        missing = {*keys, "med", "mad"} - set(stats.columns)
-        if missing:
-            raise ValueError(f"stats is missing columns {sorted(missing)}")
-        st = stats[keys + ["med", "mad"]]
+    st = (
+        grouped_exact_quantiles(ds, keys, value_col, [0.5], mad_col="mad")
+        .to_pandas()
+        .rename(columns={"q50": "med"})
+    )
     joined = broadcast_join(ds, keys, st, keys, how="left")
     consistency = 1.4826
     thr = 3.5 * consistency
@@ -688,7 +678,7 @@ def robust_outlier_flags(
         )
         return (
             tb.drop_columns(["med", "mad"])
-            .append_column(z_col, z)
+            .append_column("robust_z", z)
             .append_column("is_outlier", pc.cast(hit, pa.int32()))
         )
 
@@ -939,11 +929,15 @@ def global_value_ranks(ds, col: str):
     return ranks_ds, n_rows, n_distinct
 
 
+# rank-lookup bytes up to which with_global_rank broadcasts the lookup
+# instead of shuffle-joining it
+GLOBAL_RANK_MAX_BYTES = 64 << 20
+
+
 def with_global_rank(
     ds,
     col: str,
     kinds: tuple = ("rank", "percent_rank", "cume_dist"),
-    driver_max_bytes: int = 64 << 20,
     prefix: str = "",
 ):
     """Append whole-dataset window-rank columns for ``col`` (SQL
@@ -951,7 +945,7 @@ def with_global_rank(
     percent_rank, cume_dist}) without ever materializing per-row ranks
     centrally: :func:`global_value_ranks` builds the distinct-value
     lookup, which is then applied broadcast-style (``ray.put`` once,
-    searchsorted per batch) when it fits ``driver_max_bytes``, else via
+    searchsorted per batch) when it fits ``GLOBAL_RANK_MAX_BYTES``, else via
     the generic co-partitioned :func:`~anomalydetection_ray.functions.
     relational.shuffle_hash_join` (left join — null / unseen values keep
     null ranks)."""
@@ -974,7 +968,7 @@ def with_global_rank(
     # the lookup is exactly one value + three int64 ranks per distinct
     # value (~32 B); the transformed ranks_ds has no metadata size, so the
     # gate sizes from the distinct count the rank pass already computed
-    if n_distinct * 32 > driver_max_bytes:
+    if n_distinct * 32 > GLOBAL_RANK_MAX_BYTES:
         from .relational import shuffle_hash_join
 
         def tag(tb: pa.Table) -> pa.Table:

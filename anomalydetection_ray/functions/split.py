@@ -358,17 +358,14 @@ def weighted_fixed_count_sample(
 # ---------------------------------------------------------------------------
 
 
-def largest_remainder_allocation(
-    avail: dict, target: dict, total_n: int, redistribute: bool = True
-) -> dict:
+def largest_remainder_allocation(avail: dict, target: dict, total_n: int) -> dict:
     """Integer per-group quotas for ``total_n`` rows matching ``target``
     proportions as closely as integers allow (Hamilton's largest-
     remainder method, deterministic tie-break on the group key's repr),
-    capped at each group's available row count. With
-    ``redistribute=True`` (default), capacity lost to capped groups is
-    re-allocated among groups with spare rows — water-filling, at most
-    ``len(target)`` rounds — so the sample reaches ``total_n`` whenever
-    Σ avail over target groups allows it."""
+    capped at each group's available row count. Capacity lost to capped
+    groups is re-allocated among groups with spare rows — water-filling,
+    at most ``len(target)`` rounds — so the sample reaches ``total_n``
+    whenever Σ avail over target groups allows it."""
     if total_n < 0:
         raise ValueError("total_n must be >= 0")
     weights = {k: float(v) for k, v in target.items() if float(v) > 0}
@@ -402,8 +399,6 @@ def largest_remainder_allocation(
                 capped[k] = True
         remaining = total_n - sum(alloc.values())
         active = {k: w for k, w in active.items() if k not in capped and alloc[k] < int(avail.get(k, 0))}
-        if not redistribute:
-            break
     return alloc
 
 

@@ -584,11 +584,7 @@ def sessionize(
     return local_group_map(select_if_needed(ds, need), [key], block)
 
 
-def funnel_counts(
-    ds,
-    steps: list[str],
-    within=None,
-):
+def funnel_counts(ds, steps: list[str]):
     """Ordered-funnel analysis over an events table (``user_id``, ``ts``,
     ``event_type``): for each step k, how many distinct users performed
     ``steps[0..k]`` in strict time order — each step strictly AFTER the
@@ -608,11 +604,6 @@ def funnel_counts(
     ``len(steps)`` partial counts; the driver sums them — correct because
     co-location makes per-key progression block-local. Null keys and
     null timestamps are dropped up front (SQL JOIN/comparison semantics).
-
-    ``within`` (optional ``datetime.timedelta``, or a numeric delta for
-    numeric ``ts``) bounds the CONVERSION WINDOW: steps 2..k only
-    count when ``ts <= first_step_ts + within`` — the standard
-    "converted within N days of entry" funnel semantics.
 
     Returns a pandas DataFrame ``(step, step_name, n_users)`` with one
     row per step, n_users non-increasing.
@@ -645,17 +636,8 @@ def funnel_counts(
         for k, step in enumerate(steps):
             ev = df.filter(pl.col(event_col) == step)
             if k:
-                cond = pl.col(ts_col) > pl.col("_t")
-                if within is not None:
-                    cond = cond & (pl.col(ts_col) <= pl.col("_t1") + within)
-                ev = ev.join(cur, on=key, how="inner").filter(cond).drop("_t")
-                cur = ev.group_by(key).agg(
-                    pl.col(ts_col).min().alias("_t"), pl.col("_t1").first()
-                )
-            else:
-                cur = ev.group_by(key).agg(pl.col(ts_col).min().alias("_t")).with_columns(
-                    pl.col("_t").alias("_t1")
-                )
+                ev = ev.join(cur, on=key, how="inner").filter(pl.col(ts_col) > pl.col("_t")).drop("_t")
+            cur = ev.group_by(key).agg(pl.col(ts_col).min().alias("_t"))
             counts[k] = cur.height
         return pa.table(
             {

@@ -627,17 +627,20 @@ def _token_ngram_hashes(texts: pa.Array | pa.ChunkedArray, n: int, seed: int) ->
     return df["i"].to_numpy(), df["g"].hash(seed=seed).to_numpy()
 
 
+# distinct benchmark n-grams decontaminate() accepts before it refuses:
+# 8 B/hash caps the exact-mode broadcast at ~400 MB
+MAX_BENCH_NGRAMS = 50_000_000
+
+
 def decontaminate(
     ds,
     text_col: str,
     bench_ds,
     n: int = 13,
-    flag_col: str | None = None,
-    max_bench_ngrams: int = 50_000_000,
     mode: str = "exact",
     fp_rate: float = 1e-6,
 ):
-    """Benchmark DECONTAMINATION: drop (or flag) every document sharing
+    """Benchmark DECONTAMINATION: drop every document sharing
     at least one whitespace-token ``n``-gram with an evaluation/benchmark
     set — the published test-set-overlap filter LLM training corpora run
     (13-gram overlap in Brown et al. 2020 §C/appendix; the same shape as
@@ -648,18 +651,16 @@ def decontaminate(
     1. BENCH SET — one ``map_batches`` over ``bench_ds`` emits per-block
        DISTINCT n-gram hashes (uint64); the driver merges them with one
        ``np.unique``. The contract is that benchmark sets are
-       small-bounded (MBs of text, not corpus-scale) — ``max_bench_ngrams``
-       enforces it loudly (8 B/hash ⇒ the default caps the broadcast at
-       ~400 MB; for a genuinely corpus-sized quarantine set use the
-       MinHash pair path in ``dedup/`` instead, which never gathers).
+       small-bounded (MBs of text, not corpus-scale) — ``MAX_BENCH_NGRAMS``
+       enforces it loudly (8 B/hash caps the broadcast at ~400 MB; for a
+       genuinely corpus-sized quarantine set use the MinHash pair path in
+       ``dedup/`` instead, which never gathers).
     2. SCAN — the sorted hash array ships ONCE (``ray.put``); every
        corpus batch builds its own n-gram hashes with the SAME vectorized
        construction (:func:`_token_ngram_hashes`) and probes via
        ``np.searchsorted`` — contaminated = any probe hit.
 
-    ``flag_col=None`` (default) FILTERS contaminated docs out;
-    ``flag_col='contaminated'`` keeps every row and appends an int32 0/1
-    flag instead (for audits/reporting). Documents with fewer than ``n``
+    Contaminated docs are filtered out. Documents with fewer than ``n``
     tokens are clean by construction. False positives are limited to
     64-bit hash collisions (~1e-19 per pair).
 
@@ -674,7 +675,7 @@ def decontaminate(
     SAFE direction for eval integrity: every true overlap is still
     caught (Blooms have no false negatives); a false positive drops a
     clean doc with probability ≈ n-grams-per-doc × fp_rate —
-    over-quarantine, never leakage. ``max_bench_ngrams`` still bounds
+    over-quarantine, never leakage. ``MAX_BENCH_NGRAMS`` still bounds
     the CAPACITY estimate so a corpus-sized "bench" set fails loudly."""
     import ray
 
@@ -704,10 +705,10 @@ def decontaminate(
             bench_partial, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
         ).materialize()
         cap = bench_hashed.count()
-        if cap > max_bench_ngrams:
+        if cap > MAX_BENCH_NGRAMS:
             raise ValueError(
-                f"benchmark set has up to {cap:,} distinct {n}-grams > max_bench_ngrams="
-                f"{max_bench_ngrams:,}; for a corpus-sized quarantine set use the "
+                f"benchmark set has up to {cap:,} distinct {n}-grams > MAX_BENCH_NGRAMS="
+                f"{MAX_BENCH_NGRAMS:,}; for a corpus-sized quarantine set use the "
                 "dedup/ shuffle paths instead"
             )
         capacity = max(1, cap)
@@ -739,10 +740,10 @@ def decontaminate(
             if t.num_rows
         ]
         bench = np.unique(np.concatenate(parts)) if parts else np.empty(0, dtype=np.uint64)
-        if len(bench) > max_bench_ngrams:
+        if len(bench) > MAX_BENCH_NGRAMS:
             raise ValueError(
-                f"benchmark set has {len(bench):,} distinct {n}-grams > max_bench_ngrams="
-                f"{max_bench_ngrams:,}; decontaminate() broadcasts the bench set — for a "
+                f"benchmark set has {len(bench):,} distinct {n}-grams > MAX_BENCH_NGRAMS="
+                f"{MAX_BENCH_NGRAMS:,}; decontaminate() broadcasts the bench set — for a "
                 "corpus-sized quarantine set use the dedup/ shuffle paths instead"
             )
         bref = ray.put(bench)
@@ -761,9 +762,7 @@ def decontaminate(
         if len(h) and not empty_bench:
             hit = probe(h, ray.get(bref))
             bad[np.unique(idx[hit])] = True
-        if flag_col is None:
-            return tb.filter(pa.array(~bad))
-        return tb.append_column(flag_col, pa.array(bad.astype(np.int32), type=pa.int32()))
+        return tb.filter(pa.array(~bad))
 
     return ds.map_batches(scan, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
 
@@ -980,21 +979,13 @@ def strip_markup_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
     t = pc.replace_substring_regex(t, _HTML_TAG_RE, " ")
     for ent, rep in _HTML_ENTITIES:
         t = pc.replace_substring(t, ent, rep)
-    idx = batch.schema.get_field_index("text")
-    if idx >= 0:
-        return batch.set_column(idx, "text", t)
-    return batch.append_column("text", t)
+    return batch.set_column(batch.schema.get_field_index(text_col), text_col, t)
 
 
-def normalize_text_batch(
-    batch: pa.Table,
-    text_col: str = "text",
-    form: str = "NFC",
-    fix_mojibake: bool = True,
-) -> pa.Table:
+def normalize_text_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
     """Canonical text normalization: repair the common UTF-8-as-cp1252
     mojibake artifacts (fixed literal-replace table), strip control
-    characters, Unicode-normalize (NFC default), and collapse whitespace
+    characters, Unicode-normalize to NFC, and collapse whitespace
     runs to single spaces with ends trimmed. Every step is a vectorized
     kernel (Arrow replace/trim; polars for the normalization itself —
     this pyarrow's ``utf8_normalize`` never COMPOSES, NFC comes back
@@ -1002,18 +993,14 @@ def normalize_text_batch(
     import polars as pl
 
     t = pc.coalesce(batch[text_col], "")
-    if fix_mojibake:
-        for bad, good in _MOJIBAKE_FIXES:
-            t = pc.replace_substring(t, bad, good)
+    for bad, good in _MOJIBAKE_FIXES:
+        t = pc.replace_substring(t, bad, good)
     t = pc.replace_substring_regex(t, _CONTROL_RE, "")
     if isinstance(t, pa.ChunkedArray):
         t = t.combine_chunks()
-    t = pl.Series(t).str.normalize(form).to_arrow().cast(pa.string())
+    t = pl.Series(t).str.normalize("NFC").to_arrow().cast(pa.string())
     t = pc.utf8_trim_whitespace(pc.replace_substring_regex(t, "\\s+", " "))
-    idx = batch.schema.get_field_index("text")
-    if idx >= 0:
-        return batch.set_column(idx, "text", t)
-    return batch.append_column("text", t)
+    return batch.set_column(batch.schema.get_field_index(text_col), text_col, t)
 
 
 # ---------------------------------------------------------------------------

@@ -78,16 +78,10 @@ class MinHasher:
         self.a = rng.randint(1, (1 << 61) - 1, size=num_perm).astype(np.uint64)
         self.b = rng.randint(0, (1 << 61) - 1, size=num_perm).astype(np.uint64)
 
-    def signature(self, hashes: np.ndarray) -> np.ndarray:
-        """(num_perm,) uint64 MinHash signature of a shingle-hash set."""
-        x = hashes.astype(np.uint64)[:, None]  # (n, 1)
-        hv = (self.a[None, :] * x + self.b[None, :]) % _MERSENNE_P
-        return hv.min(axis=0)
-
     def batch_signatures(self, values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         """(n_docs, num_perm) signatures for concatenated hash sets
         (:func:`concat_hash_sets`) — the vectorized replacement for a
-        per-doc :meth:`signature` loop. Permuted hashes for a slab of
+        per-doc signature loop (``min((a·x + b) mod p)`` per permutation). Permuted hashes for a slab of
         documents are one matrix op, Mersenne-reduced WITHOUT hardware
         division (v = q·(p+1) + low ⇒ v mod p = (q+low) mod p, one
         conditional subtract) and all in-place, then collapsed to per-doc
@@ -121,10 +115,6 @@ class MinHasher:
                 out[i0:i1] = np.minimum.reduceat(r, idx, axis=0)
                 i0 = i1
         return out
-
-    @staticmethod
-    def jaccard(sig1: np.ndarray, sig2: np.ndarray) -> float:
-        return float(np.mean(sig1 == sig2))
 
 
 def batch_band_keys(sigs: np.ndarray, bands: int) -> np.ndarray:

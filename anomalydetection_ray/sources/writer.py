@@ -193,12 +193,15 @@ class _PartitionedParquetSink(Datasink):
         self.results = [r for rs in write_result.write_returns for r in rs]
 
 
+# rows per shard file before a partition's block rolls over to a new file
+MAX_ROWS_PER_FILE = 1 << 20
+
+
 def write_partitioned(
     ds,
     out_dir: str,
     partition_col: str,
     resume: bool = True,
-    max_rows_per_file: int = 1 << 20,
 ):
     """Write ``ds`` as Hive-partitioned Parquet under ``out_dir`` with
     per-partition ``_DONE`` completion markers. Returns a pandas
@@ -248,7 +251,7 @@ def write_partitioned(
 
         ds = ds.map_batches(drop_done, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
 
-    sink = _PartitionedParquetSink(out_dir, partition_col, max_rows_per_file, run_tag)
+    sink = _PartitionedParquetSink(out_dir, partition_col, MAX_ROWS_PER_FILE, run_tag)
     ds.write_datasink(sink)
 
     summary: dict[str, dict] = {}

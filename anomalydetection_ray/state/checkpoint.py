@@ -29,9 +29,6 @@ class RunState:
         safe = unit.replace("%", "%25").replace("/", "%2F")
         return os.path.join(self.out_dir, safe, "_DONE")
 
-    def is_done(self, unit: str) -> bool:
-        return os.path.exists(self._marker(unit))
-
     def is_done_compat(self, unit: str, files: tuple[str, ...] = (), fmt: str | None = None) -> bool:
         """Resume-safe done check: the marker must exist, its recorded
         ``format`` tag must match ``fmt`` (layout/version — e.g. the

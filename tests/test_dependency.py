@@ -72,21 +72,22 @@ def test_fd_matches_duckdb_oracle(synth_ds):
     assert set(got["ext"].to_pylist()) == {"py", "rb"}
 
 
-def test_fd_plan_equivalence(synth_ds):
-    """All four (candidate-plan × recovery-plan) combinations agree."""
+def test_fd_plan_equivalence(synth_ds, monkeypatch):
+    """All four (candidate-plan × recovery-plan) combinations agree; a
+    budget constant set to -1 forces its shuffle rung."""
+    from anomalydetection_ray.checks import dependency
+    from anomalydetection_ray.functions import shuffle
+
     ds, _ = synth_ds
     base = _collect(fd_violations(ds, ["ext"], "lang"))
-    forced_shuffle_cand = _collect(
-        fd_violations(ds, ["ext"], "lang", driver_merge_max_bytes=0)
-    )
-    forced_shuffle_recover = _collect(
-        fd_violations(ds, ["ext"], "lang", broadcast_max_candidates=0)
-    )
-    both = _collect(
-        fd_violations(ds, ["ext"], "lang", driver_merge_max_bytes=0, broadcast_max_candidates=0)
-    )
-    for other in (forced_shuffle_cand, forced_shuffle_recover, both):
-        assert base.equals(other)
+    cand = (dependency, "_DRIVER_MERGE_MAX_BYTES")
+    recover = (shuffle, "DRIVER_MAX_ROWS")
+    for forced in ([cand], [recover], [cand, recover]):
+        with monkeypatch.context() as m:
+            for mod, name in forced:
+                m.setattr(mod, name, -1)
+            other = _collect(fd_violations(ds, ["ext"], "lang"))
+        assert base.equals(other), forced
 
 
 def test_fd_null_dependent_is_distinct(ray_session):

@@ -40,16 +40,16 @@ def _kept(ds_out):
     return sorted(as_table(ds_out)["doc_id"].to_pylist())
 
 
-def test_minhash_distributed_matches_driver(ray_session, stress_ds):
+def test_minhash_distributed_matches_driver(ray_session, stress_ds, monkeypatch):
     from anomalydetection_ray.dedup import minhash_lsh_dedup
+    from anomalydetection_ray.functions import shuffle
 
     driver = _kept(
-        minhash_lsh_dedup(stress_ds, "doc_id", "text", verify_threshold=0.8, shingle="word",
-                          driver_max_edges=10**9)
+        minhash_lsh_dedup(stress_ds, "doc_id", "text", verify_threshold=0.8, shingle="word")
     )
+    monkeypatch.setattr(shuffle, "DRIVER_MAX_ROWS", -1)
     dist = _kept(
-        minhash_lsh_dedup(stress_ds, "doc_id", "text", verify_threshold=0.8, shingle="word",
-                          driver_max_edges=0)
+        minhash_lsh_dedup(stress_ds, "doc_id", "text", verify_threshold=0.8, shingle="word")
     )
     assert driver == dist
     # every pair (i, i+half) collapsed to its min member
@@ -58,20 +58,27 @@ def test_minhash_distributed_matches_driver(ray_session, stress_ds):
     assert all(i + half not in dist for i in range(half))
 
 
-def test_neardup_pairs_distributed_matches_driver(ray_session, stress_ds):
-    from anomalydetection_ray.dedup import neardup_pairs
+def test_neardup_pairs_distributed_matches_driver(ray_session, stress_ds, monkeypatch):
+    from anomalydetection_ray.dedup import neardup, neardup_pairs
+    from anomalydetection_ray.functions import shuffle
 
-    driver = neardup_pairs(stress_ds, "doc_id", "text", threshold=0.8, driver_max_pairs=10**9)
-    dist = neardup_pairs(stress_ds, "doc_id", "text", threshold=0.8, driver_max_pairs=0)
+    driver = neardup_pairs(stress_ds, "doc_id", "text", threshold=0.8)
+    monkeypatch.setattr(shuffle, "DRIVER_MAX_ROWS", -1)
+    monkeypatch.setattr(neardup, "LOCAL_PLAN_MAX_BYTES", -1)
+    dist = neardup_pairs(stress_ds, "doc_id", "text", threshold=0.8)
     assert driver.to_pydict() == dist.to_pydict()
     assert driver.num_rows == 200
 
 
-def test_simhash_distributed_matches_driver(ray_session, stress_ds):
-    from anomalydetection_ray.dedup import simhash_dedup
+def test_simhash_distributed_matches_driver(ray_session, stress_ds, monkeypatch):
+    from anomalydetection_ray.dedup import neardup, simhash_dedup
+    from anomalydetection_ray.functions import shuffle
 
-    driver = _kept(simhash_dedup(stress_ds, "doc_id", "text", driver_max_edges=10**9))
-    dist = _kept(simhash_dedup(stress_ds, "doc_id", "text", driver_max_edges=0))
+    driver = _kept(simhash_dedup(stress_ds, "doc_id", "text"))
+    with monkeypatch.context() as m:
+        m.setattr(shuffle, "DRIVER_MAX_ROWS", -1)
+        m.setattr(neardup, "_SIMHASH_MERGE_MAX_BYTES", -1)
+        dist = _kept(simhash_dedup(stress_ds, "doc_id", "text"))
     assert driver == dist
     # third plan: the size-gated fingerprint-driver pass (stress_ds is
     # transformed → no metadata estimate, so the hint is what engages it)
@@ -109,13 +116,13 @@ def test_label_propagation_matches_union_find(ray_session):
     assert got == expect
 
 
-def test_exact_dedup_distributed_matches_driver(ray_session):
+def test_exact_dedup_distributed_matches_driver(ray_session, monkeypatch):
     """round-3 verdict item 2: the large-input branch must not collect
     survivor ids on the driver; drop ids are emitted worker-side and
-    removed with shuffle_anti_join. Byte-equal to the driver plan on a
+    removed with a shuffle anti-join. Byte-equal to the driver plan on a
     ≥50%-duplicate corpus with the threshold forced both ways."""
     import ray.data as rd
-    from anomalydetection_ray.dedup import exact_dedup
+    from anomalydetection_ray.dedup import exact, exact_dedup
     from anomalydetection_ray.pipelines.queries import as_table
 
     n, half = 400, 200
@@ -124,8 +131,10 @@ def test_exact_dedup_distributed_matches_driver(ray_session):
         {"doc_id": pa.array(range(n), type=pa.int64()), "text": pa.array(texts, type=pa.string())}
     )
     ds = rd.from_arrow(t).repartition(7)
-    driver = as_table(exact_dedup(ds, "doc_id", "text", driver_merge_max_bytes=1 << 40))
-    dist = as_table(exact_dedup(ds, "doc_id", "text", driver_merge_max_bytes=-1))
+    monkeypatch.setattr(exact, "_DRIVER_MERGE_MAX_BYTES", 1 << 40)
+    driver = as_table(exact_dedup(ds, "doc_id", "text"))
+    monkeypatch.setattr(exact, "_DRIVER_MERGE_MAX_BYTES", -1)
+    dist = as_table(exact_dedup(ds, "doc_id", "text"))
     d = driver.sort_by("doc_id")
     x = dist.sort_by("doc_id")
     assert d.equals(x)
@@ -134,7 +143,7 @@ def test_exact_dedup_distributed_matches_driver(ray_session):
 
 def test_shuffle_anti_join(ray_session):
     import ray.data as rd
-    from anomalydetection_ray.dedup.distributed import shuffle_anti_join
+    from anomalydetection_ray.functions.relational import shuffle_membership_filter
     from anomalydetection_ray.pipelines.queries import as_table
 
     rows = pa.table(
@@ -142,7 +151,10 @@ def test_shuffle_anti_join(ray_session):
     )
     drops = pa.table({"id": pa.array([3, 7, 11, 19, 99], type=pa.int64())})
     out = as_table(
-        shuffle_anti_join(rd.from_arrow(rows).repartition(4), "doc_id", rd.from_arrow(drops))
+        shuffle_membership_filter(
+            rd.from_arrow(rows).repartition(4), "doc_id", rd.from_arrow(drops), "id",
+            keep=False, keys_non_null=True,
+        )
     )
     kept = sorted(out["doc_id"].to_pylist())
     assert kept == [i for i in range(20) if i not in (3, 7, 11, 19)]

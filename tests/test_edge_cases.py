@@ -575,7 +575,7 @@ def test_driver_grouped_agg_std_no_int64_overflow(ray_session):
     assert out.loc["solo", "vstd"] is None or out.loc["solo", "vstd"] != out.loc["solo", "vstd"]
 
 
-def test_with_global_rank_nan_rows_null_on_both_plans(ray_session):
+def test_with_global_rank_nan_rows_null_on_both_plans(ray_session, monkeypatch):
     """Float NaN rows keep NULL ranks on BOTH cost-gated plans (polars
     joins NaN == NaN, the broadcast lookup doesn't — the plans used to
     disagree)."""
@@ -583,16 +583,18 @@ def test_with_global_rank_nan_rows_null_on_both_plans(ray_session):
     import pandas as pd
     import ray.data as rd
 
+    from anomalydetection_ray.functions import shuffle
     from anomalydetection_ray.functions.shuffle import with_global_rank
 
     df = pd.DataFrame({"id": range(10), "v": [1.0, 2.0, float("nan"), 3.0, 1.0,
                                               float("nan"), 4.0, 2.0, 5.0, 6.0]})
     outs = []
-    for max_bytes in (64 << 20, 0):  # broadcast plan, forced join plan
+    for max_bytes in (64 << 20, -1):  # broadcast plan, forced join plan
+        monkeypatch.setattr(shuffle, "GLOBAL_RANK_MAX_BYTES", max_bytes)
         out = (
             pa.concat_tables(
                 with_global_rank(rd.from_pandas(df).repartition(3), "v",
-                                 kinds=("rank", "cume_dist"), driver_max_bytes=max_bytes)
+                                 kinds=("rank", "cume_dist"))
                 .iter_batches(batch_format="pyarrow", batch_size=None)
             ).to_pandas().sort_values("id").reset_index(drop=True)
         )

@@ -170,11 +170,12 @@ def test_suffix_collision_raises(ray_session):
         shuffle_hash_join(rd.from_arrow(left), "k", rd.from_arrow(right), "rk")
 
 
-def test_frequency_filter_plan_equivalence(ray_session):
-    """driver_max_keys<=0 forces the distributed semi-join plan; output
+def test_frequency_filter_plan_equivalence(ray_session, monkeypatch):
+    """DRIVER_MAX_ROWS=-1 forces the distributed semi-join plan; output
     must be row-identical to the broadcast plan (round-3 verdict item 3)."""
     import ray.data as rd
 
+    from anomalydetection_ray.functions import shuffle
     from anomalydetection_ray.functions.relational import frequency_filter
     from anomalydetection_ray.pipelines.queries import as_table
 
@@ -183,17 +184,19 @@ def test_frequency_filter_plan_equivalence(ray_session):
     tb = pa.table({"v": pa.array(vals, type=pa.int64()), "row": pa.array(np.arange(5000))})
     ds = rd.from_arrow(tb).repartition(6)
     a = _canon(as_table(frequency_filter(ds, "v", 130)))
-    b = _canon(as_table(frequency_filter(ds, "v", 130, driver_max_keys=0)))
+    monkeypatch.setattr(shuffle, "DRIVER_MAX_ROWS", -1)
+    b = _canon(as_table(frequency_filter(ds, "v", 130)))
     assert len(a) > 0 and len(a) < 5000  # threshold actually splits
     assert a.equals(b)
 
 
-def test_frequency_filter_null_group_never_qualifies(ray_session):
+def test_frequency_filter_null_group_never_qualifies(ray_session, monkeypatch):
     """A null key group over the threshold must not qualify (SQL NULL
     semantics) — it used to crash the broadcast plan's np.sort and, via a
     null in the distributed value set, KEEP null rows on the shuffle plan."""
     import ray.data as rd
 
+    from anomalydetection_ray.functions import shuffle
     from anomalydetection_ray.functions.relational import frequency_filter
     from anomalydetection_ray.pipelines.queries import as_table
 
@@ -202,9 +205,10 @@ def test_frequency_filter_null_group_never_qualifies(ray_session):
         "row": pa.array(range(18), type=pa.int64()),
     })
     ds = rd.from_arrow(tb).repartition(3)
-    for kwargs in ({}, {"driver_max_keys": 0}):
-        out = _canon(as_table(frequency_filter(ds, "v", 5, **kwargs)))
-        assert out["v"].tolist() == ["a"] * 8, kwargs  # nulls and 'b' dropped
+    for budget in (shuffle.DRIVER_MAX_ROWS, -1):  # broadcast plan, shuffle plan
+        monkeypatch.setattr(shuffle, "DRIVER_MAX_ROWS", budget)
+        out = _canon(as_table(frequency_filter(ds, "v", 5)))
+        assert out["v"].tolist() == ["a"] * 8, budget  # nulls and 'b' dropped
 
 
 def test_shuffle_membership_filter_null_in_value_set(ray_session):
@@ -309,13 +313,16 @@ def test_skew_join_equivalent_to_shuffle_join(ray_session):
     pd.testing.assert_frame_equal(none_hot, base, check_dtype=True)
 
 
-def test_skew_join_dim_side_budget_falls_back(ray_session):
-    """When the hot keys' RIGHT rows exceed the broadcast budget the plan
-    falls back to the shuffle join rather than gathering them."""
+def test_skew_join_dim_side_budget_falls_back(ray_session, monkeypatch):
+    """When the hot keys' RIGHT rows exceed the broadcast budget
+    (``shuffle.DRIVER_MAX_ROWS``) the plan falls back to the shuffle join
+    rather than gathering them."""
     import numpy as np
     import pyarrow as pa
     import pandas as pd
     import ray.data as rd
+
+    from anomalydetection_ray.functions import shuffle
 
     from anomalydetection_ray.functions.relational import shuffle_hash_join, skew_join
     from anomalydetection_ray.pipelines.queries import as_table
@@ -330,8 +337,9 @@ def test_skew_join_dim_side_budget_falls_back(ray_session):
     def canon(t):
         return t.to_pandas().sort_values(list(t.column_names)).reset_index(drop=True)
 
-    a = canon(as_table(skew_join(left, "k", right, "rk", hot_threshold=100, max_hot_right_rows=100)))
     b = canon(as_table(shuffle_hash_join(left, "k", right, "rk")))
+    monkeypatch.setattr(shuffle, "DRIVER_MAX_ROWS", 100)
+    a = canon(as_table(skew_join(left, "k", right, "rk", hot_threshold=100)))
     pd.testing.assert_frame_equal(a, b, check_dtype=True)
 
 

@@ -68,9 +68,10 @@ def test_k_larger_than_corpus_clamps(ray_session):
     np.testing.assert_allclose(got["knn_mean_dist"], ref_mean, atol=1e-12)
 
 
-def test_guards(ray_session):
+def test_guards(ray_session, monkeypatch):
     import ray.data as rd
 
+    from anomalydetection_ray.functions import similarity
     from anomalydetection_ray.functions.similarity import knn_outlier_scores
 
     m = _vecs(10, 4)
@@ -80,8 +81,9 @@ def test_guards(ray_session):
         knn_outlier_scores(_ds(dup, 2), "vec_id", "embedding", k=3)
     with pytest.raises(ValueError, match="at least 2"):
         knn_outlier_scores(_ds(_frame(m[:1]), 1), "vec_id", "embedding", k=3)
-    with pytest.raises(ValueError, match="broadcast budget"):
-        knn_outlier_scores(_ds(_frame(m), 2), "vec_id", "embedding", k=3, max_bytes=16)
+    with monkeypatch.context() as mp, pytest.raises(ValueError, match="broadcast budget"):
+        mp.setattr(similarity, "KNN_BROADCAST_MAX_BYTES", 16)
+        knn_outlier_scores(_ds(_frame(m), 2), "vec_id", "embedding", k=3)
     with pytest.raises(ValueError, match="empty"):
         knn_outlier_scores(
             rd.from_pandas(_frame(m)).filter(expr="vec_id < 0"), "vec_id", "embedding"

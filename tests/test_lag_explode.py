@@ -188,7 +188,7 @@ def test_window_rank_distribution_kinds_and_ntile(ray_session, k):
         window_rank(rd.from_arrow(tb), "k", ["v"], ntile=0)
 
 
-def test_with_global_rank_duckdb_parity_and_plans(ray_session):
+def test_with_global_rank_duckdb_parity_and_plans(ray_session, monkeypatch):
     """with_global_rank: RANK/DENSE_RANK/PERCENT_RANK/CUME_DIST over the
     whole dataset match DuckDB's null-filtered window (ties included),
     identically on the broadcast plan and the forced shuffle-join plan,
@@ -199,6 +199,7 @@ def test_with_global_rank_duckdb_parity_and_plans(ray_session):
     import pyarrow as pa
     import ray.data as rd
 
+    from anomalydetection_ray.functions import shuffle
     from anomalydetection_ray.functions.shuffle import with_global_rank
 
     rng = np.random.default_rng(7)
@@ -213,19 +214,20 @@ def test_with_global_rank_duckdb_parity_and_plans(ray_session):
         """
     ).df()
 
-    for nb, max_bytes in ((1, 64 << 20), (6, 64 << 20), (6, 0)):
-        out = with_global_rank(
-            rd.from_pandas(df).repartition(nb),
-            "v",
-            kinds=("rank", "dense_rank", "percent_rank", "cume_dist"),
-            driver_max_bytes=max_bytes,
-        )
-        got = (
-            pa.concat_tables(out.iter_batches(batch_format="pyarrow", batch_size=None))
-            .to_pandas()
-            .sort_values("id")
-            .reset_index(drop=True)
-        )
+    for nb, max_bytes in ((1, 64 << 20), (6, 64 << 20), (6, -1)):
+        with monkeypatch.context() as m:
+            m.setattr(shuffle, "GLOBAL_RANK_MAX_BYTES", max_bytes)
+            out = with_global_rank(
+                rd.from_pandas(df).repartition(nb),
+                "v",
+                kinds=("rank", "dense_rank", "percent_rank", "cume_dist"),
+            )
+            got = (
+                pa.concat_tables(out.iter_batches(batch_format="pyarrow", batch_size=None))
+                .to_pandas()
+                .sort_values("id")
+                .reset_index(drop=True)
+            )
         gm = got[got["v"].notna()].reset_index(drop=True)
         for c in ("rank", "dense_rank"):
             assert (gm[c].astype("int64") == want[c].astype("int64")).all(), (nb, max_bytes, c)

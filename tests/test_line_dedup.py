@@ -147,13 +147,16 @@ def test_keep_first_duckdb_parity(ray_session):
     _assert_frames(_run(df, 5, mode="keep_first"), want)
 
 
-def test_plan_equivalence_and_layout_invariance(ray_session):
+def test_plan_equivalence_and_layout_invariance(ray_session, monkeypatch):
+    from anomalydetection_ray.functions import shuffle
+
     df = _corpus(n_docs=80, seed=11)
     base = _run(df, 4, mode="drop_common", min_docs=5)
-    forced = _run(df, 9, mode="drop_common", min_docs=5, driver_max_drops=0)
-    _assert_frames(forced, base)
     kf_base = _run(df, 4, mode="keep_first")
-    kf_forced = _run(df, 9, mode="keep_first", driver_max_drops=0)
+    monkeypatch.setattr(shuffle, "DRIVER_MAX_ROWS", -1)  # distributed apply plan
+    forced = _run(df, 9, mode="drop_common", min_docs=5)
+    _assert_frames(forced, base)
+    kf_forced = _run(df, 9, mode="keep_first")
     _assert_frames(kf_forced, kf_base)
 
 
@@ -166,7 +169,7 @@ def test_no_duplicates_is_identity(ray_session):
     assert list(out["n_lines_kept"]) == [2, 1]
 
 
-def test_strip_lower_normalization(ray_session):
+def test_lines_compare_stripped_not_lowercased(ray_session):
     df = pd.DataFrame(
         {
             "doc_id": [1, 2, 3],
@@ -174,11 +177,10 @@ def test_strip_lower_normalization(ray_session):
             "lang": ["x"] * 3,
         }
     )
-    out = _run(df, 2, mode="drop_common", min_docs=3, normalize="strip_lower")
-    assert list(out["text"]) == ["", "", ""]
-    # strip-only: three distinct keys, nothing drops
-    out2 = _run(df, 2, mode="drop_common", min_docs=3, normalize="strip")
-    assert list(out2["text"]) == list(df["text"])
+    # lines compare stripped but not lowercased: three distinct keys,
+    # nothing drops
+    out = _run(df, 2, mode="drop_common", min_docs=3)
+    assert list(out["text"]) == list(df["text"])
 
 
 def test_custom_separator_token_granularity(ray_session):
@@ -202,8 +204,6 @@ def test_guards(ray_session):
     ds = rd.from_pandas(pd.DataFrame({"doc_id": ["a"], "text": ["x"]}))
     with pytest.raises(ValueError, match="mode"):
         line_drop_pairs(ds, "doc_id", "text", mode="bogus")
-    with pytest.raises(ValueError, match="normalize"):
-        line_drop_pairs(ds, "doc_id", "text", normalize="bogus")
     with pytest.raises(ValueError, match="integer id"):
         line_dedup(ds, "doc_id", "text", mode="keep_first")
     with pytest.raises(ValueError, match="min_docs"):

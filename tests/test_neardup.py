@@ -257,10 +257,10 @@ def test_union_find_min_root():
     assert drop == {3, 5, 9, 7}
 
 
-def test_ivf_recall_on_clustered_unshuffled_input(ray_session):
+def test_ivf_recall_on_clustered_unshuffled_input(ray_session, monkeypatch):
     """round-3 verdict item 4: centroid training must sample the WHOLE
     corpus, not a prefix. Fixture: two far-apart clusters stored
-    cluster-A-first (like a corpus sorted by repo/lang), train_sample
+    cluster-A-first (like a corpus sorted by repo/lang), IVF_TRAIN_SAMPLE
     smaller than cluster A — a prefix sample would train every centroid
     on A and collapse recall for cluster-B queries; the deterministic
     hash-rate sample keeps recall ≥ 0.9."""
@@ -268,6 +268,7 @@ def test_ivf_recall_on_clustered_unshuffled_input(ray_session):
 
     import pyarrow as pa
 
+    from anomalydetection_ray.functions import similarity
     from anomalydetection_ray.functions.similarity import ivf_topk_cosine, topk_cosine
 
     rng = np.random.default_rng(9)
@@ -283,10 +284,8 @@ def test_ivf_recall_on_clustered_unshuffled_input(ray_session):
     )
     q = m[half : half + 6].astype(np.float64)  # cluster-B queries
     exact = topk_cosine(rd.from_arrow(tbl), "vec_id", "embedding", q, k=10)
-    approx = ivf_topk_cosine(
-        rd.from_arrow(tbl), "vec_id", "embedding", q, k=10,
-        n_cells=8, n_probe=2, train_sample=200,  # < |cluster A|
-    )
+    monkeypatch.setattr(similarity, "IVF_TRAIN_SAMPLE", 200)  # < |cluster A|
+    approx = ivf_topk_cosine(rd.from_arrow(tbl), "vec_id", "embedding", q, k=10, n_cells=8, n_probe=2)
     hits = total = 0
     for qi in range(len(q)):
         e = set(exact[exact["query_id"] == qi]["vec_id"].tolist())
@@ -348,10 +347,11 @@ def test_batch_jaccard_keep_matches_exact():
 
 
 def test_verified_dedup_collapse_invariance(ray_session):
-    """collapse_exact must not change survivors — J=1 group reps are the
-    group minima, so component minima over reps equal component minima
-    over all members. Fixture plants word-identical docs (reordered and
-    recounted tokens: same SET) inside and across near-dup clusters."""
+    """The J=1 collapse must not change survivors — J=1 group reps are
+    the group minima, so component minima over reps equal component
+    minima over all members. Fixture plants word-identical docs
+    (reordered and recounted tokens: same SET) inside and across near-dup
+    clusters."""
     import ray.data as rd
 
     from anomalydetection_ray.dedup import minhash_lsh_dedup_verified
@@ -370,42 +370,37 @@ def test_verified_dedup_collapse_invariance(ray_session):
     tb = pa.table(
         {"doc_id": pa.array(range(len(texts)), type=pa.int64()), "text": pa.array(texts, type=pa.string())}
     )
-    outs = []
-    for collapse in (True, False):
-        out = minhash_lsh_dedup_verified(
-            rd.from_arrow(tb), "doc_id", "text", threshold=0.8, shingle="word", collapse_exact=collapse
-        )
-        got = out.to_pandas().sort_values("doc_id")["doc_id"].tolist()
-        outs.append(got)
-    assert outs[0] == outs[1]
-    # 1, 2, 3 all merge into doc 0's component
-    assert 0 in outs[0] and not {1, 2, 3} & set(outs[0])
+    out = minhash_lsh_dedup_verified(rd.from_arrow(tb), "doc_id", "text", threshold=0.8, shingle="word")
+    got = out.to_pandas().sort_values("doc_id")["doc_id"].tolist()
+    # 1, 2, 3 all merge into doc 0's component; every other doc survives
+    assert got == [0, 4, 5, 6, 7]
 
 
-def test_verified_dedup_distributed_plan_with_collapse(ray_session, docs_ds):
-    """All three plan rungs must produce the same survivors, with and
-    without collapse: the in-process small-input plan (round 4), the
-    stage-graph driver-edges plan (small plan gated off via
-    driver_merge_max_bytes=0), and the fully-distributed tail
-    (driver_max_edges=0)."""
-    from anomalydetection_ray.dedup import minhash_lsh_dedup_verified
+def test_verified_dedup_distributed_plan_with_collapse(ray_session, docs_ds, monkeypatch):
+    """All three plan rungs must produce the same survivors: the
+    in-process small-input plan (round 4), the stage-graph driver-edges
+    plan (small plan gated off via LOCAL_PLAN_MAX_BYTES=-1), and the
+    fully-distributed tail (DRIVER_MAX_ROWS=-1 as well)."""
+    from anomalydetection_ray.dedup import minhash_lsh_dedup_verified, neardup
+    from anomalydetection_ray.functions import shuffle
 
+    local = (neardup, "LOCAL_PLAN_MAX_BYTES")
+    rows = (shuffle, "DRIVER_MAX_ROWS")
     plans = [
-        {},  # small-input in-process plan (docs_ds has a size estimate)
-        {"driver_merge_max_bytes": 0},  # stage-graph driver-edges plan
-        {"driver_merge_max_bytes": 0, "driver_max_edges": 0},  # distributed
+        [],  # small-input in-process plan (docs_ds has a size estimate)
+        [local],  # stage-graph driver-edges plan
+        [local, rows],  # distributed
     ]
     ref = None
-    for collapse in (True, False):
-        for kw in plans:
-            out = minhash_lsh_dedup_verified(
-                docs_ds, "doc_id", "text", threshold=0.8, shingle="word",
-                collapse_exact=collapse, **kw,
-            )
+    for forced in plans:
+        with monkeypatch.context() as m:
+            for mod, name in forced:
+                m.setattr(mod, name, -1)
+            out = minhash_lsh_dedup_verified(docs_ds, "doc_id", "text", threshold=0.8, shingle="word")
             got = sorted(out.to_pandas()["doc_id"].tolist())
-            if ref is None:
-                ref = got
-            assert got == ref, (collapse, kw)
+        if ref is None:
+            ref = got
+        assert got == ref, forced
 
 
 def test_verified_local_rounds_path_matches_matrix_path(ray_session, docs_ds, monkeypatch):
@@ -443,8 +438,10 @@ def test_driver_verify_byte_cap_aborts_to_distributed(ray_session, docs_ds, monk
         ].to_pylist()
     )
     # 64 bytes: the 10-doc fixture's texts blow the cap immediately, so the
-    # driver plan AND the broadcast-store plan both abort; the shuffle
-    # pair_payload_join tail must produce byte-identical results
+    # in-process plan, the driver plan AND the broadcast-store plan all
+    # abort; the shuffle pair_payload_join tail must produce
+    # byte-identical results
+    monkeypatch.setattr(neardup, "LOCAL_PLAN_MAX_BYTES", 64)
     monkeypatch.setattr(neardup, "BROADCAST_VERIFY_MAX_BYTES", 64)
     got_pairs = neardup_pairs(docs_ds, "doc_id", "text", threshold=0.8)
     assert sorted(zip(got_pairs["a"].to_pylist(), got_pairs["b"].to_pylist())) == sorted(
@@ -510,15 +507,16 @@ def test_local_plans_reject_duplicate_ids(ray_session):
         neardup_pairs(ds, "doc_id", "text", threshold=0.8)
 
 
-def test_rounds_path_above_matrix_cap_matches_distributed(ray_session):
+def test_rounds_path_above_matrix_cap_matches_distributed(ray_session, monkeypatch):
     """Scale-correctness: 12k docs exceed the candidacy-matrix doc cap,
     so the in-process plan takes the center-batched rounds kernel for
     real (no monkeypatch) — survivors must equal the fully-distributed
     plan's on a corpus with 40 dense near-dup clusters + unique tails."""
     import ray.data as rd
 
-    from anomalydetection_ray.dedup import minhash_lsh_dedup_verified
+    from anomalydetection_ray.dedup import minhash_lsh_dedup_verified, neardup
     from anomalydetection_ray.dedup.neardup import _PAIR_MATRIX_MAX_DOCS
+    from anomalydetection_ray.functions import shuffle
 
     n = 12000
     assert n > _PAIR_MATRIX_MAX_DOCS
@@ -541,18 +539,18 @@ def test_rounds_path_above_matrix_cap_matches_distributed(ray_session):
         minhash_lsh_dedup_verified(ds, "doc_id", "text", threshold=0.8, shingle="word")
         .to_pandas()["doc_id"].tolist()
     )
+    monkeypatch.setattr(neardup, "LOCAL_PLAN_MAX_BYTES", -1)
+    monkeypatch.setattr(shuffle, "DRIVER_MAX_ROWS", -1)
     want = sorted(
-        minhash_lsh_dedup_verified(
-            ds, "doc_id", "text", threshold=0.8, shingle="word",
-            driver_merge_max_bytes=0, driver_max_edges=0,
-        ).to_pandas()["doc_id"].tolist()
+        minhash_lsh_dedup_verified(ds, "doc_id", "text", threshold=0.8, shingle="word")
+        .to_pandas()["doc_id"].tolist()
     )
     assert got == want
     # clusters genuinely collapsed: well under n survivors
     assert len(got) < n - 2000
 
 
-def test_duplicate_ids_raise_on_every_verify_plan(ray_session):
+def test_duplicate_ids_raise_on_every_verify_plan(ray_session, monkeypatch):
     """Round-5 review: duplicate corpus ids used to raise only on the
     in-process plans; the broadcast-store verify plan silently verified
     pairs against an arbitrary duplicate's hash set. Every plan that
@@ -560,6 +558,7 @@ def test_duplicate_ids_raise_on_every_verify_plan(ray_session):
     import ray.data as rd
 
     from anomalydetection_ray.dedup import neardup
+    from anomalydetection_ray.functions import shuffle
 
     base = " ".join(f"w{i}" for i in range(40))
     texts = [base + " a", base + " b",          # near-dup pair
@@ -576,8 +575,9 @@ def test_duplicate_ids_raise_on_every_verify_plan(ray_session):
         neardup.minhash_lsh_dedup_verified(
             ds, "doc_id", "text", 0.8, size_hint_bytes=1024
         )
-    # broadcast-store plan (edge budget 0 skips the in-process rung)
+    # broadcast-store plan (both budgets forced: no in-process rung, no
+    # driver verify)
+    monkeypatch.setattr(neardup, "LOCAL_PLAN_MAX_BYTES", -1)
+    monkeypatch.setattr(shuffle, "DRIVER_MAX_ROWS", -1)
     with pytest.raises(Exception, match="duplicate 'doc_id'"):
-        neardup.minhash_lsh_dedup_verified(
-            ds, "doc_id", "text", 0.8, size_hint_bytes=1024, driver_max_edges=0
-        )
+        neardup.minhash_lsh_dedup_verified(ds, "doc_id", "text", 0.8, size_hint_bytes=1024)

@@ -191,22 +191,29 @@ def test_verified_dedup_plans_agree_on_random_corpora(ray_session, docs, n_clone
     that force extreme bucket densities."""
     import ray.data as rd
 
+    import pytest
+
     from anomalydetection_ray.dedup import minhash_lsh_dedup_verified
     from anomalydetection_ray.dedup import neardup
+    from anomalydetection_ray.functions import shuffle
 
     docs = docs + docs[:n_clones]  # planted exact dups
     ds = rd.from_arrow(
         pa.table({"doc_id": pa.array(range(len(docs)), type=pa.int64()), "text": pa.array(docs)})
     )
     want = None
-    for kw in ({}, {"driver_merge_max_bytes": 0, "driver_max_edges": 0}):
-        got = sorted(
-            minhash_lsh_dedup_verified(ds, "doc_id", "text", threshold=0.8, shingle="word", **kw)
-            .to_pandas()["doc_id"].tolist()
-        )
+    for forced in (False, True):
+        with pytest.MonkeyPatch.context() as m:
+            if forced:
+                m.setattr(neardup, "LOCAL_PLAN_MAX_BYTES", -1)
+                m.setattr(shuffle, "DRIVER_MAX_ROWS", -1)
+            got = sorted(
+                minhash_lsh_dedup_verified(ds, "doc_id", "text", threshold=0.8, shingle="word")
+                .to_pandas()["doc_id"].tolist()
+            )
         if want is None:
             want = got
-        assert got == want, kw
+        assert got == want, forced
 
 
 @settings(max_examples=50, deadline=None)

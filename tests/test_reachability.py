@@ -28,55 +28,23 @@ SURFACE_FILES = [
     *sorted((ROOT / "suitebench").glob("*.py")),
 ]
 
-# Defaulted parameters that only tests pass, as "callee.param". Most are
-# budget knobs a plan-equivalence test turns down to force the large
-# (shuffle) rung on a small input; the rest pin a documented option whose
-# non-default branch only a test selects. An entry leaves the list once a
+# Defaulted parameters that only tests pass, as "callee.param": each pins
+# a documented option whose non-default branch only a test selects. Plan
+# budgets are module constants, never parameters (a test forces a rung
+# by monkeypatching the constant). An entry leaves the list once a
 # surface passes it or the parameter is gone.
 TEST_ONLY_PARAMETERS: dict[str, str] = {
-    # budget knobs that force the large rung on a small input
-    "exact_dedup.driver_merge_max_bytes": "plan equivalence, driver vs shuffle tail",
-    "dedup_against_snapshot.snapshot_size_hint_bytes": "forces the distributed snapshot rung",
-    "fd_violations.broadcast_max_candidates": "forces the semi-join recovery plan",
-    "fd_violations.driver_merge_max_bytes": "forces the shuffled candidate pass",
-    "frequency_filter.driver_max_keys": "forces the shuffle membership plan",
-    "line_dedup.driver_max_drops": "forces the distributed apply plan",
-    "minhash_lsh_dedup.driver_max_edges": "plan equivalence, driver vs distributed clustering",
-    "minhash_lsh_dedup_verified.driver_max_edges": "forces the distributed components rung",
-    "minhash_lsh_dedup_verified.driver_merge_max_bytes": "forces the stage-graph plan",
-    "neardup_pairs.driver_max_pairs": "plan equivalence, driver vs distributed verify",
-    "simhash_dedup.driver_max_edges": "plan equivalence, driver vs distributed clustering",
-    "dup_span_stats.driver_max_hashes": "forces the distributed span join",
-    "strip_dup_spans.driver_max_hashes": "forces the distributed span join",
-    "skew_join.max_hot_right_rows": "forces the dimension-skew fallback",
-    "with_global_rank.driver_max_bytes": "forces the shuffle-join rank plan",
-    "knn_outlier_scores.max_bytes": "forces the over-budget error",
-    "decontaminate.max_bench_ngrams": "forces the corpus-sized bench error",
-    "write_partitioned.max_rows_per_file": "forces file rollover on a small table",
-    # options whose non-default branch only a test selects
     "main.argv": "tests drive the CLI in process",
     "AutoencoderScoreStage.load_hook": "counts snapshot loads per actor",
     "bm25_score_batch.k1": "BM25 parameters against the reference formula",
     "bm25_score_batch.b": "BM25 parameters against the reference formula",
     "char_trigram_lm.min_count": "vocabulary pruning",
-    "decontaminate.flag_col": "flag mode instead of drop",
     "decontaminate.fp_rate": "Bloom-mode false-positive target",
-    "dedup_against_snapshot.snapshot_text_col": "snapshot with a differently named text column",
     "dsir_weights.n_buckets": "reference weights at a small bucket count",
-    "dup_span_stats.min_docs": "document-frequency threshold",
     "fixed_count_sample.unit_fn": "md5 unit hash ties",
-    "funnel_counts.within": "conversion window",
     "isolation_forest_scores.seed": "seeded forest",
-    "ivf_topk_cosine.train_sample": "sample smaller than a cluster",
     "lag_lead.leads": "LEAD columns",
-    "largest_remainder_allocation.redistribute": "allocation without water-filling",
-    "line_dedup.normalize": "line normalization modes",
     "mahalanobis_scores.ridge": "exact parity with numpy at zero ridge",
-    "minhash_lsh_dedup_verified.collapse_exact": "plan with exact duplicates kept",
-    "normalize_text_batch.fix_mojibake": "normalization without the mojibake table",
-    "normalize_text_batch.form": "NFD normalization",
-    "robust_outlier_flags.stats": "precomputed statistics",
-    "robust_outlier_flags.z_col": "output-name collision guard",
     "stratified_split.seed": "seeded split",
     "weighted_fixed_count_sample.seed": "seed sensitivity",
     "window_rank.ntile": "NTILE buckets",
@@ -310,12 +278,11 @@ def _defaulted(args: ast.arguments, skip_self: bool) -> list[tuple[str, int | No
 
 
 def _signatures(package: dict[str, ast.Module]):
-    """(file, line, callee, defaulted params) for every public function
-    and every public class ``__init__``."""
+    """(file, line, callee, defaulted params) for every module-level
+    function and every class ``__init__``, public or private (a private
+    helper's default can capture a budget as surely as a public one's)."""
     for mod, tree in package.items():
         for top in tree.body:
-            if getattr(top, "name", "_").startswith("_"):
-                continue
             if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield mod, top.lineno, top.name, _defaulted(top.args, False)
             elif isinstance(top, ast.ClassDef):
@@ -406,7 +373,7 @@ def _literal_keys(node: ast.AST) -> set[str] | None:
 
 def unpassed_parameters(package: dict[str, ast.Module], callers: dict[str, ast.Module]) -> dict[str, str]:
     """``"callee.param" -> "file:line"`` for each defaulted parameter of a
-    public function or class ``__init__`` in ``package`` that no call in
+    module-level function or class ``__init__`` in ``package`` that no call in
     ``callers`` passes. A call passes a parameter when it names it as a
     keyword, reaches its position, splats ``*args``/``**kwargs``, names it
     as a key of a ``fn_kwargs=``/``fn_constructor_kwargs=`` dict literal
@@ -444,6 +411,31 @@ def test_parameter_check_flags_an_unpassed_parameter():
     package = _parse({"m.py": "def f(x, knob=3):\n    return x * knob\n"})
     assert unpassed_parameters(package, _parse({"s.py": "f(1)\n"})) == {"f.knob": "m.py:1"}
     assert unpassed_parameters(package, _parse({"s.py": "f(1, knob=2)\n"})) == {}
+
+
+def test_parameter_check_covers_private_definitions():
+    """A budget captured as a private helper's default is flagged too: a
+    test that monkeypatches the module constant would silently miss it."""
+    package = _parse({
+        "m.py": """
+            LIMIT = 10
+
+            def public(x):
+                return _helper(x) + _Stage(x).n
+
+            def _helper(x, budget=LIMIT):
+                return x <= budget
+
+            class _Stage:
+                def __init__(self, n, cap=LIMIT):
+                    self.n = min(n, cap)
+        """,
+    })
+    surfaces = _parse({"s.py": "public(1)\n"})
+    assert unpassed_parameters(package, {**package, **surfaces}) == {
+        "_helper.budget": "m.py:7",
+        "_Stage.cap": "m.py:11",
+    }
 
 
 def test_parameter_check_counts_indirect_passes():

@@ -96,8 +96,7 @@ def test_robust_outlier_flags_match_numpy(ray_session):
     assert int(out["is_outlier"].sum()) >= 5
 
 
-def test_robust_outlier_flags_degenerate_and_external_stats(ray_session):
-    import pandas as pd
+def test_robust_outlier_flags_degenerate_and_collision(ray_session):
     import ray.data as rd
 
     from anomalydetection_ray.functions.shuffle import robust_outlier_flags
@@ -117,17 +116,12 @@ def test_robust_outlier_flags_degenerate_and_external_stats(ray_session):
     assert b["is_outlier"].tolist() == [0, 0, 0]
     assert np.allclose(b["robust_z"], [-1 / 1.4826, 0.0, 1 / 1.4826])
 
-    # external stats missing a group -> null z and flag for its rows
-    stats = pd.DataFrame({"g": ["a"], "med": [2.0], "mad": [1.0]})
-    out2 = robust_outlier_flags(rd.from_arrow(t), ["g"], "v", stats=stats).to_pandas()
-    missing = out2[out2["g"] == "b"]
-    assert missing["robust_z"].isna().all() and missing["is_outlier"].isna().all()
-
-    # colliding output column is rejected up front
+    # an input key already named like the output column is rejected up front
     import pytest as _pytest
 
-    with _pytest.raises(ValueError):
-        robust_outlier_flags(rd.from_arrow(t), ["g"], "v", z_col="g")
+    clash = t.rename_columns(["robust_z", "v"])
+    with _pytest.raises(ValueError, match="robust_z"):
+        robust_outlier_flags(rd.from_arrow(clash), ["robust_z"], "v")
 
 
 def test_grouped_topk_exact_and_deterministic(ray_session):

@@ -23,7 +23,7 @@ def _tables():
         "lang": pa.array(["en"] * 10, type=pa.string()),
     })
     snap = pa.table({
-        "content": pa.array([
+        "text": pa.array([
             "already curated alpha", "already curated beta",
             "already curated gamma", "",  # empty string IS curated content
         ], type=pa.string()),
@@ -38,20 +38,21 @@ def _expected(new: pa.Table, snap: pa.Table) -> list[int]:
     return [r[0] for r in con.execute(
         """SELECT doc_id FROM new_docs
            WHERE text IS NULL
-              OR text NOT IN (SELECT content FROM snap WHERE content IS NOT NULL)
+              OR text NOT IN (SELECT text FROM snap WHERE text IS NOT NULL)
            ORDER BY doc_id"""
     ).fetchall()]
 
 
-@pytest.mark.parametrize("hint", [None, 0], ids=["broadcast", "distributed"])
-def test_snapshot_dedup_matches_duckdb(ray_session, hint):
+@pytest.mark.parametrize("forced", [False, True], ids=["broadcast", "distributed"])
+def test_snapshot_dedup_matches_duckdb(ray_session, forced, monkeypatch):
     import ray.data as rd
 
+    from anomalydetection_ray.dedup import exact
+
+    if forced:
+        monkeypatch.setattr(exact, "_DRIVER_MERGE_MAX_BYTES", -1)
     new, snap = _tables()
-    res = dedup_against_snapshot(
-        rd.from_arrow(new), "doc_id", "text", rd.from_arrow(snap),
-        snapshot_text_col="content", snapshot_size_hint_bytes=hint,
-    )
+    res = dedup_against_snapshot(rd.from_arrow(new), "doc_id", "text", rd.from_arrow(snap))
     got = pa.concat_tables(
         [b for b in res.iter_batches(batch_format="pyarrow", batch_size=None)],
         promote_options="default",
@@ -65,11 +66,8 @@ def test_snapshot_dedup_empty_snapshot(ray_session):
     import ray.data as rd
 
     new, _ = _tables()
-    snap = pa.table({"content": pa.array([], type=pa.string())})
-    res = dedup_against_snapshot(
-        rd.from_arrow(new), "doc_id", "text", rd.from_arrow(snap),
-        snapshot_text_col="content",
-    )
+    snap = pa.table({"text": pa.array([], type=pa.string())})
+    res = dedup_against_snapshot(rd.from_arrow(new), "doc_id", "text", rd.from_arrow(snap))
     n = sum(t.num_rows for t in res.iter_batches(batch_format="pyarrow", batch_size=None))
     assert n == new.num_rows
 
@@ -82,8 +80,7 @@ def test_snapshot_dedup_composes_with_exact_dedup(ray_session):
 
     new, snap = _tables()
     res = exact_dedup(
-        dedup_against_snapshot(rd.from_arrow(new), "doc_id", "text",
-                               rd.from_arrow(snap), snapshot_text_col="content"),
+        dedup_against_snapshot(rd.from_arrow(new), "doc_id", "text", rd.from_arrow(snap)),
         "doc_id", "text",
     )
     got = pa.concat_tables(

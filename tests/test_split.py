@@ -287,11 +287,6 @@ def test_largest_remainder_allocation_properties():
     a = largest_remainder_allocation({"en": 10, "de": 1000, "fr": 1000},
                                      {"en": 0.5, "de": 0.25, "fr": 0.25}, 100)
     assert a["en"] == 10 and sum(a.values()) == 100 and a["de"] == a["fr"] == 45
-    # no redistribution: capped surplus is simply lost
-    a = largest_remainder_allocation({"en": 10, "de": 1000, "fr": 1000},
-                                     {"en": 0.5, "de": 0.25, "fr": 0.25}, 100,
-                                     redistribute=False)
-    assert a["en"] == 10 and a["de"] == 25 and a["fr"] == 25
     # infeasible total: everything available is taken
     a = largest_remainder_allocation({"en": 3, "de": 4}, {"en": 0.5, "de": 0.5}, 100)
     assert a == {"en": 3, "de": 4}

@@ -8,11 +8,8 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
-from anomalydetection_ray.dedup.substrings import (
-    dup_span_stats,
-    duplicated_gram_hashes,
-    strip_dup_spans,
-)
+from anomalydetection_ray.dedup.substrings import dup_span_stats, strip_dup_spans
+from anomalydetection_ray.functions import shuffle
 from anomalydetection_ray.functions.text import _WIN_BASE, kgram_hashes
 
 
@@ -120,18 +117,22 @@ def _sorted_stats(res) -> list[tuple[int, int, int]]:
 K = 12
 
 
-@pytest.mark.parametrize("driver_max_hashes", [2_000_000, 0], ids=["broadcast", "distributed"])
-def test_stats_match_reference(ray_session, driver_max_hashes):
+@pytest.mark.parametrize("forced", [False, True], ids=["broadcast", "distributed"])
+def test_stats_match_reference(ray_session, forced, monkeypatch):
+    if forced:
+        monkeypatch.setattr(shuffle, "DRIVER_MAX_ROWS", -1)
     texts = _corpus()
-    got = _sorted_stats(dup_span_stats(_ds(texts), k=K, driver_max_hashes=driver_max_hashes))
+    got = _sorted_stats(dup_span_stats(_ds(texts), k=K))
     assert got == ref_stats(texts, K)
     assert any(g for g, _, _ in got)  # non-degenerate: planted dups found
 
 
-@pytest.mark.parametrize("driver_max_hashes", [2_000_000, 0], ids=["broadcast", "distributed"])
-def test_strip_matches_reference(ray_session, driver_max_hashes):
+@pytest.mark.parametrize("forced", [False, True], ids=["broadcast", "distributed"])
+def test_strip_matches_reference(ray_session, forced, monkeypatch):
+    if forced:
+        monkeypatch.setattr(shuffle, "DRIVER_MAX_ROWS", -1)
     texts = _corpus()
-    res = strip_dup_spans(_ds(texts), k=K, driver_max_hashes=driver_max_hashes)
+    res = strip_dup_spans(_ds(texts), k=K)
     t = pa.concat_tables(
         [b for b in res.iter_batches(batch_format="pyarrow", batch_size=None)],
         promote_options="default",
@@ -196,14 +197,8 @@ def test_within_doc_repeat_not_marked(ray_session):
 def test_min_docs_threshold(ray_session):
     shared = "this sentence appears in exactly two documents"
     texts = [shared + " one", shared + " two", "nothing in common at all q"]
-    assert _sorted_stats(dup_span_stats(_ds(texts), k=10, min_docs=3)) == [(0, 0, 0)] * 3
-    got = _sorted_stats(dup_span_stats(_ds(texts), k=10, min_docs=2))
+    got = _sorted_stats(dup_span_stats(_ds(texts), k=10))
     assert got[0][2] >= len(shared) and got[2] == (0, 0, 0)
-
-
-def test_min_docs_validation(ray_session):
-    with pytest.raises(ValueError):
-        duplicated_gram_hashes(_ds(["x"]), min_docs=1)
 
 
 def test_kgram_hashes_bit_identical_to_naive():

@@ -406,48 +406,6 @@ def test_funnel_counts_attrition_strict_order_and_layout(ray_session):
     assert list(out["n_users"]) == [0, 0]
 
 
-def test_funnel_counts_conversion_window(ray_session):
-    """within= bounds the conversion window from FUNNEL ENTRY (first-step
-    time), inclusive; DuckDB interval-chain parity."""
-    import datetime as dt
-
-    import duckdb
-    import pandas as pd
-    import ray.data as rd
-
-    from anomalydetection_ray.functions.temporal import funnel_counts
-
-    t0 = dt.datetime(2024, 1, 1)
-    s = lambda k: t0 + dt.timedelta(minutes=k)
-    rows = [
-        (1, s(0), "A"), (1, s(1), "B"), (1, s(2), "C"),      # all inside 10min
-        (2, s(0), "A"), (2, s(5), "B"), (2, s(20), "C"),     # C outside window
-        (3, s(0), "A"), (3, s(15), "B"), (3, s(16), "C"),    # B already outside
-        (4, s(0), "A"), (4, s(10), "B"),                     # boundary: <= counts
-    ]
-    df = pd.DataFrame(rows, columns=["user_id", "ts", "event_type"])
-    for nb in (1, 5):
-        out = funnel_counts(
-            rd.from_pandas(df).repartition(nb), ["A", "B", "C"],
-            within=dt.timedelta(minutes=10),
-        )
-        assert dict(zip(out["step"], out["n_users"])) == {1: 4, 2: 3, 3: 1}, nb
-
-    want = duckdb.sql(
-        """
-        WITH s1 AS (SELECT user_id, MIN(ts) t1 FROM df WHERE event_type='A' GROUP BY user_id),
-        s2 AS (SELECT e.user_id, MIN(e.ts) t, ANY_VALUE(s1.t1) t1 FROM df e JOIN s1 USING (user_id)
-               WHERE e.event_type='B' AND e.ts > s1.t1
-                 AND e.ts <= s1.t1 + INTERVAL 10 MINUTE GROUP BY e.user_id),
-        s3 AS (SELECT e.user_id FROM df e JOIN s2 USING (user_id)
-               WHERE e.event_type='C' AND e.ts > s2.t
-                 AND e.ts <= s2.t1 + INTERVAL 10 MINUTE GROUP BY e.user_id)
-        SELECT (SELECT COUNT(*) FROM s1) a, (SELECT COUNT(*) FROM s2) b, (SELECT COUNT(*) FROM s3) c
-        """
-    ).df()
-    assert (int(want["a"][0]), int(want["b"][0]), int(want["c"][0])) == (4, 3, 1)
-
-
 # ------------------------------------------------ round-5 review regressions
 
 

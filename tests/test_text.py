@@ -256,7 +256,7 @@ def test_char_trigram_lm_fit_score_unseen_and_layout(ray_session):
     assert np.isnan(empty.logprob(["abcdef"])[0])
 
 
-def test_decontaminate_filters_ngram_overlap(ray_session):
+def test_decontaminate_filters_ngram_overlap(ray_session, monkeypatch):
     import numpy as np
     import pyarrow as pa
     import ray.data as rd
@@ -284,21 +284,17 @@ def test_decontaminate_filters_ngram_overlap(ray_session):
             .sort_values("doc_id")
         )
         assert out["doc_id"].tolist() == [1, 2, 4]
-        flagged = (
-            decontaminate(ds, "text", rd.from_arrow(bench), n=4, flag_col="contaminated")
-            .to_pandas()
-            .sort_values("doc_id")
-            .reset_index(drop=True)
-        )
-        assert flagged["contaminated"].tolist() == [1, 0, 0, 1, 0]
     # n larger than every doc -> everything clean
     out2 = decontaminate(rd.from_arrow(corpus), "text", rd.from_arrow(bench), n=50).to_pandas()
     assert len(out2) == 5
     # bench-size contract enforced loudly
     import pytest as _pytest
 
-    with _pytest.raises(ValueError, match="max_bench_ngrams"):
-        decontaminate(rd.from_arrow(corpus), "text", rd.from_arrow(bench), n=2, max_bench_ngrams=1).to_pandas()
+    from anomalydetection_ray.functions import text as text_mod
+
+    with monkeypatch.context() as m, _pytest.raises(ValueError, match="MAX_BENCH_NGRAMS"):
+        m.setattr(text_mod, "MAX_BENCH_NGRAMS", 1)
+        decontaminate(rd.from_arrow(corpus), "text", rd.from_arrow(bench), n=2).to_pandas()
     with _pytest.raises(ValueError):
         decontaminate(rd.from_arrow(corpus), "text", rd.from_arrow(bench), n=0)
 
@@ -402,7 +398,7 @@ def test_dsir_logratio_vector_validation():
     assert (lr == 0).all()
 
 
-def test_decontaminate_bloom_mode_matches_exact(ray_session):
+def test_decontaminate_bloom_mode_matches_exact(ray_session, monkeypatch):
     import numpy as np
     import pyarrow as pa
     import ray.data as rd
@@ -431,18 +427,14 @@ def test_decontaminate_bloom_mode_matches_exact(ray_session):
         assert sorted(bloom) == sorted(exact)
         for leaked in (3, 17, 40, 77, 90, 119):
             assert leaked not in bloom
-    # flag variant agrees too
-    fe = decontaminate(rd.from_arrow(corpus), "text", rd.from_arrow(bench), n=8,
-                       flag_col="c").to_pandas().sort_values("doc_id")["c"].tolist()
-    fb = decontaminate(rd.from_arrow(corpus), "text", rd.from_arrow(bench), n=8,
-                       mode="bloom", fp_rate=1e-9, flag_col="c").to_pandas().sort_values("doc_id")["c"].tolist()
-    assert fe == fb
     # capacity contract still enforced loudly in bloom mode
     import pytest as _pytest
 
-    with _pytest.raises(ValueError, match="max_bench_ngrams"):
-        decontaminate(rd.from_arrow(corpus), "text", rd.from_arrow(bench), n=2,
-                      mode="bloom", max_bench_ngrams=1).to_pandas()
+    from anomalydetection_ray.functions import text as text_mod
+
+    with monkeypatch.context() as m, _pytest.raises(ValueError, match="MAX_BENCH_NGRAMS"):
+        m.setattr(text_mod, "MAX_BENCH_NGRAMS", 1)
+        decontaminate(rd.from_arrow(corpus), "text", rd.from_arrow(bench), n=2, mode="bloom").to_pandas()
     with _pytest.raises(ValueError, match="mode"):
         decontaminate(rd.from_arrow(corpus), "text", rd.from_arrow(bench), mode="nope")
     # empty bench set: everything clean
@@ -500,11 +492,33 @@ def test_normalize_and_strip_markup_and_encoding_damage():
     assert out[2] == "Hi & bye spaced out"
     assert out[3] == chr(0xE9) + "tude"
     assert out[4] == ""
-    # no-mojibake-fix variant leaves artifacts; NFD form supported
-    raw = normalize_text_batch(tb, fix_mojibake=False)["text"].to_pylist()
-    assert raw[1] != out[1]
-    nfd = normalize_text_batch(tb, form="NFD")["text"].to_pylist()
-    assert nfd[3] == "e" + chr(0x301) + "tude"
+
+
+def test_normalize_and_strip_markup_write_the_named_column(ray_session, tmp_path):
+    """Both kernels rewrite ``text_col`` in place: a corpus whose text
+    column is ``content`` gets stripped, normalized content and no stray
+    ``text`` column — on the kernels and through ``curate_corpus``."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from anomalydetection_ray.functions.text import normalize_text_batch, strip_markup_batch
+    from anomalydetection_ray.pipelines.curate import curate_corpus
+
+    raw = "<b>Hi</b>   there, this " + "caf" + chr(0xC3) + chr(0xA9) + " line has   enough tokens"
+    clean = "Hi there, this caf" + chr(0xE9) + " line has enough tokens"
+    tb = pa.table({"doc_id": pa.array([1], type=pa.int64()), "content": [raw]})
+    out = normalize_text_batch(strip_markup_batch(tb, "content"), "content")
+    assert out.column_names == ["doc_id", "content"]
+    assert out["content"].to_pylist() == [clean]
+
+    src = str(tmp_path / "docs.parquet")
+    pq.write_table(tb, src)
+    res = curate_corpus(src, str(tmp_path / "out"), text_col="content", partition_col=None,
+                        dedup="none", min_tokens=1, min_distinct_ratio_pct=0)
+    assert res["rows_out"] == 1
+    got = pq.read_table(str(tmp_path / "out"))
+    assert "text" not in got.column_names
+    assert got["content"].to_pylist() == [clean]
 
 
 def test_strip_markup_no_double_unescape():

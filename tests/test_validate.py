@@ -224,7 +224,7 @@ def test_resume_skips_done_checks(ray_session, clean_corpus, tmp_path):
     shutil.rmtree(os.path.join(out, "scan"))
     res2 = run_suite(f"{d}/corpus", out, cfg)
     assert os.path.getmtime(uqk) == t0  # uniqueness NOT recomputed
-    assert state.is_done("scan")  # scan redone
+    assert state.is_done_compat("scan")  # scan redone
     assert res2.verdicts.equals(res1.verdicts)  # identical final output
 
     # a recomputed uniqueness pass invalidates the scan checkpoint (its
@@ -645,7 +645,7 @@ def test_runstate_unit_name_escaping_injective(tmp_path):
 
     s = RunState(str(tmp_path))
     s.mark_done("a/b", {"v": 1})
-    assert s.is_done("a/b") and not s.is_done("a_b")
+    assert s.is_done_compat("a/b") and not s.is_done_compat("a_b")
     s.mark_done("a_b", {"v": 2})
     assert s.done_metrics("a/b")["metrics"]["v"] == 1
     assert s.done_metrics("a_b")["metrics"]["v"] == 2

@@ -181,14 +181,16 @@ def test_write_partitioned_identical_blocks_not_collapsed(ray_session, tmp_path)
     assert int(summary["rows"].sum()) == 4
 
 
-def test_write_partitioned_max_rows_per_file(ray_session, tmp_path):
+def test_write_partitioned_max_rows_per_file(ray_session, tmp_path, monkeypatch):
     import ray.data as rd
 
+    from anomalydetection_ray.sources import writer
     from anomalydetection_ray.sources.writer import write_partitioned
 
     t = _mk(n=90, langs=("en",), with_null=False)
     out = str(tmp_path / "sink")
-    s = write_partitioned(rd.from_arrow(t), out, "lang", max_rows_per_file=25)
+    monkeypatch.setattr(writer, "MAX_ROWS_PER_FILE", 25)
+    s = write_partitioned(rd.from_arrow(t), out, "lang")
     files = [f for f in os.listdir(os.path.join(out, "lang=en")) if f.endswith(".parquet")]
     assert len(files) == 4  # 25+25+25+15
     assert int(s.loc[s["partition"] == "en", "files"].iloc[0]) == 4
